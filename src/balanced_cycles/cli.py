@@ -30,7 +30,8 @@ from .groups import build_group
 from .harness import compute_n, verify_all, verify_random
 from .labellings import Labelling, labelling_from_json
 from .proof_engine import key_lemma, prime_finder
-from .reach import enumerate_balanced_cycles, find_balanced_cycle, short_cycle_scan
+from .reach import (EXACT_CAP, enumerate_balanced_cycles, find_balanced_cycle,
+                    short_cycle_scan)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -71,7 +72,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     L = _load_labelling(args.labelling)
-    exact = L.n <= args.max_dp_vertices and not args.heuristic
+    exact = L.n <= min(args.max_dp_vertices, EXACT_CAP) and not args.heuristic
     if exact:
         witness = find_balanced_cycle(L, max_vertices=args.max_dp_vertices)
         mode = "exact"
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         chk.add_argument("labelling")
         chk.add_argument("--heuristic", action="store_true",
                          help="short-cycle scan only, even when exact search would fit")
-        chk.add_argument("--max-dp-vertices", type=int, default=24)
+        chk.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP)
         chk.set_defaults(func=_cmd_check)
 
     enum = sub.add_parser("enumerate", help="list every balanced cycle")
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--workers", type=int, default=None)
-    ver.add_argument("--max-dp-vertices", type=int, default=24)
+    ver.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP)
     ver.set_defaults(func=_cmd_verify)
 
     cn = sub.add_parser("compute-n", help="exact n(G) with a witness below")

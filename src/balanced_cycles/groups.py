@@ -46,7 +46,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "name", "spec", "table", "inverse_table",
-                 "_rows", "_inv", "_left_chunks", "_right_chunks")
+                 "_rows", "_inv", "_left_chunks", "_right_chunks", "_right_lut")
 
     def __init__(self, table, name: str = "", spec: dict | None = None):
         mul = np.array(table, dtype=np.int64)
@@ -65,6 +65,7 @@ class FiniteGroup:
         self._inv = tuple(int(x) for x in inv)
         self._left_chunks: dict[int, list[list[int]]] = {}
         self._right_chunks: dict[int, list[list[int]]] = {}
+        self._right_lut: np.ndarray | None = None
 
     identity = 0
 
@@ -112,6 +113,28 @@ class FiniteGroup:
     def elem_mul_subset(self, g: int, bits: int) -> int:
         """g*S as a bitmask."""
         return _apply_chunks(self._chunks_left(g), bits)
+
+    def right_mul_lut(self) -> np.ndarray:
+        """All of ``subset_mul_elem`` as one read-only uint64 array.
+
+        ``lut[g, c, b]`` is ``S*g`` for the subset S whose only members are
+        the bits of byte ``b`` shifted to chunk ``c`` (elements 8c..8c+7),
+        so ``S*g`` for any S is the OR over its bytes.  One extra row
+        ``g = order`` is all zero, for callers that need a "no arc" entry.
+        """
+        if self._right_lut is None:
+            chunks = (self.order + 7) // 8
+            images = np.zeros((self.order + 1, 8 * chunks), dtype=np.uint64)
+            # images[g, s] = {s*g}
+            images[:self.order, :self.order] = np.left_shift(
+                np.uint64(1), self.table.T.astype(np.uint64))
+            singles = images.reshape(self.order + 1, chunks, 8)
+            lut = np.zeros((self.order + 1, chunks, 256), dtype=np.uint64)
+            for i in range(8):  # bytes with top bit i = bytes below 2^i, plus bit i
+                lut[:, :, 1 << i:2 << i] = lut[:, :, :1 << i] | singles[:, :, i:i + 1]
+            lut.setflags(write=False)
+            self._right_lut = lut
+        return self._right_lut
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self._rows == other._rows

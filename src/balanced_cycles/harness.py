@@ -16,7 +16,7 @@ from .constructions import random_labelling
 from .errors import SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group
 from .labellings import Labelling
-from .reach import (all_simple_cycles, enumerate_balanced_cycles,
+from .reach import (EXACT_CAP, all_simple_cycles, enumerate_balanced_cycles,
                     find_balanced_cycle, short_cycle_scan)
 from .rng import trial_seeds
 
@@ -199,13 +199,13 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
 
 
 def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
-                  escalate: bool = True, max_dp_vertices: int = 24) -> VerdictReport:
+                  escalate: bool = True, max_dp_vertices: int = EXACT_CAP) -> VerdictReport:
     """Randomized campaign: heuristic short-cycle scan first, exact on demand.
 
     Per-trial labellings are generated from sub-seeds derived from ``seed``,
     so reports are reproducible.  A scan miss escalates to the exact search
-    when the instance fits under ``max_dp_vertices`` (and ``escalate`` is
-    set); otherwise the trial counts as unresolved.
+    when the instance fits under ``max_dp_vertices`` and EXACT_CAP (and
+    ``escalate`` is set); otherwise the trial counts as unresolved.
     """
     started = time.perf_counter()
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
@@ -219,7 +219,7 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
             methods["scan"] += 1
             lengths[len(witness.vertices)] += 1
             continue
-        if escalate and n <= max_dp_vertices:
+        if escalate and n <= min(max_dp_vertices, EXACT_CAP):
             witness = find_balanced_cycle(L, max_vertices=max_dp_vertices)
             if witness is not None:
                 methods["dp"] += 1

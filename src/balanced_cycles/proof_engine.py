@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from .errors import (BadSize, IncompleteDigraph, NotPrime, PreconditionViolated,
                      TheoremViolation, TooLarge, TrivialGroup)
 from .groups import grow_set, stabilizer, subset_elements
-from .labellings import (CycleWitness, Labelling, apply_shift_family,
-                         cycle_value, normalize, shifting_equivalent)
-from .reach import (aggregated_reach_layers, find_path_with_value,
+from .labellings import (CycleWitness, Labelling, apply_shift_family, normalize,
+                         shifting_equivalent)
+from .reach import (_checked, aggregated_reach_layers, find_path_with_value,
                     reach_set, reach_set_between, short_cycle_scan)
 
 KEY_LEMMA_CAP = 20
@@ -115,13 +115,6 @@ class Dichotomy:
         return out
 
 
-def _checked_cycle(L: Labelling, verts: tuple[int, ...]) -> CycleWitness:
-    witness = CycleWitness(verts)
-    if cycle_value(L, witness) != 0:
-        raise AssertionError(f"internal: unbalanced witness {verts}")
-    return witness
-
-
 def key_lemma(L: Labelling) -> Dichotomy:
     """Balanced cycle or a reach set with a non-trivial right stabilizer.
 
@@ -214,7 +207,7 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
     for a, b in zip(closed, closed[1:]):
         p = G.mul(p, rows[a][b])
     if p == 0:
-        return Dichotomy(cycle=_checked_cycle(L, tuple(dcycle)),
+        return Dichotomy(cycle=_checked(L, tuple(dcycle)),
                          within_hypothesis=within)
 
     X = U ^ (1 << cyc[-1])
@@ -250,7 +243,7 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
 
     hit = short_cycle_scan(L)
     if hit is not None:
-        return Dichotomy(cycle=_checked_cycle(L, hit.vertices),
+        return Dichotomy(cycle=_checked(L, hit.vertices),
                          within_hypothesis=within)
 
     normalized = normalize(L, v0)
@@ -258,7 +251,7 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
     family[v0] = 0
     inner = _key_lemma_scoped(normalized, ((1 << n) - 1) ^ (1 << v0))
     if inner.cycle is not None:
-        return Dichotomy(cycle=_checked_cycle(L, inner.cycle.vertices),
+        return Dichotomy(cycle=_checked(L, inner.cycle.vertices),
                          within_hypothesis=inner.within_hypothesis)
 
     cert = inner.certificate
@@ -268,7 +261,7 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
     if R == G.full_subset():
         target = G.inv(normalized.label(v, u))
         path = find_path_with_value(normalized, X, u, v, target)
-        return Dichotomy(cycle=_checked_cycle(L, tuple(path)),
+        return Dichotomy(cycle=_checked(L, tuple(path)),
                          within_hypothesis=inner.within_hypothesis)
     tup = EfficientTuple(X=X, u=u, v=v, gamma_prime=normalized, R=R,
                          shift_family=tuple(family),
@@ -347,8 +340,8 @@ def validate_tuple(L_base: Labelling, T: EfficientTuple) -> TupleReport:
         if membership_ok and equivalent:
             target = G.inv(T.gamma_prime.label(T.v, T.u))
             path = find_path_with_value(T.gamma_prime, T.X, T.u, T.v, target)
-            witness = _checked_cycle(T.gamma_prime, tuple(path))
-            report.extracted_cycle = _checked_cycle(L_base, witness.vertices)
+            witness = _checked(T.gamma_prime, tuple(path))
+            report.extracted_cycle = _checked(L_base, witness.vertices)
     if report.counting_applicable:
         stab_l = stabilizer(G, T.R, "left")
         outside = n - size_x

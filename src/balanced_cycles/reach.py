@@ -12,9 +12,31 @@ stored as an int bitmask over group elements.  Two table flavours exist:
   which is how cycles are detected and counted exactly once (every cycle
   is closed from its minimum vertex).
 
-Exact computations are capped at 24 vertices; full-table retention at 20;
-cycle enumeration at 12 (output can be exponential).  Beyond the exact cap
-only the short-cycle scan is available and a miss is inconclusive.
+The start-anchored tables grow by one push step, ``_extend_anchored``,
+shared by ``reach_set_between``, ``start_anchored_table`` and the small
+starts of the exact search.
+
+Dense backend.  ``find_balanced_cycle`` sweeps one start at a time over
+the m larger "free" vertices.  When m >= DENSE_MIN_FREE the layers are
+numpy arrays instead of dicts: layer k is a (C(m, k), m) uint64 array, row
+i for the i-th smallest k-subset of free vertices, column j for endpoint j,
+zero where no path exists (group order <= 64, so one word is one value
+set).  A layer is extended per target vertex by one gather of the source
+rows, the right action S*label(p, j) through the group's byte lookup table
+(``FiniteGroup.right_mul_lut``), and an OR over the source endpoints.  The
+largest layer takes about C(m, m/2) * m * 8 bytes: 0.8 MB at m = 15, 14 MB
+at m = 19, 250 MB at m = 23, the most EXACT_CAP allows; two layers are
+alive at once.  Below the crossover numpy's fixed cost per layer loses to
+the dict loop, and small exact searches are what the campaigns run by
+the hundred; DENSE_MIN_FREE is where a full sweep first ran clearly
+faster dense (cycle-free sweeps on one Xeon core: 0.7x at 6 free
+vertices, 1.1-1.3x at 7, 1.5-2.2x at 8).  Both backends scan hits in
+(mask, endpoint) ascending order, so they return the same witness.
+
+Exact computations are capped at 24 vertices (EXACT_CAP; a caller's limit
+can only lower it); full-table retention at 20; cycle enumeration at 12
+(output can be exponential).  Beyond the exact cap only the short-cycle
+scan is available and a miss is inconclusive.
 """
 
 from __future__ import annotations
@@ -24,6 +46,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
 
+import numpy as np
+
 from .errors import NotInScope, TooLarge
 from .groups import subset_elements
 from .labellings import CycleWitness, Labelling, cycle_value
@@ -31,6 +55,7 @@ from .labellings import CycleWitness, Labelling, cycle_value
 EXACT_CAP = 24
 TABLE_RETENTION_CAP = 20
 ENUMERATION_CAP = 12
+DENSE_MIN_FREE = 8
 
 
 def _as_mask(X) -> int:
@@ -112,21 +137,33 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     result = 0
     layer = {1 << u: {u: 1}}
     for _ in range(1, n_scope):
-        nxt: dict[int, dict[int, int]] = {}
-        for m, entry in layer.items():
-            for e, bits in entry.items():
-                row_e = rows[e]
-                pres_e = pres[e]
-                for w in verts:
-                    if not (m >> w) & 1 and pres_e[w]:
-                        value = smul(bits, row_e[w])
-                        nentry = nxt.setdefault(m | (1 << w), {})
-                        nentry[w] = nentry.get(w, 0) | value
-        for m, entry in nxt.items():
+        layer = _extend_anchored(layer, verts, rows, pres, smul)
+        for entry in layer.values():
             if v in entry:
                 result |= entry[v]
-        layer = nxt
     return result
+
+
+def _extend_anchored(layer: dict[int, dict[int, int]], verts: list[int], rows, pres,
+                     smul) -> dict[int, dict[int, int]]:
+    """One push step of a start-anchored exact-vertex-set DP.
+
+    ``layer`` maps each vertex mask of one popcount to {endpoint: value
+    bits} for paths from the fixed start; the result is the next popcount
+    level, every path extended by one arc to a vertex of ``verts`` outside
+    its mask.  Masks with no path are absent.
+    """
+    nxt: dict[int, dict[int, int]] = {}
+    for m, entry in layer.items():
+        for e, bits in entry.items():
+            row_e = rows[e]
+            pres_e = pres[e]
+            for w in verts:
+                if not (m >> w) & 1 and pres_e[w]:
+                    value = smul(bits, row_e[w])
+                    nentry = nxt.setdefault(m | (1 << w), {})
+                    nentry[w] = nentry.get(w, 0) | value
+    return nxt
 
 
 @dataclass
@@ -180,22 +217,11 @@ def start_anchored_table(L: Labelling, X, start: int | None = None) -> StartAnch
     rows = L.rows()
     pres = L.present_rows()
     smul = L.group.subset_mul_elem
-    table: dict[int, dict[int, int]] = {1 << start: {start: 1}}
-    frontier = [1 << start]
+    layer = {1 << start: {start: 1}}
+    table = dict(layer)
     for _ in range(k - 1):
-        grown = set()
-        for m in frontier:
-            for e, bits in table[m].items():
-                row_e = rows[e]
-                pres_e = pres[e]
-                for w in verts:
-                    if not (m >> w) & 1 and pres_e[w]:
-                        value = smul(bits, row_e[w])
-                        nm = m | (1 << w)
-                        nentry = table.setdefault(nm, {})
-                        nentry[w] = nentry.get(w, 0) | value
-                        grown.add(nm)
-        frontier = sorted(grown)
+        layer = _extend_anchored(layer, verts, rows, pres, smul)
+        table.update(layer)
     return StartAnchoredTable(L, mask, start, table)
 
 
@@ -273,21 +299,26 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
             memo[key] = got
         return got
 
-    if not (attainable(mask, v) >> value) & 1:
-        raise ValueError(f"no path from {u} to {v} with value {value} inside the scope")
-    path = [v]
-    m, e, val = mask, v, value
-    while e != u:
-        sub = m ^ (1 << e)
-        for p in subset_elements(sub):
-            if pres[p][e]:
-                prev_val = mul_rows[val][inv[rows[p][e]]]
-                if (attainable(sub, p) >> prev_val) & 1:
-                    path.append(p)
-                    m, e, val = sub, p, prev_val
-                    break
-        else:  # pragma: no cover - contradicts attainable()
-            raise AssertionError("reconstruction lost a feasible prefix")
+    try:
+        if not (attainable(mask, v) >> value) & 1:
+            raise ValueError(f"no path from {u} to {v} with value {value} inside the scope")
+        path = [v]
+        m, e, val = mask, v, value
+        while e != u:
+            sub = m ^ (1 << e)
+            for p in subset_elements(sub):
+                if pres[p][e]:
+                    prev_val = mul_rows[val][inv[rows[p][e]]]
+                    if (attainable(sub, p) >> prev_val) & 1:
+                        path.append(p)
+                        m, e, val = sub, p, prev_val
+                        break
+            else:  # pragma: no cover - contradicts attainable()
+                raise AssertionError("reconstruction lost a feasible prefix")
+    finally:
+        # attainable refers to itself through its closure; without this the
+        # cycle, and memo with it, would live until the cyclic GC runs
+        del attainable
     path.reverse()
     return path
 
@@ -336,45 +367,136 @@ def find_balanced_cycle(L: Labelling, max_vertices: int = EXACT_CAP) -> CycleWit
     """Exact search: a validated balanced cycle iff one exists, else None.
 
     Strategy: short-cycle scan first, then a start-anchored subset-DP sweep
-    per minimum vertex, streamed one popcount layer at a time.  Witnesses
-    are re-evaluated before being returned.
+    per minimum vertex, streamed one popcount layer at a time (dense numpy
+    layers for starts with at least DENSE_MIN_FREE larger vertices, int
+    bitmask dicts below).  Witnesses are re-evaluated before being
+    returned.  ``max_vertices`` can only lower EXACT_CAP.
     """
     n = L.n
-    if n > max_vertices:
-        raise TooLarge(f"exact search capped at {max_vertices} vertices; "
+    cap = min(max_vertices, EXACT_CAP)
+    if n > cap:
+        raise TooLarge(f"exact search capped at {cap} vertices; "
                        "use short_cycle_scan for a heuristic verdict")
     hit = short_cycle_scan(L)
     if hit is not None:
         return _checked(L, hit.vertices)
     rows = L.rows()
     pres = L.present_rows()
-    G = L.group
-    smul = G.subset_mul_elem
-    inv = G._inv
     for s in range(n):
-        others = [v for v in range(s + 1, n)]
-        layer = {1 << s: {s: 1}}
-        for _ in range(len(others)):
-            nxt: dict[int, dict[int, int]] = {}
-            for m, entry in layer.items():
-                for e, bits in entry.items():
-                    row_e = rows[e]
-                    pres_e = pres[e]
-                    for w in others:
-                        if not (m >> w) & 1 and pres_e[w]:
-                            value = smul(bits, row_e[w])
-                            nentry = nxt.setdefault(m | (1 << w), {})
-                            nentry[w] = nentry.get(w, 0) | value
-            for m in sorted(nxt):
-                entry = nxt[m]
-                for e in sorted(entry):
-                    if pres[e][s]:
-                        target = inv[rows[e][s]]
-                        if (entry[e] >> target) & 1:
-                            path = find_path_with_value(L, m, s, e, target)
-                            return _checked(L, tuple(path))
-            layer = nxt
+        if n - 1 - s >= DENSE_MIN_FREE:
+            closing = _dense_sweep(L, s)
+        else:
+            closing = _python_sweep(L, s, rows, pres)
+        if closing is not None:
+            m, e, target = closing
+            return _checked(L, tuple(find_path_with_value(L, m, s, e, target)))
     return None
+
+
+def _python_sweep(L: Labelling, s: int, rows, pres) -> tuple[int, int, int] | None:
+    """First closable path from ``s`` over the larger vertices, or None.
+
+    Layers grow by one vertex; within a layer masks, then endpoints, are
+    tried in ascending order.  The result is (vertex mask, endpoint, value
+    the path needs to close into a balanced cycle).
+    """
+    inv = L.group._inv
+    smul = L.group.subset_mul_elem
+    others = list(range(s + 1, L.n))
+    layer = {1 << s: {s: 1}}
+    for _ in others:
+        layer = _extend_anchored(layer, others, rows, pres, smul)
+        for m in sorted(layer):
+            entry = layer[m]
+            for e in sorted(entry):
+                if pres[e][s]:
+                    target = inv[rows[e][s]]
+                    if (entry[e] >> target) & 1:
+                        return m, e, target
+    return None
+
+
+def _layer_masks(m: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every m-bit mask grouped by popcount (ascending within a group),
+    and each mask's index inside its group."""
+    masks = np.arange(1 << m, dtype=np.int32)
+    count = np.zeros(1 << m, dtype=np.int8)
+    for b in range(m):
+        count += ((masks >> b) & 1).astype(np.int8)
+    order = np.argsort(count, kind="stable").astype(np.int32)
+    bounds = np.searchsorted(count[order], np.arange(m + 2))
+    layers = [order[bounds[k]:bounds[k + 1]] for k in range(m + 1)]
+    rank = np.empty(1 << m, dtype=np.int32)
+    for layer in layers:
+        rank[layer] = np.arange(layer.size, dtype=np.int32)
+    return layers, rank
+
+
+def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
+    """``_python_sweep`` with each layer a dense (masks, endpoints) array.
+
+    Masks are over the free vertices s+1..n-1 (local bit j is vertex
+    s+1+j); row i of layer k holds the value sets of the paths from ``s``
+    through exactly the i-th smallest k-subset, one uint64 per endpoint
+    column, zero where no path exists.  Scanning hits in row-major order
+    visits (mask, endpoint) in the same order as ``_python_sweep``.
+    """
+    G = L.group
+    n = L.n
+    m = n - 1 - s
+    lut = G.right_mul_lut()
+    chunks = lut.shape[1]
+    free = slice(s + 1, n)
+    lab = L.labels
+    pres = L.present
+    one = np.uint64(1)
+    # offsets[j, p, c]: start of the byte table for chunk c of S*label(p, j),
+    # or of the all-zero row when the arc p -> j is absent
+    mult = np.where(pres[free, free], lab[free, free], G.order)
+    offsets = (mult.T[:, :, None] * chunks + np.arange(chunks)) * 256
+    inv = G.inverse_table
+    close = np.where(pres[free, s],
+                     np.left_shift(one, inv[lab[free, s]].astype(np.uint64)), np.uint64(0))
+    first = np.where(pres[s, free],
+                     np.left_shift(one, lab[s, free].astype(np.uint64)), np.uint64(0))
+    layers, rank = _layer_masks(m)
+    values = np.diag(first).astype("<u8")
+    flat = lut.reshape(-1)
+    for k in range(1, m + 1):
+        if k > 1:
+            values = _dense_extend(values, layers[k - 1], layers[k].size, rank,
+                                   offsets, flat)
+        hits = (values & close) != 0
+        if hits.any():
+            row, j = divmod(int(np.argmax(hits)), m)
+            e = s + 1 + j
+            return (int(layers[k][row]) << (s + 1)) | (1 << s), e, int(inv[lab[e, s]])
+        if not values.any():
+            return None
+    return None
+
+
+_DENSE_BLOCK = 1 << 15  # table lookups per block: keeps the temporaries in cache
+
+
+def _dense_extend(values: np.ndarray, masks: np.ndarray, size: int, rank: np.ndarray,
+                  offsets: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Next dense layer: out[rank[M | j], j] = OR_p values[M, p] * label(p, j)."""
+    rows, m = values.shape
+    chunks = offsets.shape[2]
+    digits = np.ascontiguousarray(values.view(np.uint8).reshape(rows, m, 8)[:, :, :chunks])
+    out = np.zeros((size, m), dtype="<u8")
+    step = max(1, _DENSE_BLOCK // (m * chunks))
+    for j in range(m):
+        bit = 1 << j
+        src = np.flatnonzero((masks & bit) == 0)
+        dst = rank[masks[src] | bit]
+        for lo in range(0, src.size, step):
+            idx = digits[src[lo:lo + step]].astype(np.intp)
+            idx += offsets[j]
+            out[dst[lo:lo + step], j] = np.bitwise_or.reduce(
+                flat.take(idx).reshape(idx.shape[0], -1), axis=1)
+    return out
 
 
 def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:

@@ -80,3 +80,101 @@ def brute_has_balanced_cycle(L: Labelling) -> bool:
         return False
 
     return any(extend([start], 0) for start in range(L.n))
+
+
+# -- reference exact search ------------------------------------------------------
+#
+# The dict-of-bitmask sweep and top-down path reconstruction that
+# find_balanced_cycle used before it gained dense layers, kept verbatim in
+# shape so its witnesses pin the package's: same layers, same (mask,
+# endpoint) scan order, same earliest-predecessor reconstruction.  Subsets
+# are acted on element by element through the Cayley table.
+
+def _right_act(mul, bits: int, g: int) -> int:
+    out = 0
+    x = 0
+    while bits:
+        if bits & 1:
+            out |= 1 << mul[x][g]
+        bits >>= 1
+        x += 1
+    return out
+
+
+def _members(bits: int) -> list[int]:
+    return [x for x in range(bits.bit_length()) if (bits >> x) & 1]
+
+
+def reference_path_with_value(L: Labelling, mask: int, u: int, v: int, value: int) -> list[int]:
+    rows = L.rows()
+    pres = L.present_rows()
+    mul = L.group._rows
+    inv = L.group._inv
+    memo: dict[tuple[int, int], int] = {}
+
+    def attainable(m: int, e: int) -> int:
+        if e == u:
+            return 1
+        if (m, e) not in memo:
+            got = 0
+            sub = m ^ (1 << e)
+            for p in _members(sub):
+                if pres[p][e]:
+                    feas = attainable(sub, p)
+                    if feas:
+                        got |= _right_act(mul, feas, rows[p][e])
+            memo[m, e] = got
+        return memo[m, e]
+
+    assert (attainable(mask, v) >> value) & 1
+    path = [v]
+    m, e, val = mask, v, value
+    while e != u:
+        sub = m ^ (1 << e)
+        for p in _members(sub):
+            if pres[p][e]:
+                prev_val = mul[val][inv[rows[p][e]]]
+                if (attainable(sub, p) >> prev_val) & 1:
+                    path.append(p)
+                    m, e, val = sub, p, prev_val
+                    break
+    path.reverse()
+    return path
+
+
+def reference_find_balanced_cycle(L: Labelling) -> tuple[int, ...] | None:
+    """The witness find_balanced_cycle must return, or None when cycle-free."""
+    rows = L.rows()
+    pres = L.present_rows()
+    mul = L.group._rows
+    inv = L.group._inv
+    n = L.n
+    for u in range(n):  # 2-cycles, then 3-cycles, as the short-cycle scan
+        for v in range(u + 1, n):
+            if pres[u][v] and pres[v][u] and mul[rows[u][v]][rows[v][u]] == 0:
+                return (u, v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            for w in range(u + 1, n):
+                if w != v and pres[u][v] and pres[v][w] and pres[w][u] \
+                        and mul[mul[rows[u][v]][rows[v][w]]][rows[w][u]] == 0:
+                    return (u, v, w)
+    for s in range(n):
+        others = list(range(s + 1, n))
+        layer = {1 << s: {s: 1}}
+        for _ in others:
+            nxt: dict[int, dict[int, int]] = {}
+            for m, entry in layer.items():
+                for e, bits in entry.items():
+                    for w in others:
+                        if not (m >> w) & 1 and pres[e][w]:
+                            nentry = nxt.setdefault(m | (1 << w), {})
+                            nentry[w] = nentry.get(w, 0) | _right_act(mul, bits, rows[e][w])
+            for m in sorted(nxt):
+                for e in sorted(nxt[m]):
+                    if pres[e][s]:
+                        target = inv[rows[e][s]]
+                        if (nxt[m][e] >> target) & 1:
+                            return tuple(reference_path_with_value(L, m, s, e, target))
+            layer = nxt
+    return None

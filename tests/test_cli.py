@@ -60,6 +60,10 @@ def test_check_verdicts(capsys, labelling_file):
     # beyond the DP cap the scan runs and a miss is inconclusive
     code, data = run_cli(capsys, "check", labelling_file(extremal_cyclic(9, 26)))
     assert code == 4 and data["mode"] == "heuristic"
+    # --max-dp-vertices can only lower the cap
+    code, data = run_cli(capsys, "check", labelling_file(extremal_cyclic(9, 26)),
+                         "--max-dp-vertices", "40")
+    assert code == 4 and data["mode"] == "heuristic"
     code, data = run_cli(capsys, "find-cycle", labelling_file(extremal_cyclic(3, 4)))
     assert code == 0
 

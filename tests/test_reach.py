@@ -226,3 +226,27 @@ def test_caps():
         reach_set(big, range(30), 0)
     # the heuristic scan has no cap
     assert short_cycle_scan(big) is not None
+
+
+def test_find_path_with_value_leaves_no_garbage():
+    # the memoized search must not leave a reference cycle holding its memo
+    import gc
+    L = extremal_cyclic(5, 8)
+    gc.collect()
+    gc.disable()
+    try:
+        find_path_with_value(L, range(8), 0, 7, 0)
+        assert gc.collect() == 0
+        with pytest.raises(ValueError):
+            find_path_with_value(extremal_cyclic(3, 3), range(3), 0, 2, 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_max_vertices_never_lifts_the_exact_cap():
+    big = Labelling(cyclic_group(2), [[0] * 30 for _ in range(30)])
+    with pytest.raises(TooLarge):
+        find_balanced_cycle(big, max_vertices=40)
+    with pytest.raises(TooLarge):
+        find_balanced_cycle(extremal_cyclic(3, 6), max_vertices=5)
