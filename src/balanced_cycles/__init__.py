@@ -19,10 +19,10 @@ from .groups import (FiniteGroup, build_group, catalog, cosets, cyclic_group,
                      table_group)
 from .harness import (ComputeNResult, VerdictReport, compute_n, verify_all,
                       verify_random)
-from .labellings import (CycleWitness, Labelling, PathWitness,
-                         apply_shift_family, cycle_value, invert, is_balanced,
-                         labelling_from_json, normalize, path_value, shift,
-                         shifting_equivalent, to_dot)
+from .labellings import (CycleWitness, Labelling, apply_shift_family,
+                         cycle_value, invert, is_balanced, labelling_from_json,
+                         normalize, path_value, shift, shifting_equivalent,
+                         to_dot)
 from .proof_engine import (Dichotomy, EfficientTuple, StabilizerCertificate,
                            TupleReport, augment_tuple, key_lemma,
                            make_efficient_tuple, prime_finder, validate_tuple)

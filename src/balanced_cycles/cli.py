@@ -25,7 +25,7 @@ import os
 import sys
 
 from .constructions import arc_critical_instance, extremal_cyclic, random_labelling
-from .errors import BalancedCyclesError, SearchSpaceTooLarge, TooLarge
+from .errors import BadSpec, BalancedCyclesError, SearchSpaceTooLarge, TooLarge
 from .groups import build_group
 from .harness import compute_n, verify_all, verify_random
 from .labellings import Labelling, labelling_from_json
@@ -46,14 +46,20 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _load_labelling(path: str) -> Labelling:
+def _load(path: str, build):
     with open(path) as handle:
-        return labelling_from_json(json.load(handle))
+        try:
+            return build(json.load(handle))
+        except RecursionError:  # json and build_group recurse once per nesting level
+            raise BadSpec(f"{path}: input nested too deeply") from None
+
+
+def _load_labelling(path: str) -> Labelling:
+    return _load(path, labelling_from_json)
 
 
 def _load_group(path: str):
-    with open(path) as handle:
-        return build_group(json.load(handle))
+    return _load(path, build_group)
 
 
 def _cmd_gen(args) -> int:

@@ -6,10 +6,8 @@ import numpy as np
 
 from .errors import BadIndex, BadSize
 from .groups import FiniteGroup, cyclic_group
-from .labellings import Labelling
+from .labellings import MAX_VERTICES, Labelling
 from .rng import Xoshiro256StarStar
-
-MAX_VERTICES = 64
 
 
 def extremal_cyclic(q: int, n: int) -> Labelling:

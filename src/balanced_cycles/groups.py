@@ -190,6 +190,14 @@ def subset_elements(bits: int) -> list[int]:
     return out
 
 
+_BYTE_SIZES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def subset_sizes(bits: np.ndarray) -> np.ndarray:
+    """Member count of every subset in a contiguous uint64 array, by byte table."""
+    return _BYTE_SIZES[bits.view(np.uint8)].reshape(*bits.shape, 8).sum(axis=-1)
+
+
 def stabilizer(group: FiniteGroup, bits: int, side: str) -> int:
     """stab_l(S) = {g : g*S = S} or stab_r(S) = {g : S*g = S}.
 
@@ -322,24 +330,46 @@ def table_group(mul, name: str = "") -> FiniteGroup:
     return FiniteGroup(mul, name=name)
 
 
+def is_json_int(value) -> bool:
+    """True for an integer, false for a bool (a Python int, but not a JSON number)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_json_matrix(rows, is_entry) -> bool:
+    """True for a list of lists whose every entry passes ``is_entry``."""
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(map(is_entry, row)) for row in rows)
+
+
+def _spec_ints(spec: dict, *keys: str) -> list[int]:
+    values = [spec[key] for key in keys]
+    for key, value in zip(keys, values):
+        if not is_json_int(value):
+            raise BadSpec(f"group spec field {key!r} must be an integer, got {value!r}")
+    return [int(value) for value in values]
+
+
 def build_group(spec: dict) -> FiniteGroup:
     """Build a group from its JSON-style recipe.
 
     Recognized shapes: {"kind": "cyclic", "q": 5},
     {"kind": "product", "left": ..., "right": ...},
     {"kind": "metacyclic", "m": 7, "n": 3, "r": 2},
-    {"kind": "table", "mul": [[...]]}.
+    {"kind": "table", "mul": [[...]]}.  Numbers must be integers; nothing
+    is coerced.
     """
     if not isinstance(spec, dict):
         raise BadSpec(f"group spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "cyclic":
-        return cyclic_group(int(spec["q"]))
+        return cyclic_group(*_spec_ints(spec, "q"))
     if kind == "product":
         return product_group(build_group(spec["left"]), build_group(spec["right"]))
     if kind == "metacyclic":
-        return metacyclic_group(int(spec["m"]), int(spec["n"]), int(spec["r"]))
+        return metacyclic_group(*_spec_ints(spec, "m", "n", "r"))
     if kind == "table":
+        if not is_json_matrix(spec["mul"], is_json_int):
+            raise BadSpec("table spec 'mul' must be rows of integers")
         return table_group(spec["mul"])
     raise BadSpec(f"unknown group spec kind {kind!r}")
 

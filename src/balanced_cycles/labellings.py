@@ -14,22 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (AsymmetricMask, BadSize, IncompleteDigraph, MissingArc,
-                     Mismatch)
-from .groups import FiniteGroup, build_group
+from .errors import (AsymmetricMask, BadSize, BadSpec, IncompleteDigraph,
+                     MissingArc, Mismatch)
+from .groups import FiniteGroup, build_group, is_json_int, is_json_matrix
 
 MAX_VERTICES = 64
-
-
-@dataclass(frozen=True)
-class PathWitness:
-    """A simple directed path, as its ordered vertex list (length >= 1)."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) < 1 or len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(f"not a simple path: {self.vertices}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +36,7 @@ class CycleWitness:
 
 
 def _vertex_seq(path) -> tuple[int, ...]:
-    if isinstance(path, (PathWitness, CycleWitness)):
+    if isinstance(path, CycleWitness):
         return path.vertices
     return tuple(path)
 
@@ -123,11 +112,28 @@ class Labelling:
 
 
 def labelling_from_json(obj: dict) -> Labelling:
+    """Build a labelling from its JSON object (README, "File formats").
+
+    Types are checked here, where outside input arrives, and not in
+    Labelling, which hot loops construct: labels and ``n`` must be JSON
+    integers, labels group elements, and mask entries booleans.  Nothing is
+    coerced.
+    """
+    if not isinstance(obj, dict):
+        raise BadSpec(f"a labelling must be a JSON object, got {type(obj).__name__}")
     group = build_group(obj["group"])
     labels = obj["labels"]
-    if len(labels) != int(obj.get("n", len(labels))):
+    if not is_json_matrix(labels, lambda x: is_json_int(x) and 0 <= x < group.order):
+        raise BadSpec(f"labels must be rows of integers in 0..{group.order - 1}")
+    n = obj.get("n", len(labels))
+    if not is_json_int(n):
+        raise BadSpec(f"n must be an integer, got {n!r}")
+    if len(labels) != n:
         raise BadSize("n does not match the label matrix")
-    return Labelling(group, labels, obj.get("mask"))
+    mask = obj.get("mask")
+    if mask is not None and not is_json_matrix(mask, lambda x: isinstance(x, bool)):
+        raise BadSpec("mask must be rows of booleans")
+    return Labelling(group, labels, mask)
 
 
 # -- path and cycle evaluation ----------------------------------------------

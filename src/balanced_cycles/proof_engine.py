@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BadSize, IncompleteDigraph, NotPrime, PreconditionViolated,
                      TheoremViolation, TooLarge, TrivialGroup)
-from .groups import grow_set, stabilizer, subset_elements
+from .groups import grow_set, stabilizer, subset_elements, subset_sizes
 from .labellings import (CycleWitness, Labelling, apply_shift_family, normalize,
                          shifting_equivalent)
 from .reach import (_checked, aggregated_reach_layers, find_path_with_value,
@@ -152,11 +152,10 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
         last_layer = layer
         if size < 2:
             continue  # singletons reach exactly the identity, never small
-        for mask, entry in layer.items():
-            if all(bits.bit_count() < size for bits in entry.values()):
-                U = mask
-                break
-        if U is not None:
+        # entries outside a row's mask are empty, so they never disqualify it
+        small = (subset_sizes(layer.array) < size).all(axis=1)
+        if small.any():
+            U = layer.mask_at(int(small.argmax()))
             break
 
     if U is None:
@@ -167,17 +166,17 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
                                      right_stab=stabilizer(G, R, "right"))
         return Dichotomy(certificate=cert, within_hypothesis=within)
 
-    # retained aggregated table over subsets of U only
-    table: dict[int, dict[int, int]] = {}
+    # aggregated reach sets over the subsets of U: the full layer and the one below
+    below = top = None
     for _, layer in aggregated_reach_layers(L, U):
-        table.update(layer)
+        below, top = top, layer
     k = U.bit_count()
     uverts = subset_elements(U)
 
     succ = {}
     for u in uverts:
         sub = U ^ (1 << u)
-        entry = table[sub]
+        entry = below[sub]
         outs = [v for v in subset_elements(sub) if entry[v].bit_count() >= k - 1]
         assert outs, "minimality of U guarantees out-degree >= 1 in F"
         succ[u] = outs[0]
@@ -194,10 +193,10 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
 
     ell = len(cyc)
     rows = L.rows()
-    r_sets = [table[U ^ (1 << cyc[(i - 1) % ell])][cyc[i]] for i in range(ell)]
+    r_sets = [below[U ^ (1 << cyc[(i - 1) % ell])][cyc[i]] for i in range(ell)]
     for i in range(ell):
         shifted = G.subset_mul_elem(r_sets[(i + 1) % ell], rows[cyc[(i + 1) % ell]][cyc[i]])
-        full = table[U][cyc[i]]
+        full = top[U][cyc[i]]
         assert (r_sets[i] | shifted) & ~full == 0, "reach propagation containment failed"
         assert r_sets[i] == shifted, "reach propagation equality failed"
 

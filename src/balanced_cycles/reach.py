@@ -3,35 +3,52 @@
 Everything here is bitset subset dynamic programming.  A DP state is a
 (vertex mask, endpoint) pair whose value is the set of group elements
 attained by simple directed paths with that vertex set and endpoint,
-stored as an int bitmask over group elements.  Two table flavours exist:
+stored as an int bitmask over group elements.  Three table flavours exist:
 
 * ending-anchored, aggregated over sub-vertex-sets: entry (X, x) is the
   full reach set of values of paths inside X ending at x (including the
-  length-0 path), built layer by layer so memory stays one popcount level;
+  length-0 path), built layer by layer so memory stays two popcount levels;
+* exact vertex set, any start (``reach_table``), retained whole;
 * start-anchored with exact vertex set: paths start at a fixed vertex,
   which is how cycles are detected and counted exactly once (every cycle
   is closed from its minimum vertex).
 
-The start-anchored tables grow by one push step, ``_extend_anchored``,
-shared by ``reach_set_between``, ``start_anchored_table`` and the small
-starts of the exact search.
+One dense kernel.  Every flavour above runs on one generator,
+``_dense_layers(L, verts, seed, identity)``.  Over the m vertices of
+``verts`` (local mask bit i = vertex verts[i], in ascending order) layer k
+is a (C(m, k), m) uint64 array: row r for the r-th smallest k-subset,
+column j for endpoint verts[j], zero where no path exists (group order
+<= 64, so one word is one value set).  Layer 1 is diag(seed).  A layer is
+extended per target vertex by one gather of the source rows, the right
+action S*label(p, j) through the group's byte lookup table
+(``FiniteGroup.right_mul_lut``), an OR over the source endpoints, and an
+OR with the identity when ``identity`` is set.  Its four callers:
 
-Dense backend.  ``find_balanced_cycle`` sweeps one start at a time over
-the m larger "free" vertices.  When m >= DENSE_MIN_FREE the layers are
-numpy arrays instead of dicts: layer k is a (C(m, k), m) uint64 array, row
-i for the i-th smallest k-subset of free vertices, column j for endpoint j,
-zero where no path exists (group order <= 64, so one word is one value
-set).  A layer is extended per target vertex by one gather of the source
-rows, the right action S*label(p, j) through the group's byte lookup table
-(``FiniteGroup.right_mul_lut``), and an OR over the source endpoints.  The
-largest layer takes about C(m, m/2) * m * 8 bytes: 0.8 MB at m = 15, 14 MB
-at m = 19, 250 MB at m = 23, the most EXACT_CAP allows; two layers are
-alive at once.  Below the crossover numpy's fixed cost per layer loses to
-the dict loop, and small exact searches are what the campaigns run by
-the hundred; DENSE_MIN_FREE is where a full sweep first ran clearly
-faster dense (cycle-free sweeps on one Xeon core: 0.7x at 6 free
-vertices, 1.1-1.3x at 7, 1.5-2.2x at 8).  Both backends scan hits in
-(mask, endpoint) ascending order, so they return the same witness.
+* ``find_balanced_cycle``'s sweep from start s: verts = s+1..n-1, seed the
+  arcs out of s, no identity; hits are scanned per layer in (mask,
+  endpoint) ascending order, and the sweep stops at the first;
+* ``aggregated_reach_layers`` (and through it ``reach_set`` and the key
+  lemma): verts = the scope, seed and identity 1; each layer is handed out
+  as a read-only mapping view, and the key lemma scans its array;
+* ``reach_table``: the same seed without the identity, every layer kept;
+  the dict ``table`` is built only on first access;
+* ``reach_set_between``: verts = the scope minus u, seed the arcs out of u.
+
+Memory, with two layers alive while one is extended: the largest
+aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
+520 MB at the cap of 24; the sweep's, over at most 23 free vertices,
+250 MB.  A retained table takes about 2^m * m * 8 bytes, 168 MB at its cap
+of 20.
+
+The sweep still runs starts with fewer than DENSE_MIN_FREE free vertices
+through the dict push step ``_extend_anchored``: numpy's fixed cost per
+layer loses to it there, and small exact searches are what the campaigns
+run by the hundred.  DENSE_MIN_FREE is where a full sweep first ran
+clearly faster dense (cycle-free sweeps on one Xeon core: 0.7x at 6 free
+vertices, 1.1-1.3x at 7, 1.5-2.2x at 8); both routes return the same
+witness.  ``_extend_anchored`` also builds ``start_anchored_table``, so
+``enumerate_balanced_cycles``, which reads that table, and any check of
+``reach_set_between`` against it stay a route independent of the kernel.
 
 Exact computations are capped at 24 vertices (EXACT_CAP; a caller's limit
 can only lower it); full-table retention at 20; cycle enumeration at 12
@@ -41,9 +58,10 @@ scan is available and a miss is inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import permutations
 from typing import Iterator
 
 import numpy as np
@@ -67,7 +85,151 @@ def _as_mask(X) -> int:
     return bits
 
 
-def aggregated_reach_layers(L: Labelling, scope) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
+# -- the dense layer kernel ----------------------------------------------------
+
+def _layer_masks(m: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every m-bit mask grouped by popcount (ascending within a group),
+    and each mask's index inside its group."""
+    masks = np.arange(1 << m, dtype=np.int32)
+    count = np.zeros(1 << m, dtype=np.int8)
+    for b in range(m):
+        count += ((masks >> b) & 1).astype(np.int8)
+    order = np.argsort(count, kind="stable").astype(np.int32)
+    bounds = np.searchsorted(count[order], np.arange(m + 2))
+    layers = [order[bounds[k]:bounds[k + 1]] for k in range(m + 1)]
+    rank = np.empty(1 << m, dtype=np.int32)
+    for layer in layers:
+        rank[layer] = np.arange(layer.size, dtype=np.int32)
+    return layers, rank
+
+
+def _global_masks(verts: list[int], masks: np.ndarray) -> list[int]:
+    """Local masks (bit i = vertex verts[i]) as vertex masks, in the same order."""
+    out = np.zeros(masks.size, dtype=np.uint64)
+    for i, v in enumerate(verts):
+        out |= ((masks >> i) & 1).astype(np.uint64) << np.uint64(v)
+    return out.tolist()
+
+
+def _arc_bits(L: Labelling, u: int, verts: list[int]) -> np.ndarray:
+    """Per vertex w of ``verts``, the singleton {label(u, w)}, or 0 when the arc is absent."""
+    return np.where(L.present[u, verts],
+                    np.left_shift(np.uint64(1), L.labels[u, verts].astype(np.uint64)),
+                    np.uint64(0))
+
+
+def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
+                  identity: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The subset-DP recurrence over ``verts``, one dense popcount layer at a time.
+
+    Yields (k, masks, values) for k = 1, 2, ...: ``masks`` holds every
+    k-subset of ``verts`` as a local mask (bit i = vertex verts[i]) in
+    ascending order, and ``values[r, j]`` is the element bitmask of the
+    paths through exactly masks[r] ending at verts[j], zero when there is
+    none (always for j outside the mask).  Layer 1 is diag(seed); then
+
+        values[M | j, j] = OR over p in M of values[M, p] * label(verts[p], verts[j]),
+
+    ORed with the identity when ``identity`` is set (aggregated reach sets
+    count the length-0 path).  Without the identity an all-zero layer ends
+    the stream: nothing extends it.
+    """
+    m = len(verts)
+    if m == 0:
+        return
+    G = L.group
+    lut = G.right_mul_lut()
+    chunks = lut.shape[1]
+    sub = np.ix_(verts, verts)
+    # offsets[j, p, c]: start of the byte table for chunk c of S*label(p, j),
+    # or of the all-zero row when the arc p -> j is absent
+    mult = np.where(L.present[sub], L.labels[sub], G.order)
+    offsets = (mult.T[:, :, None] * chunks + np.arange(chunks)) * 256
+    flat = lut.reshape(-1)
+    layers, rank = _layer_masks(m)
+    values = np.diag(seed).astype("<u8")
+    yield 1, layers[1], values
+    for k in range(2, m + 1):
+        if not identity and not values.any():
+            return
+        values = _dense_extend(values, layers[k - 1], layers[k].size, rank, offsets, flat,
+                               identity)
+        yield k, layers[k], values
+
+
+_DENSE_BLOCK = 1 << 15  # table lookups per block: keeps the temporaries in cache
+
+
+def _dense_extend(values: np.ndarray, masks: np.ndarray, size: int, rank: np.ndarray,
+                  offsets: np.ndarray, flat: np.ndarray, identity: bool) -> np.ndarray:
+    """Next dense layer: out[rank[M | j], j] = OR_p values[M, p] * label(p, j),
+    with the identity ORed in when ``identity`` is set."""
+    rows, m = values.shape
+    chunks = offsets.shape[2]
+    digits = np.ascontiguousarray(values.view(np.uint8).reshape(rows, m, 8)[:, :, :chunks])
+    out = np.zeros((size, m), dtype="<u8")
+    step = max(1, _DENSE_BLOCK // (m * chunks))
+    for j in range(m):
+        bit = 1 << j
+        src = np.flatnonzero((masks & bit) == 0)
+        dst = rank[masks[src] | bit]
+        for lo in range(0, src.size, step):
+            idx = digits[src[lo:lo + step]].astype(np.intp)
+            idx += offsets[j]
+            acc = np.bitwise_or.reduce(flat.take(idx).reshape(idx.shape[0], -1), axis=1)
+            if identity:
+                acc |= np.uint64(1)
+            out[dst[lo:lo + step], j] = acc
+    return out
+
+
+# -- reach sets and tables -------------------------------------------------------
+
+class _LayerView(Mapping):
+    """One aggregated layer as a read-only {mask: {endpoint: value bits}}.
+
+    Keys are vertex masks in ascending order, and each entry holds every
+    endpoint of its mask.  ``array`` (rows in key order, one column per
+    vertex of ``verts``, zero outside the row's mask) and ``mask_at`` serve
+    callers that scan a whole layer at once.
+    """
+
+    __slots__ = ("verts", "masks", "array")
+
+    def __init__(self, verts: list[int], masks: np.ndarray, array: np.ndarray):
+        self.verts = verts
+        self.masks = masks
+        self.array = array
+
+    def mask_at(self, row: int) -> int:
+        return _global_masks(self.verts, self.masks[row:row + 1])[0]
+
+    def _entry(self, local: int, row: list[int]) -> dict[int, int]:
+        return {v: row[i] for i, v in enumerate(self.verts) if (local >> i) & 1}
+
+    def __getitem__(self, mask: int) -> dict[int, int]:
+        local = 0
+        for i, v in enumerate(self.verts):
+            if (mask >> v) & 1:
+                local |= 1 << i
+        row = int(np.searchsorted(self.masks, local))
+        if row == self.masks.size or self.masks[row] != local or self.mask_at(row) != mask:
+            raise KeyError(mask)
+        return self._entry(local, self.array[row].tolist())
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(_global_masks(self.verts, self.masks))
+
+    def __len__(self) -> int:
+        return self.masks.size
+
+    def values(self) -> Iterator[dict[int, int]]:
+        """Entries in key order, one pass, without a lookup per key."""
+        for local, row in zip(self.masks.tolist(), self.array.tolist()):
+            yield self._entry(local, row)
+
+
+def aggregated_reach_layers(L: Labelling, scope) -> Iterator[tuple[int, Mapping[int, dict[int, int]]]]:
     """Stream aggregated reach sets for every submask of ``scope``.
 
     Yields (size, layer) with layer = {mask: {endpoint: value_bits}} where
@@ -78,28 +240,10 @@ def aggregated_reach_layers(L: Labelling, scope) -> Iterator[tuple[int, dict[int
 
         R[mask][e] = {1} | union over p in mask-e of R[mask-e][p] * label(p, e).
     """
-    scope = _as_mask(scope)
-    verts = subset_elements(scope)
-    rows = L.rows()
-    pres = L.present_rows()
-    smul = L.group.subset_mul_elem
-    layer = {1 << v: {v: 1} for v in verts}
-    yield 1, layer
-    for size in range(2, len(verts) + 1):
-        masks = sorted(sum(1 << v for v in combo) for combo in combinations(verts, size))
-        nxt: dict[int, dict[int, int]] = {}
-        for mask in masks:
-            entry: dict[int, int] = {}
-            for e in subset_elements(mask):
-                sub_entry = layer[mask ^ (1 << e)]
-                acc = 1
-                for p, pbits in sub_entry.items():
-                    if pres[p][e]:
-                        acc |= smul(pbits, rows[p][e])
-                entry[e] = acc
-            nxt[mask] = entry
-        layer = nxt
-        yield size, layer
+    verts = subset_elements(_as_mask(scope))
+    ones = np.ones(len(verts), dtype=np.uint64)
+    for size, masks, values in _dense_layers(L, verts, ones, identity=True):
+        yield size, _LayerView(verts, masks, values)
 
 
 def reach_set(L: Labelling, X, x: int) -> int:
@@ -125,22 +269,15 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     for w in (u, v):
         if not (mask >> w) & 1:
             raise NotInScope(f"vertex {w} not in the scope")
-    n_scope = mask.bit_count()
-    if n_scope > EXACT_CAP:
+    if mask.bit_count() > EXACT_CAP:
         raise TooLarge(f"scope larger than the exact cap of {EXACT_CAP}")
     if u == v:
         return 1
-    verts = subset_elements(mask)
-    rows = L.rows()
-    pres = L.present_rows()
-    smul = L.group.subset_mul_elem
+    others = subset_elements(mask ^ (1 << u))
+    j = others.index(v)
     result = 0
-    layer = {1 << u: {u: 1}}
-    for _ in range(1, n_scope):
-        layer = _extend_anchored(layer, verts, rows, pres, smul)
-        for entry in layer.values():
-            if v in entry:
-                result |= entry[v]
+    for _, _, values in _dense_layers(L, others, _arc_bits(L, u, others), identity=False):
+        result |= int(np.bitwise_or.reduce(values[:, j]))
     return result
 
 
@@ -166,23 +303,39 @@ def _extend_anchored(layer: dict[int, dict[int, int]], verts: list[int], rows, p
     return nxt
 
 
-@dataclass
+@dataclass(eq=False)
 class ReachTable:
     """Retained exact-vertex-set DP table: table[mask][e] is the set of
     values of simple paths with vertex set exactly ``mask`` ending at ``e``.
-    Missing entries mean no such path exists."""
+    Missing entries mean no such path exists.
+
+    The table is kept as its dense layers, (local masks, values) per
+    popcount over the vertices of ``scope``; the ``table`` dict is built
+    from them on first access."""
 
     base: Labelling
     scope: int
-    table: dict[int, dict[int, int]]
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def table(self) -> dict[int, dict[int, int]]:
+        verts = subset_elements(self.scope)
+        table: dict[int, dict[int, int]] = {}
+        for masks, values in self.layers:
+            for mask, row in zip(_global_masks(verts, masks), values.tolist()):
+                entry = {v: bits for v, bits in zip(verts, row) if bits}
+                if entry:
+                    table[mask] = entry
+        return table
 
     def aggregate(self, x: int) -> int:
         """Union over submasks containing x; equals reach_set(base, scope, x)."""
+        if not (self.scope >> x) & 1:
+            return 0
+        j = subset_elements(self.scope).index(x)
         acc = 0
-        bit = 1 << x
-        for mask, entry in self.table.items():
-            if mask & bit and x in entry:
-                acc |= entry[x]
+        for _, values in self.layers:
+            acc |= int(np.bitwise_or.reduce(values[:, j]))
         return acc
 
 
@@ -238,27 +391,10 @@ def reach_table(L: Labelling, X) -> ReachTable:
             f"full-table retention capped at {TABLE_RETENTION_CAP} vertices; "
             "use reach_set / reach_set_between for streamed aggregation")
     verts = subset_elements(mask)
-    rows = L.rows()
-    pres = L.present_rows()
-    smul = L.group.subset_mul_elem
-    table: dict[int, dict[int, int]] = {1 << v: {v: 1} for v in verts}
-    for size in range(2, k + 1):
-        for combo in combinations(verts, size):
-            m = sum(1 << v for v in combo)
-            entry: dict[int, int] = {}
-            for e in combo:
-                sub = table.get(m ^ (1 << e))
-                if not sub:
-                    continue
-                acc = 0
-                for p, pbits in sub.items():
-                    if pres[p][e]:
-                        acc |= smul(pbits, rows[p][e])
-                if acc:
-                    entry[e] = acc
-            if entry:
-                table[m] = entry
-    return ReachTable(L, mask, table)
+    ones = np.ones(k, dtype=np.uint64)
+    layers = [(masks, values)
+              for _, masks, values in _dense_layers(L, verts, ones, identity=False)]
+    return ReachTable(L, mask, layers)
 
 
 # -- path reconstruction -------------------------------------------------------
@@ -416,22 +552,6 @@ def _python_sweep(L: Labelling, s: int, rows, pres) -> tuple[int, int, int] | No
     return None
 
 
-def _layer_masks(m: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Every m-bit mask grouped by popcount (ascending within a group),
-    and each mask's index inside its group."""
-    masks = np.arange(1 << m, dtype=np.int32)
-    count = np.zeros(1 << m, dtype=np.int8)
-    for b in range(m):
-        count += ((masks >> b) & 1).astype(np.int8)
-    order = np.argsort(count, kind="stable").astype(np.int32)
-    bounds = np.searchsorted(count[order], np.arange(m + 2))
-    layers = [order[bounds[k]:bounds[k + 1]] for k in range(m + 1)]
-    rank = np.empty(1 << m, dtype=np.int32)
-    for layer in layers:
-        rank[layer] = np.arange(layer.size, dtype=np.int32)
-    return layers, rank
-
-
 def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
     """``_python_sweep`` with each layer a dense (masks, endpoints) array.
 
@@ -441,62 +561,19 @@ def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
     column, zero where no path exists.  Scanning hits in row-major order
     visits (mask, endpoint) in the same order as ``_python_sweep``.
     """
-    G = L.group
-    n = L.n
-    m = n - 1 - s
-    lut = G.right_mul_lut()
-    chunks = lut.shape[1]
-    free = slice(s + 1, n)
+    free = list(range(s + 1, L.n))
     lab = L.labels
-    pres = L.present
-    one = np.uint64(1)
-    # offsets[j, p, c]: start of the byte table for chunk c of S*label(p, j),
-    # or of the all-zero row when the arc p -> j is absent
-    mult = np.where(pres[free, free], lab[free, free], G.order)
-    offsets = (mult.T[:, :, None] * chunks + np.arange(chunks)) * 256
-    inv = G.inverse_table
-    close = np.where(pres[free, s],
-                     np.left_shift(one, inv[lab[free, s]].astype(np.uint64)), np.uint64(0))
-    first = np.where(pres[s, free],
-                     np.left_shift(one, lab[s, free].astype(np.uint64)), np.uint64(0))
-    layers, rank = _layer_masks(m)
-    values = np.diag(first).astype("<u8")
-    flat = lut.reshape(-1)
-    for k in range(1, m + 1):
-        if k > 1:
-            values = _dense_extend(values, layers[k - 1], layers[k].size, rank,
-                                   offsets, flat)
+    inv = L.group.inverse_table
+    close = np.where(L.present[free, s],
+                     np.left_shift(np.uint64(1), inv[lab[free, s]].astype(np.uint64)),
+                     np.uint64(0))
+    for _, masks, values in _dense_layers(L, free, _arc_bits(L, s, free), identity=False):
         hits = (values & close) != 0
         if hits.any():
-            row, j = divmod(int(np.argmax(hits)), m)
+            row, j = divmod(int(np.argmax(hits)), len(free))
             e = s + 1 + j
-            return (int(layers[k][row]) << (s + 1)) | (1 << s), e, int(inv[lab[e, s]])
-        if not values.any():
-            return None
+            return (int(masks[row]) << (s + 1)) | (1 << s), e, int(inv[lab[e, s]])
     return None
-
-
-_DENSE_BLOCK = 1 << 15  # table lookups per block: keeps the temporaries in cache
-
-
-def _dense_extend(values: np.ndarray, masks: np.ndarray, size: int, rank: np.ndarray,
-                  offsets: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Next dense layer: out[rank[M | j], j] = OR_p values[M, p] * label(p, j)."""
-    rows, m = values.shape
-    chunks = offsets.shape[2]
-    digits = np.ascontiguousarray(values.view(np.uint8).reshape(rows, m, 8)[:, :, :chunks])
-    out = np.zeros((size, m), dtype="<u8")
-    step = max(1, _DENSE_BLOCK // (m * chunks))
-    for j in range(m):
-        bit = 1 << j
-        src = np.flatnonzero((masks & bit) == 0)
-        dst = rank[masks[src] | bit]
-        for lo in range(0, src.size, step):
-            idx = digits[src[lo:lo + step]].astype(np.intp)
-            idx += offsets[j]
-            out[dst[lo:lo + step], j] = np.bitwise_or.reduce(
-                flat.take(idx).reshape(idx.shape[0], -1), axis=1)
-    return out
 
 
 def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:
@@ -552,8 +629,8 @@ def all_simple_cycles(n: int) -> tuple[tuple[int, ...], ...]:
     lexicographically.  Counts grow factorially, so this is only for the
     tiny instances the exhaustive harness enumerates.
     """
-    if n > 9:
-        raise TooLarge("cycle lists are only kept for n <= 9")
+    if n > 7:
+        raise TooLarge("cycle lists are only kept for n <= 7")
     out = []
     for s in range(n):
         pool = list(range(s + 1, n))

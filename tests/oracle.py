@@ -7,6 +7,8 @@ shared machinery is the Labelling accessors and the group product.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from balanced_cycles import Labelling
 
 
@@ -178,3 +180,59 @@ def reference_find_balanced_cycle(L: Labelling) -> tuple[int, ...] | None:
                             return tuple(reference_path_with_value(L, m, s, e, target))
             layer = nxt
     return None
+
+
+# -- reference reach tables ------------------------------------------------------
+#
+# The dict-of-bitmask pull loops that aggregated_reach_layers and
+# reach_table ran before the dense kernel, with the group acted on through
+# the Cayley table.  Layers and tables are plain dicts with masks in
+# ascending order.
+
+def _combination_masks(verts: list[int], size: int) -> list[int]:
+    return sorted(sum(1 << v for v in combo) for combo in combinations(verts, size))
+
+
+def reference_aggregated_reach_layers(L: Labelling, scope: int):
+    """Yield (size, {mask: {endpoint: reach set}}) over the submasks of scope."""
+    verts = _members(scope)
+    rows = L.rows()
+    pres = L.present_rows()
+    mul = L.group._rows
+    layer = {1 << v: {v: 1} for v in verts}
+    yield 1, layer
+    for size in range(2, len(verts) + 1):
+        nxt = {}
+        for mask in _combination_masks(verts, size):
+            entry = {}
+            for e in _members(mask):
+                acc = 1
+                for p, pbits in layer[mask ^ (1 << e)].items():
+                    if pres[p][e]:
+                        acc |= _right_act(mul, pbits, rows[p][e])
+                entry[e] = acc
+            nxt[mask] = entry
+        layer = nxt
+        yield size, layer
+
+
+def reference_reach_table(L: Labelling, scope: int) -> dict[int, dict[int, int]]:
+    """Exact-vertex-set table {mask: {endpoint: values}}; empty entries are absent."""
+    verts = _members(scope)
+    rows = L.rows()
+    pres = L.present_rows()
+    mul = L.group._rows
+    table = {1 << v: {v: 1} for v in verts}
+    for size in range(2, len(verts) + 1):
+        for mask in _combination_masks(verts, size):
+            entry = {}
+            for e in _members(mask):
+                acc = 0
+                for p, pbits in table.get(mask ^ (1 << e), {}).items():
+                    if pres[p][e]:
+                        acc |= _right_act(mul, pbits, rows[p][e])
+                if acc:
+                    entry[e] = acc
+            if entry:
+                table[mask] = entry
+    return table

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from balanced_cycles import extremal_cyclic, labelling_from_json
+from balanced_cycles import BadSize, BadSpec, extremal_cyclic, labelling_from_json
 from balanced_cycles.cli import main
 
 
@@ -129,6 +129,43 @@ def test_usage_errors(capsys, z3_file, tmp_path):
     bad.write_text('{"kind": "nope"}')
     assert main(["compute-n", "--group", str(bad)]) == 2
     assert main(["verify", "--group", z3_file, "--random", "--trials", "5"]) == 2
+
+
+Z2 = {"kind": "cyclic", "q": 2}
+MALFORMED = {
+    "float_and_bool_labels": {"group": Z2, "n": 2, "labels": [[0, 1.7], [True, 0]]},
+    "bool_label": {"group": Z2, "n": 2, "labels": [[0, True], [1, 0]]},
+    "string_label": {"group": Z2, "n": 2, "labels": [[0, "1"], [1, 0]]},
+    "float_n": {"group": Z2, "n": 2.9, "labels": [[0, 1], [1, 0]]},
+    "float_group_order": {"group": {"kind": "cyclic", "q": 3.5}, "n": 2,
+                          "labels": [[0, 1], [1, 0]]},
+    "top_level_list": [[0, 1], [1, 0]],
+    "int_mask": {"group": Z2, "n": 2, "labels": [[0, 1], [1, 0]],
+                 "mask": [[0, 1], [1, 0]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_labelling_is_rejected(capsys, tmp_path, case):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[case]))
+    with pytest.raises((BadSpec, BadSize)):
+        labelling_from_json(MALFORMED[case])
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path):
+    depth = 5000  # past the interpreter's recursion limit
+    group = ('{"kind": "product", "left": ' * depth + '{"kind": "cyclic", "q": 1}'
+             + ', "right": {"kind": "cyclic", "q": 1}}' * depth)
+    group_file = tmp_path / "group.json"
+    group_file.write_text(group)
+    labelling_file = tmp_path / "labelling.json"
+    labelling_file.write_text('{"group": ' + group + ', "n": 2, "labels": [[0, 0], [0, 0]]}')
+    assert main(["compute-n", "--group", str(group_file)]) == 2
+    assert main(["check", str(labelling_file)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_module_entry_point():
