@@ -13,15 +13,15 @@ compute-n   exact n(G) by pruned backtracking
 
 Exit codes: 0 success / cycle found; 1 campaign found a counterexample;
 2 usage or input error; 3 exactly no balanced cycle exists; 4 heuristic
-inconclusive; 5 search space too large.  Worker count for ``verify`` comes
-from --workers or the BALANCED_CYCLES_WORKERS environment variable.
+inconclusive; 5 search space too large.  ``verify --workers N`` splits an
+exhaustive campaign across at most N processes, and never more than the
+machine has cores.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .constructions import arc_critical_instance, extremal_cyclic, random_labelling
@@ -111,12 +111,6 @@ def _cmd_prime_find(args) -> int:
     return EXIT_OK
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    return int(os.environ.get("BALANCED_CYCLES_WORKERS", "1"))
-
-
 def _cmd_verify(args) -> int:
     group = _load_group(args.group)
     if args.random:
@@ -128,7 +122,7 @@ def _cmd_verify(args) -> int:
         if args.n is None:
             raise BalancedCyclesError("exhaustive verify needs --n")
         normalized = args.mode == "exhaustive-normalized"
-        report = verify_all(group, args.n, normalized=normalized, workers=_workers(args))
+        report = verify_all(group, args.n, normalized=normalized, workers=args.workers)
     _emit(report.to_json())
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
 
@@ -180,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--random", action="store_true")
     ver.add_argument("--trials", type=int)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--workers", type=int, default=None)
+    ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP)
     ver.set_defaults(func=_cmd_verify)
 

@@ -7,6 +7,7 @@ re-verified through an independent exact route before it is reported.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -172,12 +173,14 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     if n > 7:
         raise SearchSpaceTooLarge(f"exhaustive checking keeps cycle lists only up to 7 vertices, got n={n}")
 
-    workers = max(1, workers)
+    # the executor forks all of its workers at once: never more than the
+    # machine has cores, nor more than there are ranges to check
+    workers = max(1, min(workers, os.cpu_count() or 1, space))
     if workers == 1:
         chunks = [_enumerate_chunk(group.spec, n, normalized, 0, space)]
     else:
         bounds = [space * i // workers for i in range(workers + 1)]
-        ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        ranges = list(zip(bounds, bounds[1:]))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_enumerate_chunk, group.spec, n, normalized, lo, hi)
                        for lo, hi in ranges]

@@ -147,9 +147,9 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
     within = nverts == G.order
 
     U = None
-    last_layer = None
+    below = top = None  # the scan's last two layers: sizes |U| - 1 and |U| once U is found
     for size, layer in aggregated_reach_layers(L, scope):
-        last_layer = layer
+        below, top = top, layer
         if size < 2:
             continue  # singletons reach exactly the identity, never small
         # entries outside a row's mask are empty, so they never disqualify it
@@ -159,17 +159,15 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
             break
 
     if U is None:
-        entry = last_layer[scope]
+        entry = top[scope]
         x = min(e for e, bits in entry.items() if bits.bit_count() >= nverts)
         R = entry[x]
         cert = StabilizerCertificate(X=scope, x=x, R=R,
                                      right_stab=stabilizer(G, R, "right"))
         return Dichotomy(certificate=cert, within_hypothesis=within)
 
-    # aggregated reach sets over the subsets of U: the full layer and the one below
-    below = top = None
-    for _, layer in aggregated_reach_layers(L, U):
-        below, top = top, layer
+    # a reach set R(X, x) depends only on X, so the scan's layers over the
+    # scope already hold R(U, .) and every R(U - u, .) the F-walk reads
     k = U.bit_count()
     uverts = subset_elements(U)
 

@@ -5,34 +5,46 @@ Everything here is bitset subset dynamic programming.  A DP state is a
 attained by simple directed paths with that vertex set and endpoint,
 stored as an int bitmask over group elements.  Three table flavours exist:
 
-* ending-anchored, aggregated over sub-vertex-sets: entry (X, x) is the
-  full reach set of values of paths inside X ending at x (including the
-  length-0 path), built layer by layer so memory stays two popcount levels;
+* aggregated over sub-vertex-sets: entry (X, x) holds the values of every
+  path inside X ending at x, either from any start (the full reach set,
+  with the length-0 path) or from a fixed start u, built layer by layer
+  so memory stays two popcount levels;
 * exact vertex set, any start (``reach_table``), retained whole;
 * start-anchored with exact vertex set: paths start at a fixed vertex,
   which is how cycles are detected and counted exactly once (every cycle
   is closed from its minimum vertex).
 
 One dense kernel.  Every flavour above runs on one generator,
-``_dense_layers(L, verts, seed, identity)``.  Over the m vertices of
+``_dense_layers(L, verts, seed, inside)``.  Over the m vertices of
 ``verts`` (local mask bit i = vertex verts[i], in ascending order) layer k
 is a (C(m, k), m) uint64 array: row r for the r-th smallest k-subset,
 column j for endpoint verts[j], zero where no path exists (group order
 <= 64, so one word is one value set).  Layer 1 is diag(seed).  A layer is
 extended per target vertex by one gather of the source rows, the right
 action S*label(p, j) through the group's byte lookup table
-(``FiniteGroup.right_mul_lut``), an OR over the source endpoints, and an
-OR with the identity when ``identity`` is set.  Its four callers:
+(``FiniteGroup.right_mul_lut``) and an OR over the source endpoints.  With
+``inside`` set, seed[j] is ORed into every entry of column j, so an entry
+holds the paths inside its mask rather than exactly through it.  The
+callers:
 
 * ``find_balanced_cycle``'s sweep from start s: verts = s+1..n-1, seed the
-  arcs out of s, no identity; hits are scanned per layer in (mask,
+  arcs out of s, not inside; hits are scanned per layer in (mask,
   endpoint) ascending order, and the sweep stops at the first;
 * ``aggregated_reach_layers`` (and through it ``reach_set`` and the key
-  lemma): verts = the scope, seed and identity 1; each layer is handed out
-  as a read-only mapping view, and the key lemma scans its array;
-* ``reach_table``: the same seed without the identity, every layer kept;
-  the dict ``table`` is built only on first access;
-* ``reach_set_between``: verts = the scope minus u, seed the arcs out of u.
+  lemma): verts = the scope, seed 1 (the identity), inside; each layer is
+  handed out as a read-only mapping view, and the key lemma scans its
+  array;
+* ``reach_table``: the same seed, not inside, every layer kept; the dict
+  ``table`` is built only on first access;
+* ``_paths_from(L, X, u)``: verts = X minus u, seed the arcs out of u,
+  inside; the last layer's single row holds the values of the u-to-w paths
+  inside X for every w at once.  ``reach_set_between`` reads one entry of
+  it, and ``find_path_with_value`` walks back from v, rerunning it over
+  the vertices still unused at each step to pick the smallest feasible
+  predecessor.  Each rerun has one vertex fewer, so a walk costs about one
+  run over X and keeps two layers alive.  Keeping every layer of one run
+  instead would make the walk a lookup but hold 2^m * m * 8 bytes, the
+  memory that ``reach_table`` caps at 20 vertices, at any scope up to 24.
 
 Memory, with two layers alive while one is extended: the largest
 aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
@@ -46,9 +58,11 @@ layer loses to it there, and small exact searches are what the campaigns
 run by the hundred.  DENSE_MIN_FREE is where a full sweep first ran
 clearly faster dense (cycle-free sweeps on one Xeon core: 0.7x at 6 free
 vertices, 1.1-1.3x at 7, 1.5-2.2x at 8); both routes return the same
-witness.  ``_extend_anchored`` also builds ``start_anchored_table``, so
-``enumerate_balanced_cycles``, which reads that table, and any check of
-``reach_set_between`` against it stay a route independent of the kernel.
+witness.  Reconstruction has no such split: it runs once per found cycle,
+not once per start.  ``_extend_anchored`` also builds
+``start_anchored_table``, so ``enumerate_balanced_cycles``, which reads
+that table, and any check of ``reach_set_between`` against it stay a
+route independent of the kernel.
 
 Exact computations are capped at 24 vertices (EXACT_CAP; a caller's limit
 can only lower it); full-table retention at 20; cycle enumeration at 12
@@ -119,7 +133,7 @@ def _arc_bits(L: Labelling, u: int, verts: list[int]) -> np.ndarray:
 
 
 def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
-                  identity: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+                  inside: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The subset-DP recurrence over ``verts``, one dense popcount layer at a time.
 
     Yields (k, masks, values) for k = 1, 2, ...: ``masks`` holds every
@@ -130,9 +144,10 @@ def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
 
         values[M | j, j] = OR over p in M of values[M, p] * label(verts[p], verts[j]),
 
-    ORed with the identity when ``identity`` is set (aggregated reach sets
-    count the length-0 path).  Without the identity an all-zero layer ends
-    the stream: nothing extends it.
+    ORed with seed[j] when ``inside`` is set, so that an entry counts the
+    paths inside its mask instead of exactly through it (the layer-1 path
+    to j, worth seed[j], fits inside every mask that holds j).  Without
+    ``inside`` an all-zero layer ends the stream: nothing extends it.
     """
     m = len(verts)
     if m == 0:
@@ -150,10 +165,10 @@ def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
     values = np.diag(seed).astype("<u8")
     yield 1, layers[1], values
     for k in range(2, m + 1):
-        if not identity and not values.any():
+        if not inside and not values.any():
             return
         values = _dense_extend(values, layers[k - 1], layers[k].size, rank, offsets, flat,
-                               identity)
+                               seed if inside else None)
         yield k, layers[k], values
 
 
@@ -161,9 +176,9 @@ _DENSE_BLOCK = 1 << 15  # table lookups per block: keeps the temporaries in cach
 
 
 def _dense_extend(values: np.ndarray, masks: np.ndarray, size: int, rank: np.ndarray,
-                  offsets: np.ndarray, flat: np.ndarray, identity: bool) -> np.ndarray:
+                  offsets: np.ndarray, flat: np.ndarray, seed: np.ndarray | None) -> np.ndarray:
     """Next dense layer: out[rank[M | j], j] = OR_p values[M, p] * label(p, j),
-    with the identity ORed in when ``identity`` is set."""
+    with seed[j] ORed in unless ``seed`` is None."""
     rows, m = values.shape
     chunks = offsets.shape[2]
     digits = np.ascontiguousarray(values.view(np.uint8).reshape(rows, m, 8)[:, :, :chunks])
@@ -177,8 +192,8 @@ def _dense_extend(values: np.ndarray, masks: np.ndarray, size: int, rank: np.nda
             idx = digits[src[lo:lo + step]].astype(np.intp)
             idx += offsets[j]
             acc = np.bitwise_or.reduce(flat.take(idx).reshape(idx.shape[0], -1), axis=1)
-            if identity:
-                acc |= np.uint64(1)
+            if seed is not None:
+                acc |= seed[j]
             out[dst[lo:lo + step], j] = acc
     return out
 
@@ -242,21 +257,38 @@ def aggregated_reach_layers(L: Labelling, scope) -> Iterator[tuple[int, Mapping[
     """
     verts = subset_elements(_as_mask(scope))
     ones = np.ones(len(verts), dtype=np.uint64)
-    for size, masks, values in _dense_layers(L, verts, ones, identity=True):
+    for size, masks, values in _dense_layers(L, verts, ones, inside=True):
         yield size, _LayerView(verts, masks, values)
+
+
+def _check_scope(mask: int, *vertices: int) -> None:
+    for w in vertices:
+        if not (mask >> w) & 1:
+            raise NotInScope(f"vertex {w} not in the scope")
+    if mask.bit_count() > EXACT_CAP:
+        raise TooLarge(f"scope larger than the exact cap of {EXACT_CAP}")
 
 
 def reach_set(L: Labelling, X, x: int) -> int:
     """Values of simple paths inside X ending at x, as an element bitmask."""
     mask = _as_mask(X)
-    if not (mask >> x) & 1:
-        raise NotInScope(f"vertex {x} not in the scope")
-    if mask.bit_count() > EXACT_CAP:
-        raise TooLarge(f"scope larger than the exact cap of {EXACT_CAP}")
+    _check_scope(mask, x)
     layer = None
     for _, layer in aggregated_reach_layers(L, mask):
         pass
     return layer[mask][x]
+
+
+def _paths_from(L: Labelling, mask: int, u: int) -> dict[int, int]:
+    """{w: values of the simple u-to-w paths inside ``mask``} for every w of
+    the mask, u included (only the length-0 path: the identity)."""
+    others = subset_elements(mask ^ (1 << u))
+    last = np.zeros((1, len(others)), dtype=np.uint64)
+    for _, _, last in _dense_layers(L, others, _arc_bits(L, u, others), inside=True):
+        pass
+    paths = dict(zip(others, last[0].tolist()))
+    paths[u] = 1
+    return paths
 
 
 def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
@@ -266,19 +298,8 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     return), so the result is the singleton identity.
     """
     mask = _as_mask(X)
-    for w in (u, v):
-        if not (mask >> w) & 1:
-            raise NotInScope(f"vertex {w} not in the scope")
-    if mask.bit_count() > EXACT_CAP:
-        raise TooLarge(f"scope larger than the exact cap of {EXACT_CAP}")
-    if u == v:
-        return 1
-    others = subset_elements(mask ^ (1 << u))
-    j = others.index(v)
-    result = 0
-    for _, _, values in _dense_layers(L, others, _arc_bits(L, u, others), identity=False):
-        result |= int(np.bitwise_or.reduce(values[:, j]))
-    return result
+    _check_scope(mask, u, v)
+    return _paths_from(L, mask, u)[v]
 
 
 def _extend_anchored(layer: dict[int, dict[int, int]], verts: list[int], rows, pres,
@@ -393,7 +414,7 @@ def reach_table(L: Labelling, X) -> ReachTable:
     verts = subset_elements(mask)
     ones = np.ones(k, dtype=np.uint64)
     layers = [(masks, values)
-              for _, masks, values in _dense_layers(L, verts, ones, identity=False)]
+              for _, masks, values in _dense_layers(L, verts, ones, inside=False)]
     return ReachTable(L, mask, layers)
 
 
@@ -402,59 +423,37 @@ def reach_table(L: Labelling, X) -> ReachTable:
 def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[int]:
     """Some simple u-to-v path inside X whose label product equals ``value``.
 
-    Memoized top-down feasibility over (vertices-allowed mask, endpoint),
-    so only the part of the DP reachable from the query is materialized.
-    Raises ValueError when no such path exists.
+    Walks back from v: the predecessor of the current endpoint e is the
+    smallest p of the remaining vertices with an arc p -> e such that some
+    u-to-p path inside them has value val * label(p, e)^-1, read from one
+    ``_paths_from`` run per step.  The runs shrink by a vertex each, so the
+    walk costs about one kernel run over X.  Raises ValueError when no such
+    path exists.
     """
     mask = _as_mask(X)
-    for w in (u, v):
-        if not (mask >> w) & 1:
-            raise NotInScope(f"vertex {w} not in the scope")
+    _check_scope(mask, u, v)
+    if u == v and value != 0:
+        raise ValueError(f"the only path from {u} to itself has the identity value")
     rows = L.rows()
     pres = L.present_rows()
-    G = L.group
-    smul = G.subset_mul_elem
-    inv = G._inv
-    mul_rows = G._rows
-    memo: dict[tuple[int, int], int] = {}
-
-    def attainable(m: int, e: int) -> int:
-        """Values of u-to-e paths with vertices inside m."""
-        if e == u:
-            return 1
-        key = (m, e)
-        got = memo.get(key)
-        if got is None:
-            got = 0
-            sub = m ^ (1 << e)
-            for p in subset_elements(sub):
-                if pres[p][e]:
-                    feas = attainable(sub, p)
-                    if feas:
-                        got |= smul(feas, rows[p][e])
-            memo[key] = got
-        return got
-
-    try:
-        if not (attainable(mask, v) >> value) & 1:
-            raise ValueError(f"no path from {u} to {v} with value {value} inside the scope")
-        path = [v]
-        m, e, val = mask, v, value
-        while e != u:
-            sub = m ^ (1 << e)
-            for p in subset_elements(sub):
-                if pres[p][e]:
-                    prev_val = mul_rows[val][inv[rows[p][e]]]
-                    if (attainable(sub, p) >> prev_val) & 1:
-                        path.append(p)
-                        m, e, val = sub, p, prev_val
-                        break
-            else:  # pragma: no cover - contradicts attainable()
+    inv = L.group._inv
+    mul_rows = L.group._rows
+    path = [v]
+    e, val = v, value
+    while e != u:
+        mask ^= 1 << e
+        paths = _paths_from(L, mask, u)
+        for p in subset_elements(mask):
+            prev_val = mul_rows[val][inv[rows[p][e]]]
+            if pres[p][e] and (paths[p] >> prev_val) & 1:
+                break
+        else:
+            # every step after the first extends a value the step before found
+            if e != v:  # pragma: no cover
                 raise AssertionError("reconstruction lost a feasible prefix")
-    finally:
-        # attainable refers to itself through its closure; without this the
-        # cycle, and memo with it, would live until the cyclic GC runs
-        del attainable
+            raise ValueError(f"no path from {u} to {v} with value {value} inside the scope")
+        path.append(p)
+        e, val = p, prev_val
     path.reverse()
     return path
 
@@ -567,7 +566,7 @@ def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
     close = np.where(L.present[free, s],
                      np.left_shift(np.uint64(1), inv[lab[free, s]].astype(np.uint64)),
                      np.uint64(0))
-    for _, masks, values in _dense_layers(L, free, _arc_bits(L, s, free), identity=False):
+    for _, masks, values in _dense_layers(L, free, _arc_bits(L, s, free), inside=False):
         hits = (values & close) != 0
         if hits.any():
             row, j = divmod(int(np.argmax(hits)), len(free))

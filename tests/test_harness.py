@@ -1,7 +1,10 @@
 """Campaign machinery: exhaustive sweeps, randomized trials, n(G) search."""
 
+from concurrent.futures import Future
+
 import pytest
 
+from balanced_cycles import harness
 from balanced_cycles import (SearchSpaceTooLarge, compute_n, cyclic_group,
                              enumerate_balanced_cycles, extremal_cyclic,
                              find_balanced_cycle, metacyclic_group,
@@ -60,6 +63,43 @@ def test_verify_all_parallel_matches_serial():
     serial = verify_all(g, 3, workers=1)
     parallel = verify_all(g, 3, workers=3)
     assert strip_elapsed(serial) == strip_elapsed(parallel)
+
+
+class _InlineExecutor:
+    """Stands in for the process pool: records each pool size asked for and
+    runs the submitted chunks in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_verify_all_clamps_workers(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    g = cyclic_group(3)
+    serial = strip_elapsed(verify_all(g, 3, workers=1))
+    assert _InlineExecutor.sizes == []
+    assert strip_elapsed(verify_all(g, 3, workers=100_000)) == serial  # 729 labellings
+    assert strip_elapsed(verify_all(g, 2, workers=100_000))["trials"] == 9
+    assert strip_elapsed(verify_all(g, 2, normalized=True, workers=100_000))["trials"] == 3
+    assert _InlineExecutor.sizes == [4, 4, 3]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert strip_elapsed(verify_all(g, 3, workers=100_000)) == serial
+    assert _InlineExecutor.sizes == [4, 4, 3]  # unknown core count: serial, no pool
 
 
 def test_verify_all_too_large():

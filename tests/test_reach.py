@@ -224,6 +224,9 @@ def test_caps():
         reach_table(Labelling(g1, [[0] * 21 for _ in range(21)]), range(21))
     with pytest.raises(TooLarge):
         reach_set(big, range(30), 0)
+    arcless = Labelling(g1, [[0] * 25 for _ in range(25)], [[False] * 25 for _ in range(25)])
+    with pytest.raises(TooLarge):
+        find_path_with_value(arcless, range(25), 0, 24, 0)
     # the heuristic scan has no cap
     assert short_cycle_scan(big) is not None
 

@@ -6,34 +6,36 @@ bit i standing for the i-th smallest scope vertex.  These tests compare
 every flavour, layer by layer and entry by entry, with the pull loops the
 package ran before (``reference_aggregated_reach_layers`` and
 ``reference_reach_table``) and with the start-anchored dict route for
-reach_set_between.  Scopes are random and mostly non-contiguous, digraphs
-are masked, and the groups are the catalog (abelian and non-abelian) plus
-Z64, so value sets of 1, 2, 3 and 8 bytes all occur.  The proof engine is
-checked by running key_lemma and make_efficient_tuple once on the kernel
-and once on the reference layers.
+reach_set_between, and the paths find_path_with_value rebuilds with the
+top-down reconstruction ``reference_path_with_value``.  Scopes are random
+and mostly non-contiguous, digraphs are masked, and the groups are the
+catalog (abelian and non-abelian) plus Z64, so value sets of 1, 2, 3 and
+8 bytes all occur.  The proof engine is checked by running key_lemma and
+make_efficient_tuple once on the kernel and once on the reference layers.
 """
 
 import random
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balanced_cycles import (Labelling, apply_shift_family, catalog, cyclic_group,
-                             extremal_cyclic, key_lemma, make_efficient_tuple,
-                             reach_set, reach_set_between, reach_table,
+                             extremal_cyclic, find_path_with_value, key_lemma,
+                             make_efficient_tuple, reach_set, reach_set_between, reach_table,
                              start_anchored_table, subset_elements, subset_of)
 from balanced_cycles import proof_engine, reach
 from oracle import (brute_reach_between, reference_aggregated_reach_layers,
-                    reference_reach_table)
+                    reference_path_with_value, reference_reach_table)
 
 GROUPS = dict(catalog(), Z64=cyclic_group(64))
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def scoped_labellings(draw, n_max: int = 11) -> tuple[Labelling, int]:
+def scoped_labellings(draw, n_max: int = 11, scope_max: int = 11) -> tuple[Labelling, int]:
     """A random masked labelling and a random non-empty scope of its vertices."""
     group = GROUPS[draw(st.sampled_from(sorted(GROUPS)))]
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
@@ -41,7 +43,7 @@ def scoped_labellings(draw, n_max: int = 11) -> tuple[Labelling, int]:
     density = rng.choice([0.3, 0.6, 0.9, 1.0])
     labels = [[rng.randrange(group.order) for _ in range(n)] for _ in range(n)]
     present = [[u != v and rng.random() < density for v in range(n)] for u in range(n)]
-    scope = subset_of(rng.sample(range(n), rng.randint(1, n)))
+    scope = subset_of(rng.sample(range(n), rng.randint(1, min(n, scope_max))))
     return Labelling(group, labels, present), scope
 
 
@@ -120,6 +122,24 @@ def test_reach_set_between_matches_anchored_table(case):
             assert reach_set_between(L, scope, u, v) == expected, (u, v)
             if len(verts) <= 6:
                 assert set(subset_elements(expected)) == brute_reach_between(L, verts, u, v)
+
+
+@SETTINGS
+@given(scoped_labellings(n_max=10, scope_max=7), st.integers(0, 2 ** 32 - 1))
+def test_find_path_with_value_matches_reference(case, seed):
+    L, scope = case
+    verts = subset_elements(scope)
+    rng = random.Random(seed)
+    u = rng.choice(verts)
+    v = u if rng.random() < 0.2 else rng.choice(verts)
+    attainable = brute_reach_between(L, verts, u, v)
+    for value in range(L.group.order):
+        if value in attainable:
+            assert find_path_with_value(L, scope, u, v, value) == \
+                reference_path_with_value(L, scope, u, v, value), (u, v, value)
+        else:
+            with pytest.raises(ValueError):
+                find_path_with_value(L, scope, u, v, value)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
