@@ -8,7 +8,7 @@ turns the underlying proof steps into checkable procedures.
 """
 
 from .constructions import arc_critical_instance, extremal_cyclic, random_labelling
-from .errors import (AsymmetricMask, BadIndex, BadSize, BadSpec,
+from .errors import (AsymmetricMask, BadIndex, BadSeed, BadSize, BadSpec,
                      BalancedCyclesError, IncompleteDigraph, Mismatch,
                      MissingArc, NotAGroup, NotASubgroup, NotInScope, NotPrime,
                      PreconditionViolated, SearchSpaceTooLarge, TheoremViolation,

@@ -13,9 +13,9 @@ compute-n   exact n(G) by pruned backtracking
 
 Exit codes: 0 success / cycle found; 1 campaign found a counterexample;
 2 usage or input error; 3 exactly no balanced cycle exists; 4 heuristic
-inconclusive; 5 search space too large.  ``verify --workers N`` splits an
-exhaustive campaign across at most N processes, and never more than the
-machine has cores.
+inconclusive; 5 search space too large or memory ran out.
+``verify --workers N`` splits an exhaustive campaign across at most N
+processes, and never more than the machine has cores.
 """
 
 from __future__ import annotations
@@ -199,8 +199,9 @@ def main(argv: list[str] | None = None) -> int:
             payload["witness"] = exc.witness.to_json()
         _emit(payload)
         return EXIT_TOO_LARGE
-    except TooLarge as exc:
-        _emit({"error": "too_large", "message": str(exc)})
+    except (TooLarge, MemoryError) as exc:
+        # running out of memory is a size verdict too; exit 1 would claim a counterexample
+        _emit({"error": "too_large", "message": str(exc) or "out of memory"})
         return EXIT_TOO_LARGE
     except (BalancedCyclesError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,9 +52,11 @@ def arc_critical_instance(q: int, deleted_arc_index: int) -> Labelling:
 def random_labelling(group: FiniteGroup, n: int, seed: int) -> Labelling:
     """Uniform independent labels from a pinned generator.
 
-    Stream: xoshiro256** seeded with SplitMix64(seed); draws are masked
-    rejection on the top bits, one per off-diagonal arc in row-major order.
+    Stream: xoshiro256** seeded with SplitMix64(seed), ``seed`` in
+    0..2^64-1; one draw per off-diagonal arc in row-major order, each a
+    masked rejection on the top bits that takes one word per attempt.
     Identical (group, n, seed) give identical labellings on every platform.
+    ``rng.xoshiro_labels`` draws the same labels for many seeds at once.
     """
     if not 2 <= n <= MAX_VERTICES:
         raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")

@@ -18,7 +18,11 @@ class NotASubgroup(BalancedCyclesError):
 
 
 class BadSize(BalancedCyclesError):
-    """Vertex count outside the supported range."""
+    """Vertex or trial count outside the supported range."""
+
+
+class BadSeed(BalancedCyclesError):
+    """Random seed outside 0..2^64-1."""
 
 
 class BadIndex(BalancedCyclesError):

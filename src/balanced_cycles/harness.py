@@ -3,6 +3,29 @@
 Everything is deterministic given (group, n, mode, seed); campaign reports
 carry per-trial witness statistics and every claimed counterexample is
 re-verified through an independent exact route before it is reported.
+
+Both campaigns check labellings in blocks, as one arc-major (n*n,
+labellings) label array per block, with a cycle-length sieve (``_sieve``):
+all simple cycles of one length are evaluated at once by Cayley-table
+gathers over the labellings still alive, and a labelling dies at the first
+length with a balanced cycle.  That is the length of its first balanced
+cycle in (length, lexicographic) order, the witness length the reports
+count.  Most labellings die at length 2, so the longer, more numerous
+cycles only see the few survivors.
+
+* ``verify_random`` draws a block of trials with ``rng.xoshiro_labels``
+  and sieves lengths 2 and 3, the ``short_cycle_scan`` verdict.  Only the
+  trials that survive become ``Labelling`` objects, in trial order, for
+  exact escalation.
+* ``verify_all`` turns a block of odometer indices into their base-|G|
+  digits over the free arcs and sieves every length up to n.  The
+  survivors are the counterexamples, in index order.
+
+``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
+and a sieve step at most that many cycle values (one labelling at a time
+when a length has more cycles than that), and a round of the random
+generator makes at most ``rng.ROUND_WORDS`` words, so memory stays a few
+MiB for any trial count and any n <= 64.
 """
 
 from __future__ import annotations
@@ -12,17 +35,20 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .constructions import random_labelling
-from .errors import SearchSpaceTooLarge
+import numpy as np
+
+from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group
-from .labellings import Labelling
-from .reach import (EXACT_CAP, all_simple_cycles, enumerate_balanced_cycles,
-                    find_balanced_cycle, short_cycle_scan)
-from .rng import trial_seeds
+from .labellings import MAX_VERTICES, Labelling
+from .reach import (EXACT_CAP, enumerate_balanced_cycles, find_balanced_cycle,
+                    short_cycle_scan)
+from .rng import trial_seeds, xoshiro_labels
 
 SEARCH_SPACE_CAP = 10 ** 8
 DEFAULT_NODE_BUDGET = 2_000_000
+BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -75,11 +101,60 @@ def _free_arcs(n: int, normalized: bool) -> list[tuple[int, int]]:
             if u != v and not (normalized and u == 0)]
 
 
-def _cycle_arc_lists(n: int) -> list[list[tuple[int, int]]]:
+@lru_cache(maxsize=8)
+def _cycle_arcs(n: int, max_len: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Per length 2..max_len, every simple cycle of the complete digraph on n
+    vertices as a read-only (length, cycles) array of flat arc indices
+    u*n + v, arc i of each cycle in row i.
+
+    Cycles start at their minimum vertex, so each is listed once; they are
+    grown from paths one vertex at a time, by a larger vertex not on the path.
+    """
     out = []
-    for cyc in all_simple_cycles(n):
-        out.append(list(zip(cyc, cyc[1:] + (cyc[0],))))
-    return out
+    vertices = np.arange(n)
+    paths = vertices[:, None]
+    for length in range(2, min(max_len, n) + 1):
+        grow = (vertices > paths[:, :1]) & (vertices != paths[:, :, None]).all(axis=1)
+        row, vertex = np.nonzero(grow)
+        paths = np.column_stack([paths[row], vertex])
+        arcs = (paths * n + np.roll(paths, -1, axis=1)).T.copy()
+        arcs.setflags(write=False)
+        out.append((length, arcs))
+    return tuple(out)
+
+
+def _sieve(table: np.ndarray, labels: np.ndarray, cycles) -> np.ndarray:
+    """Length of each labelling's shortest balanced cycle among ``cycles``; 0 if none.
+
+    ``labels`` is arc-major, (n*n, labellings): row u*n + v holds the label
+    of arc (u, v) in every labelling.  ``cycles`` comes from ``_cycle_arcs``.
+    A length is only evaluated on the labellings no shorter length has
+    settled.
+    """
+    order = len(table)
+    flat = table.ravel()
+    first = np.zeros(labels.shape[1], dtype=np.int64)
+    alive = np.arange(labels.shape[1])
+    for length, arcs in cycles:
+        step = max(1, BLOCK_ELEMS // arcs.shape[1])
+        hit = np.zeros(alive.size, dtype=bool)
+        for lo in range(0, alive.size, step):
+            part = labels[:, lo:lo + step]
+            value = part[arcs[0]]
+            for arc in arcs[1:]:
+                value = flat.take(value * order + part[arc])
+            hit[lo:lo + step] = (value == 0).any(axis=0)
+        first[alive[hit]] = length
+        alive = alive[~hit]
+        labels = labels[:, ~hit]
+    return first
+
+
+def _count_lengths(lengths: Counter[int], first: np.ndarray) -> None:
+    """Add the sieve's witness lengths (0 = no witness) to ``lengths``."""
+    for length, count in enumerate(np.bincount(first).tolist()):
+        if length and count:
+            lengths[length] += count
 
 
 def _reverify_cycle_free(L: Labelling) -> None:
@@ -93,50 +168,28 @@ def _reverify_cycle_free(L: Labelling) -> None:
 
 def _enumerate_chunk(spec: dict, n: int, normalized: bool,
                      lo: int, hi: int) -> tuple[int, list[list[list[int]]], dict[int, int]]:
-    """Check the labellings with odometer indices [lo, hi); pure, mergeable."""
+    """Check the labellings with odometer indices [lo, hi); pure, mergeable.
+
+    Index i labels the free arcs (row-major) with its base-|G| digits, most
+    significant first; pinned arcs and the diagonal are the identity.
+    """
     group = build_group(spec)
     order = group.order
-    mul = group._rows
-    free = _free_arcs(n, normalized)
-    cycles = _cycle_arc_lists(n)
-    labels = [[0] * n for _ in range(n)]
-    rem = lo
-    digits = [0] * len(free)
-    for j in range(len(free) - 1, -1, -1):
-        digits[j] = rem % order
-        rem //= order
-    for (u, v), d in zip(free, digits):
-        labels[u][v] = d
+    free = [u * n + v for u, v in _free_arcs(n, normalized)]
+    cycles = _cycle_arcs(n, n)
+    block = max(1, BLOCK_ELEMS // (n * n))
     lengths: Counter[int] = Counter()
     counterexamples: list[list[list[int]]] = []
-    idx = lo
-    while True:
-        hit = 0
-        for arcs in cycles:
-            value = 0
-            for a, b in arcs:
-                value = mul[value][labels[a][b]]
-            if value == 0:
-                hit = len(arcs)
-                break
-        if hit:
-            lengths[hit] += 1
-        else:
-            counterexamples.append([row[:] for row in labels])
-        idx += 1
-        if idx >= hi:
-            break
-        j = len(free) - 1  # odometer increment
-        while True:
-            digits[j] += 1
-            if digits[j] < order:
-                u, v = free[j]
-                labels[u][v] = digits[j]
-                break
-            digits[j] = 0
-            u, v = free[j]
-            labels[u][v] = 0
-            j -= 1
+    for start in range(lo, hi, block):
+        labels = np.zeros((n * n, min(block, hi - start)), dtype=np.int64)
+        rest = np.arange(start, start + labels.shape[1], dtype=np.int64)
+        for arc in reversed(free):  # least significant digit first
+            above = rest // order
+            labels[arc] = rest - above * order
+            rest = above
+        first = _sieve(group.table, labels, cycles)
+        _count_lengths(lengths, first)
+        counterexamples.extend(labels[:, first == 0].T.reshape(-1, n, n).tolist())
     return hi - lo, counterexamples, dict(lengths)
 
 
@@ -148,6 +201,8 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     counterexample existence: every labelling is shifting-equivalent to such
     a normal form and equivalence preserves the set of balanced cycles.
     """
+    if n < 1:
+        raise BadSize(f"vertex count {n} outside 1..{MAX_VERTICES}")
     started = time.perf_counter()
     mode = "exhaustive_normalized" if normalized else "exhaustive"
     report = VerdictReport(group_name=group.name, group_spec=group.spec,
@@ -205,33 +260,44 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
                   escalate: bool = True, max_dp_vertices: int = EXACT_CAP) -> VerdictReport:
     """Randomized campaign: heuristic short-cycle scan first, exact on demand.
 
-    Per-trial labellings are generated from sub-seeds derived from ``seed``,
-    so reports are reproducible.  A scan miss escalates to the exact search
-    when the instance fits under ``max_dp_vertices`` and EXACT_CAP (and
-    ``escalate`` is set); otherwise the trial counts as unresolved.
+    Per-trial labellings are generated from sub-seeds derived from ``seed``
+    (``random_labelling(group, n, sub_seed)``), so reports are reproducible.
+    Trials run in blocks of ``BLOCK_ELEMS // n**2`` (see the module
+    docstring); a trial the 2- and 3-cycle sieve misses escalates to the
+    exact search when the instance fits under ``max_dp_vertices`` and
+    EXACT_CAP (and ``escalate`` is set), and otherwise counts as unresolved.
     """
     started = time.perf_counter()
+    if trials < 0:
+        raise BadSize(f"trial count {trials} is negative")
+    seeds = trial_seeds(seed, trials)
+    if trials and not 2 <= n <= MAX_VERTICES:
+        raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
                            mode="randomized", trials=trials, seed=seed)
     lengths: Counter[int] = Counter()
     methods: Counter[str] = Counter()
-    for sub_seed in trial_seeds(seed, trials):
-        L = random_labelling(group, n, sub_seed)
-        witness = short_cycle_scan(L)
-        if witness is not None:
-            methods["scan"] += 1
-            lengths[len(witness.vertices)] += 1
-            continue
-        if escalate and n <= min(max_dp_vertices, EXACT_CAP):
-            witness = find_balanced_cycle(L, max_vertices=max_dp_vertices)
-            if witness is not None:
-                methods["dp"] += 1
-                lengths[len(witness.vertices)] += 1
+    block = max(1, BLOCK_ELEMS // (n * n or 1))
+    for start in range(0, trials, block):
+        labels = xoshiro_labels(group.order, n, seeds[start:start + block])
+        first = _sieve(group.table, np.ascontiguousarray(labels.reshape(len(labels), n * n).T),
+                       _cycle_arcs(n, 3))
+        _count_lengths(lengths, first)
+        hits = int(np.count_nonzero(first))
+        if hits:
+            methods["scan"] += hits
+        for lab in labels[first == 0]:
+            L = Labelling(group, lab)
+            if escalate and n <= min(max_dp_vertices, EXACT_CAP):
+                witness = find_balanced_cycle(L, max_vertices=max_dp_vertices)
+                if witness is not None:
+                    methods["dp"] += 1
+                    lengths[len(witness.vertices)] += 1
+                else:
+                    _reverify_cycle_free(L)
+                    report.counterexamples.append(L)
             else:
-                _reverify_cycle_free(L)
-                report.counterexamples.append(L)
-        else:
-            report.unresolved += 1
+                report.unresolved += 1
     report.witness_lengths = dict(sorted(lengths.items()))
     report.witness_methods = dict(sorted(methods.items()))
     report.elapsed = time.perf_counter() - started

@@ -74,8 +74,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import permutations
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -618,23 +617,3 @@ def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:
                             out.append(_checked(L, tuple(path)))
     out.sort(key=lambda w: (len(w.vertices), w.vertices))
     return out
-
-
-@lru_cache(maxsize=None)
-def all_simple_cycles(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every directed simple cycle of the complete digraph on 0..n-1.
-
-    Canonical rotation (minimum vertex first), ordered by length then
-    lexicographically.  Counts grow factorially, so this is only for the
-    tiny instances the exhaustive harness enumerates.
-    """
-    if n > 7:
-        raise TooLarge("cycle lists are only kept for n <= 7")
-    out = []
-    for s in range(n):
-        pool = list(range(s + 1, n))
-        for extra in range(1, len(pool) + 1):
-            for perm in permutations(pool, extra):
-                out.append((s,) + perm)
-    out.sort(key=lambda c: (len(c), c))
-    return tuple(out)

@@ -8,19 +8,43 @@ delegating to ``random`` or numpy:
 * raw 64-bit words: xoshiro256** (Blackman-Vigna),
 * bounded draws: masked rejection on the top bits of the next word.
 
-Identical seeds give identical streams everywhere, forever.
+Identical seeds give identical streams everywhere, forever.  Seeds are
+integers in 0..2^64-1; anything else raises ``BadSeed`` rather than being
+reduced modulo 2^64, so two different seeds never name one stream.
+
+Two implementations produce the same labels.  ``Xoshiro256StarStar`` is
+the scalar generator behind ``random_labelling``: one labelling is a single
+lane, and there plain Python beats numpy, whose fixed cost per call would
+be paid on every step.  ``xoshiro_labels`` runs one lane per sub-seed of a
+campaign in numpy uint64 arrays.  All lanes step in lockstep, each keeps
+its own accepted draws in stream order, and a lane is done once it holds
+all n(n-1) of them.  The campaigns use it; a differential test holds it
+equal to the scalar generator.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
+import numpy as np
+
+from .errors import BadSeed
+
 _MASK64 = (1 << 64) - 1
+
+
+def _check_seed(seed: int) -> int:
+    if not 0 <= seed <= _MASK64:
+        raise BadSeed(f"seed {seed} outside 0..2^64-1")
+    return seed
 
 
 class SplitMix64:
     """64-bit state-increment generator; also used to derive per-trial seeds."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = _check_seed(seed)
 
     def next(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
@@ -76,3 +100,82 @@ def trial_seeds(master_seed: int, count: int) -> list[int]:
     """Per-trial sub-seeds for a campaign, derived with SplitMix64."""
     sm = SplitMix64(master_seed)
     return [sm.next() for _ in range(count)]
+
+
+_U64 = np.uint64
+ROUND_WORDS = 1 << 14
+
+
+def _splitmix_lanes(seeds: Sequence[int]) -> list[np.ndarray]:
+    """The four xoshiro256** state words of each seed, as uint64 lane arrays."""
+    state = np.array([_check_seed(seed) for seed in seeds], dtype=_U64)
+    words = []
+    for _ in range(4):
+        state += _U64(0x9E3779B97F4A7C15)
+        z = state ^ (state >> _U64(30))
+        z *= _U64(0xBF58476D1CE4E5B9)
+        z ^= z >> _U64(27)
+        z *= _U64(0x94D049BB133111EB)
+        z ^= z >> _U64(31)
+        words.append(z)
+    words[0][(words[0] | words[1] | words[2] | words[3]) == 0] = 1
+    return words
+
+
+def _next_words(state: list[np.ndarray], steps: int) -> np.ndarray:
+    """Step every lane ``steps`` times, in place; the (steps, lanes) output words."""
+    s0, s1, s2, s3 = state
+    words = np.empty((steps, s1.size), dtype=_U64)
+    t = np.empty_like(s1)
+    for row in words:
+        row[...] = s1  # the output is a function of s1 alone, scrambled below in one pass
+        np.left_shift(s1, _U64(17), out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.bitwise_or(s3 << _U64(45), s3 >> _U64(19), out=s3)
+    words *= _U64(5)
+    np.bitwise_or(words << _U64(7), words >> _U64(57), out=words)
+    words *= _U64(9)
+    return words
+
+
+def xoshiro_labels(order: int, n: int, seeds: Sequence[int]) -> np.ndarray:
+    """The labels of ``random_labelling`` for every seed, as a (len(seeds), n, n) array.
+
+    Lane i draws exactly what ``Xoshiro256StarStar(seeds[i]).below(order)``
+    would, once per off-diagonal arc in row-major order; the diagonal is 0.
+    Words are made in rounds of lockstep steps.  A round lasts as many
+    steps as the lane with the most draws left needs on average, but at
+    most ``ROUND_WORDS`` words over all lanes; the lanes still short run
+    further rounds.  A round's buffers take a few dozen bytes per word, so
+    memory is about ``ROUND_WORDS`` * 40 bytes plus the labels themselves.
+    """
+    arcs = n * (n - 1)
+    labels = np.zeros((len(seeds), n, n), dtype=np.int64)
+    state = _splitmix_lanes(seeds)
+    if order == 1:  # k = 0: every draw is 0, whatever its word
+        return labels
+    k = (order - 1).bit_length()
+    accept = order / (1 << k)
+    draws = np.empty((len(seeds), arcs), dtype=np.int64)
+    filled = np.zeros(len(seeds), dtype=np.int64)
+    lanes = np.flatnonzero(filled < arcs)
+    while lanes.size:
+        need = int(arcs - filled[lanes].min())
+        # the mean count of words for `need` draws, within the round's budget
+        steps = min(math.ceil(need / accept), max(1, ROUND_WORDS // lanes.size))
+        words = _next_words(state, steps)
+        words >>= _U64(64 - k)  # the candidate draws
+        accepted = words < order
+        rank = filled[lanes] + np.cumsum(accepted, axis=0) - 1
+        step, lane = np.nonzero(accepted & (rank < arcs))
+        draws[lanes[lane], rank[step, lane]] = words[step, lane]
+        filled[lanes] = np.minimum(rank[-1] + 1, arcs)
+        short = filled[lanes] < arcs
+        lanes = lanes[short]
+        state = [word[short] for word in state]
+    labels[:, ~np.eye(n, dtype=bool)] = draws
+    return labels

@@ -2,14 +2,23 @@
 
 Factorial-time enumeration of simple paths and cycles, kept deliberately
 separate from the subset-DP implementations in the package: the only
-shared machinery is the Labelling accessors and the group product.
+shared machinery is the Labelling accessors and the group product.  The
+campaign references at the end are the exception: they pin the campaign
+loops, so they call the package's scalar generator, short-cycle scan,
+exact search and counterexample re-check, as those loops did.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
-from balanced_cycles import Labelling
+from balanced_cycles import (Labelling, VerdictReport, build_group,
+                             find_balanced_cycle, random_labelling,
+                             short_cycle_scan)
+from balanced_cycles.harness import _free_arcs, _reverify_cycle_free
+from balanced_cycles.reach import EXACT_CAP
+from balanced_cycles.rng import trial_seeds
 
 
 def iter_simple_paths(L: Labelling, scope: list[int]):
@@ -236,3 +245,103 @@ def reference_reach_table(L: Labelling, scope: int) -> dict[int, dict[int, int]]
             if entry:
                 table[mask] = entry
     return table
+
+
+# -- reference exhaustive campaign ----------------------------------------------
+#
+# The per-labelling odometer that harness._enumerate_chunk ran before the
+# cycle-length sieve: one labelling at a time, cycles tried in list order
+# (by length, then lexicographically) until the first balanced one.
+
+def all_simple_cycles(n: int) -> list[tuple[int, ...]]:
+    """Every directed simple cycle of K_n, minimum vertex first, by length then
+    lexicographically."""
+    out = []
+    for s in range(n):
+        pool = list(range(s + 1, n))
+        for extra in range(1, len(pool) + 1):
+            for perm in permutations(pool, extra):
+                out.append((s,) + perm)
+    out.sort(key=lambda c: (len(c), c))
+    return out
+
+
+def reference_enumerate_chunk(spec: dict, n: int, normalized: bool, lo: int,
+                              hi: int) -> tuple[int, list[list[list[int]]], dict[int, int]]:
+    group = build_group(spec)
+    order = group.order
+    mul = group._rows
+    free = _free_arcs(n, normalized)
+    cycles = [list(zip(cyc, cyc[1:] + (cyc[0],))) for cyc in all_simple_cycles(n)]
+    labels = [[0] * n for _ in range(n)]
+    rem = lo
+    digits = [0] * len(free)
+    for j in range(len(free) - 1, -1, -1):
+        digits[j] = rem % order
+        rem //= order
+    for (u, v), d in zip(free, digits):
+        labels[u][v] = d
+    lengths: Counter[int] = Counter()
+    counterexamples: list[list[list[int]]] = []
+    idx = lo
+    while True:
+        hit = 0
+        for arcs in cycles:
+            value = 0
+            for a, b in arcs:
+                value = mul[value][labels[a][b]]
+            if value == 0:
+                hit = len(arcs)
+                break
+        if hit:
+            lengths[hit] += 1
+        else:
+            counterexamples.append([row[:] for row in labels])
+        idx += 1
+        if idx >= hi:
+            break
+        j = len(free) - 1  # odometer increment
+        while True:
+            digits[j] += 1
+            if digits[j] < order:
+                u, v = free[j]
+                labels[u][v] = digits[j]
+                break
+            digits[j] = 0
+            u, v = free[j]
+            labels[u][v] = 0
+            j -= 1
+    return hi - lo, counterexamples, dict(lengths)
+
+
+# -- reference randomized campaign ------------------------------------------------
+#
+# verify_random before it ran in blocks: one scalar random_labelling and one
+# short_cycle_scan per trial.
+
+def reference_verify_random(group, n: int, trials: int, seed: int, escalate: bool = True,
+                            max_dp_vertices: int = EXACT_CAP) -> VerdictReport:
+    report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
+                           mode="randomized", trials=trials, seed=seed)
+    lengths: Counter[int] = Counter()
+    methods: Counter[str] = Counter()
+    for sub_seed in trial_seeds(seed, trials):
+        L = random_labelling(group, n, sub_seed)
+        witness = short_cycle_scan(L)
+        if witness is not None:
+            methods["scan"] += 1
+            lengths[len(witness.vertices)] += 1
+            continue
+        if escalate and n <= min(max_dp_vertices, EXACT_CAP):
+            witness = find_balanced_cycle(L, max_vertices=max_dp_vertices)
+            if witness is not None:
+                methods["dp"] += 1
+                lengths[len(witness.vertices)] += 1
+            else:
+                _reverify_cycle_free(L)
+                report.counterexamples.append(L)
+        else:
+            report.unresolved += 1
+    report.witness_lengths = dict(sorted(lengths.items()))
+    report.witness_methods = dict(sorted(methods.items()))
+    return report

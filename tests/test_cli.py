@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from balanced_cycles import BadSize, BadSpec, extremal_cyclic, labelling_from_json
+from balanced_cycles import cli
 from balanced_cycles.cli import main
 
 
@@ -114,6 +115,38 @@ def test_verify_too_large(capsys, tmp_path):
     code, data = run_cli(capsys, "verify", "--group", str(path), "--n", "8")
     assert code == 5
     assert data["error"] == "search_space_too_large"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--random", "--n", "4", "--trials", "-3"], "trial count -3"),
+    (["--random", "--n", "4", "--trials", "3", "--seed", "-1"], "seed -1"),
+    (["--random", "--n", "4", "--trials", "3", "--seed", str(2 ** 64)], "seed 1844"),
+    (["--n", "0"], "vertex count 0"),
+], ids=["negative_trials", "negative_seed", "seed_past_64_bits", "no_vertices"])
+def test_verify_rejects_bad_campaign_arguments(capsys, z3_file, argv, message):
+    assert main(["verify", "--group", z3_file, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_gen_rejects_seed_outside_64_bits(capsys, z3_file):
+    assert main(["gen", "--random", z3_file, "4", "-1"]) == 2
+    assert main(["gen", "--random", z3_file, "4", str(2 ** 64)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_memory_error_exits_too_large(capsys, monkeypatch, z3_file, labelling_file):
+    monkeypatch.setattr(cli, "enumerate_balanced_cycles", _out_of_memory)
+    code, data = run_cli(capsys, "enumerate", labelling_file(extremal_cyclic(3, 4)))
+    assert code == 5 and data["error"] == "too_large"
+    monkeypatch.setattr(cli, "verify_all", _out_of_memory)
+    code, data = run_cli(capsys, "verify", "--group", z3_file, "--n", "3")
+    assert code == 5 and data == {"error": "too_large", "message": "out of memory"}
 
 
 def test_compute_n(capsys, z3_file):

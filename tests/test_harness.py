@@ -5,11 +5,11 @@ from concurrent.futures import Future
 import pytest
 
 from balanced_cycles import harness
-from balanced_cycles import (SearchSpaceTooLarge, compute_n, cyclic_group,
-                             enumerate_balanced_cycles, extremal_cyclic,
+from balanced_cycles import (BadSeed, BadSize, SearchSpaceTooLarge, compute_n,
+                             cyclic_group, enumerate_balanced_cycles, extremal_cyclic,
                              find_balanced_cycle, metacyclic_group,
-                             product_group, shifting_equivalent, verify_all,
-                             verify_random)
+                             product_group, random_labelling,
+                             shifting_equivalent, verify_all, verify_random)
 
 
 def strip_elapsed(report):
@@ -132,6 +132,21 @@ def test_verify_random_heuristic_only_counts_unresolved():
     g = cyclic_group(5)
     report = verify_random(g, 12, 5, seed=3, escalate=False)
     assert report.unresolved + sum(report.witness_methods.values()) == 5
+
+
+def test_campaign_arguments_are_checked():
+    g = cyclic_group(3)
+    with pytest.raises(BadSize, match="trial count"):
+        verify_random(g, 4, -3, 0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(BadSeed):
+            verify_random(g, 4, 5, seed)
+        with pytest.raises(BadSeed):
+            random_labelling(g, 4, seed)
+    assert verify_random(g, 4, 2, 2 ** 64 - 1).trials == 2
+    for n in (0, -2):
+        with pytest.raises(BadSize, match="vertex count"):
+            verify_all(g, n)
 
 
 def test_compute_n_values():
