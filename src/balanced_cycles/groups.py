@@ -4,6 +4,16 @@ Group elements are plain ints ``0..order-1`` with the identity fixed at
 index 0.  Subsets of a group are ints interpreted as bitmasks (bit ``g`` set
 iff element ``g`` belongs to the subset), so the largest supported order
 is 64 and a subset always fits a machine word.
+
+Every subset action reads one byte table per side, built once per group by
+``_byte_table``: entry [g, c, b] of the right table is S*g for the subset S
+whose members are the bits of byte b in chunk c (elements 8c..8c+7), and the
+left table holds g*S the same way, so an action is the OR over the bytes of
+S.  ``right_mul_lut`` hands the right table to the dense DP kernel.  The
+scalar ``subset_mul_elem`` / ``elem_mul_subset`` take element g's row of the
+table as lists the first time g is used and walk the bytes of S in Python.
+``stabilizer`` and ``cosets`` gather the images of S under every element
+at once, and ``is_subgroup`` is "contains 1 and H*h = H for every h in H".
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "name", "spec", "table", "inverse_table",
-                 "_rows", "_inv", "_left_chunks", "_right_chunks", "_right_lut")
+                 "_rows", "_inv", "_luts", "_lut_rows")
 
     def __init__(self, table, name: str = "", spec: dict | None = None):
         mul = np.array(table, dtype=np.int64)
@@ -63,9 +73,8 @@ class FiniteGroup:
         self.spec = spec if spec is not None else {"kind": "table", "mul": mul.tolist()}
         self._rows = tuple(tuple(int(x) for x in row) for row in mul)
         self._inv = tuple(int(x) for x in inv)
-        self._left_chunks: dict[int, list[list[int]]] = {}
-        self._right_chunks: dict[int, list[list[int]]] = {}
-        self._right_lut: np.ndarray | None = None
+        self._luts: dict[str, np.ndarray] = {}
+        self._lut_rows: dict[str, dict[int, list[list[int]]]] = {"left": {}, "right": {}}
 
     identity = 0
 
@@ -91,28 +100,28 @@ class FiniteGroup:
 
     # -- permutation actions on subsets, via 8-bit chunk lookup tables --
 
-    def _chunks_right(self, g: int) -> list[list[int]]:
-        tabs = self._right_chunks.get(g)
-        if tabs is None:
-            col = tuple(self._rows[s][g] for s in range(self.order))
-            tabs = _perm_chunks(col)
-            self._right_chunks[g] = tabs
-        return tabs
+    def _action_lut(self, side: str) -> np.ndarray:
+        """The byte table of one side: images s*g ("right") or g*s ("left")."""
+        lut = self._luts.get(side)
+        if lut is None:
+            lut = self._luts[side] = _byte_table(self.table.T if side == "right" else self.table)
+        return lut
 
-    def _chunks_left(self, g: int) -> list[list[int]]:
-        tabs = self._left_chunks.get(g)
-        if tabs is None:
-            tabs = _perm_chunks(self._rows[g])
-            self._left_chunks[g] = tabs
-        return tabs
+    def _action_row(self, side: str, g: int) -> list[list[int]]:
+        """Element g's row of one side's byte table, as lists for scalar lookups."""
+        rows = self._lut_rows[side]
+        row = rows.get(g)
+        if row is None:
+            row = rows[g] = self._action_lut(side)[g].tolist()
+        return row
 
     def subset_mul_elem(self, bits: int, g: int) -> int:
         """S*g as a bitmask."""
-        return _apply_chunks(self._chunks_right(g), bits)
+        return _apply_chunks(self._action_row("right", g), bits)
 
     def elem_mul_subset(self, g: int, bits: int) -> int:
         """g*S as a bitmask."""
-        return _apply_chunks(self._chunks_left(g), bits)
+        return _apply_chunks(self._action_row("left", g), bits)
 
     def right_mul_lut(self) -> np.ndarray:
         """All of ``subset_mul_elem`` as one read-only uint64 array.
@@ -122,19 +131,7 @@ class FiniteGroup:
         so ``S*g`` for any S is the OR over its bytes.  One extra row
         ``g = order`` is all zero, for callers that need a "no arc" entry.
         """
-        if self._right_lut is None:
-            chunks = (self.order + 7) // 8
-            images = np.zeros((self.order + 1, 8 * chunks), dtype=np.uint64)
-            # images[g, s] = {s*g}
-            images[:self.order, :self.order] = np.left_shift(
-                np.uint64(1), self.table.T.astype(np.uint64))
-            singles = images.reshape(self.order + 1, chunks, 8)
-            lut = np.zeros((self.order + 1, chunks, 256), dtype=np.uint64)
-            for i in range(8):  # bytes with top bit i = bytes below 2^i, plus bit i
-                lut[:, :, 1 << i:2 << i] = lut[:, :, :1 << i] | singles[:, :, i:i + 1]
-            lut.setflags(write=False)
-            self._right_lut = lut
-        return self._right_lut
+        return self._action_lut("right")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self._rows == other._rows
@@ -146,18 +143,22 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _perm_chunks(perm) -> list[list[int]]:
-    """8-bit lookup tables sending a bitmask through ``i -> perm[i]``."""
-    n = len(perm)
-    out = []
-    for base in range(0, n, 8):
-        width = min(8, n - base)
-        tab = [0] * (1 << width)
-        for b in range(1, 1 << width):
-            low = b & -b
-            tab[b] = tab[b ^ low] | (1 << perm[base + low.bit_length() - 1])
-        out.append(tab)
-    return out
+def _byte_table(images: np.ndarray) -> np.ndarray:
+    """Byte lookup table of the subset action S -> {images[g, s] : s in S}, per g.
+
+    Laid out as ``right_mul_lut`` describes: (order + 1, chunks, 256),
+    read-only, with an all-zero last row.
+    """
+    order = images.shape[0]
+    chunks = (order + 7) // 8
+    singles = np.zeros((order + 1, 8 * chunks), dtype=np.uint64)
+    singles[:order, :order] = np.left_shift(np.uint64(1), images.astype(np.uint64))
+    singles = singles.reshape(order + 1, chunks, 8)
+    lut = np.zeros((order + 1, chunks, 256), dtype=np.uint64)
+    for i in range(8):  # bytes with top bit i = bytes below 2^i, plus bit i
+        lut[:, :, 1 << i:2 << i] = lut[:, :, :1 << i] | singles[:, :, i:i + 1]
+    lut.setflags(write=False)
+    return lut
 
 
 def _apply_chunks(chunks, bits: int) -> int:
@@ -198,26 +199,23 @@ def subset_sizes(bits: np.ndarray) -> np.ndarray:
     return _BYTE_SIZES[bits.view(np.uint8)].reshape(*bits.shape, 8).sum(axis=-1)
 
 
+def _images(group: FiniteGroup, bits: int, side: str) -> np.ndarray:
+    """S*g (side "right") or g*S (side "left") for every element g, by one gather."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    lut = group._action_lut(side)
+    chunks = lut.shape[1]
+    digits = np.array([bits], dtype="<u8").view(np.uint8)[:chunks]
+    return np.bitwise_or.reduce(lut[:group.order, np.arange(chunks), digits], axis=1)
+
+
 def stabilizer(group: FiniteGroup, bits: int, side: str) -> int:
     """stab_l(S) = {g : g*S = S} or stab_r(S) = {g : S*g = S}.
 
     Always a subgroup.  The empty set is stabilized by everything, so
     ``stabilizer(G, 0, side) == G`` by convention.
     """
-    if side == "left":
-        act = group.elem_mul_subset
-        result = 0
-        for g in range(group.order):
-            if act(g, bits) == bits:
-                result |= 1 << g
-    elif side == "right":
-        result = 0
-        for g in range(group.order):
-            if group.subset_mul_elem(bits, g) == bits:
-                result |= 1 << g
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return result
+    return subset_of(np.flatnonzero(_images(group, bits, side) == bits).tolist())
 
 
 def grow_set(group: FiniteGroup, bits: int, x: int) -> int:
@@ -230,12 +228,8 @@ def grow_set(group: FiniteGroup, bits: int, x: int) -> int:
 
 
 def is_subgroup(group: FiniteGroup, bits: int) -> bool:
-    if not bits & 1:  # identity
-        return False
-    for h in subset_elements(bits):
-        if group.subset_mul_elem(bits, h) != bits:
-            return False
-    return True
+    """Contains the identity and is closed under products: H*h = H for every h in H."""
+    return bool(bits & 1) and bits & ~stabilizer(group, bits, "right") == 0
 
 
 def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> int:
@@ -258,20 +252,10 @@ def cosets(group: FiniteGroup, subgroup_bits: int, side: str) -> list[int]:
     """Left cosets g*H or right cosets H*g, in order of smallest member."""
     if not is_subgroup(group, subgroup_bits):
         raise NotASubgroup(f"{sorted(subset_elements(subgroup_bits))} is not a subgroup")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out = []
-    seen = 0
-    for g in range(group.order):
-        if (seen >> g) & 1:
-            continue
-        if side == "left":
-            c = group.elem_mul_subset(g, subgroup_bits)
-        else:
-            c = group.subset_mul_elem(subgroup_bits, g)
-        out.append(c)
-        seen |= c
-    return out
+    images = _images(group, subgroup_bits, side)
+    # g lies in its own coset (1 is in H), so keep each coset at its smallest member
+    below = np.left_shift(np.uint64(1), np.arange(group.order, dtype=np.uint64)) - np.uint64(1)
+    return images[(images & below) == 0].tolist()
 
 
 # -- constructions ----------------------------------------------------------

@@ -19,7 +19,9 @@ cycles only see the few survivors.
   exact escalation.
 * ``verify_all`` turns a block of odometer indices into their base-|G|
   digits over the free arcs and sieves every length up to n.  The
-  survivors are the counterexamples, in index order.
+  survivors are the counterexamples, in index order.  Each is kept,
+  re-verified and reported, so past COUNTEREXAMPLE_CAP of them, checked
+  after every block, the campaign stops with ``SearchSpaceTooLarge``.
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
 and a sieve step at most that many cycle values (one labelling at a time
@@ -47,6 +49,7 @@ from .reach import (EXACT_CAP, enumerate_balanced_cycles, find_balanced_cycle,
 from .rng import trial_seeds, xoshiro_labels
 
 SEARCH_SPACE_CAP = 10 ** 8
+COUNTEREXAMPLE_CAP = 100_000  # about 0.9 KB per kept n=3 counterexample with its report
 DEFAULT_NODE_BUDGET = 2_000_000
 BLOCK_ELEMS = 1 << 16
 
@@ -166,6 +169,12 @@ def _reverify_cycle_free(L: Labelling) -> None:
         raise AssertionError("counterexample failed re-verification (DP search)")
 
 
+def _check_counterexamples(count: int) -> None:
+    if count > COUNTEREXAMPLE_CAP:
+        raise SearchSpaceTooLarge(
+            f"more than {COUNTEREXAMPLE_CAP} counterexamples (COUNTEREXAMPLE_CAP)")
+
+
 def _enumerate_chunk(spec: dict, n: int, normalized: bool,
                      lo: int, hi: int) -> tuple[int, list[list[list[int]]], dict[int, int]]:
     """Check the labellings with odometer indices [lo, hi); pure, mergeable.
@@ -190,6 +199,7 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
         first = _sieve(group.table, labels, cycles)
         _count_lengths(lengths, first)
         counterexamples.extend(labels[:, first == 0].T.reshape(-1, n, n).tolist())
+        _check_counterexamples(len(counterexamples))
     return hi - lo, counterexamples, dict(lengths)
 
 
@@ -241,6 +251,7 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
                        for lo, hi in ranges]
             chunks = [f.result() for f in futures]
 
+    _check_counterexamples(sum(len(chunk[1]) for chunk in chunks))
     lengths: Counter[int] = Counter()
     for trials, raw_counterexamples, chunk_lengths in chunks:
         report.trials += trials

@@ -154,20 +154,17 @@ def path_value(L: Labelling, path) -> int:
     return value
 
 
-def cycle_value(L: Labelling, cycle, start_index: int = 0) -> int:
-    """Product of arc labels around the cycle from the chosen starting vertex.
+def cycle_value(L: Labelling, cycle) -> int:
+    """Product of arc labels around the cycle, starting from its first vertex.
 
     Values at different starts are conjugate in the group, so whether the
-    result is the identity does not depend on ``start_index``.
+    result is the identity does not depend on the start.
     """
     verts = _vertex_seq(cycle)
     if len(verts) < 2 or len(set(verts)) != len(verts):
         raise ValueError(f"not a simple cycle: {verts}")
-    if not 0 <= start_index < len(verts):
-        raise ValueError("start_index out of range")
-    order = verts[start_index:] + verts[:start_index]
-    value = path_value(L, order)
-    closing = (order[-1], order[0])
+    value = path_value(L, verts)
+    closing = (verts[-1], verts[0])
     if not L.present[closing]:
         raise MissingArc(f"arc {closing} is masked out")
     return L.group.mul(value, int(L.labels[closing]))
@@ -183,12 +180,9 @@ def shift(L: Labelling, v: int, g: int) -> Labelling:
     """Shift by g at v: in-arc labels pick up g^-1 on the right, out-arc labels g on the left."""
     if not 0 <= v < L.n:
         raise ValueError(f"vertex {v} out of range")
-    table = L.group.table
-    g_inv = L.group.inv(g)
-    labels = L.labels.copy()
-    labels[:, v] = table[L.labels[:, v], g_inv]
-    labels[v, :] = table[g, L.labels[v, :]]
-    return Labelling(L.group, labels, L.present)
+    family = [0] * L.n
+    family[v] = g
+    return apply_shift_family(L, family)
 
 
 def apply_shift_family(L: Labelling, family: Sequence[int]) -> Labelling:

@@ -66,8 +66,9 @@ route independent of the kernel.
 
 Exact computations are capped at 24 vertices (EXACT_CAP; a caller's limit
 can only lower it); full-table retention at 20; cycle enumeration at 12
-(output can be exponential).  Beyond the exact cap only the short-cycle
-scan is available and a miss is inconclusive.
+vertices and, since its output can be exponential, at CYCLE_LIST_CAP
+cycles.  Beyond the exact cap only the short-cycle scan is available and
+a miss is inconclusive.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .labellings import CycleWitness, Labelling, cycle_value
 EXACT_CAP = 24
 TABLE_RETENTION_CAP = 20
 ENUMERATION_CAP = 12
+CYCLE_LIST_CAP = 500_000  # about 250 B per kept cycle: some 125 MB
 DENSE_MIN_FREE = 8
 
 
@@ -459,7 +461,7 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
 
 # -- balanced-cycle search -------------------------------------------------------
 
-def short_cycle_scan(L: Labelling, max_len: int = 3) -> CycleWitness | None:
+def short_cycle_scan(L: Labelling) -> CycleWitness | None:
     """O(n^3) scan of 2- and 3-cycles; a miss is inconclusive.
 
     This is the heuristic mode: it works at any vertex count and is the
@@ -476,17 +478,16 @@ def short_cycle_scan(L: Labelling, max_len: int = 3) -> CycleWitness | None:
         for v in range(u + 1, n):
             if pres_u[v] and pres[v][u] and mul[row_u[v]][rows[v][u]] == 0:
                 return CycleWitness((u, v))
-    if max_len >= 3:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not pres[u][v]:
-                    continue
-                uv = rows[u][v]
-                pres_v, rows_v = pres[v], rows[v]
-                for w in range(u + 1, n):
-                    if w != v and pres_v[w] and pres[w][u] \
-                            and mul[mul[uv][rows_v[w]]][rows[w][u]] == 0:
-                        return CycleWitness((u, v, w))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not pres[u][v]:
+                continue
+            uv = rows[u][v]
+            pres_v, rows_v = pres[v], rows[v]
+            for w in range(u + 1, n):
+                if w != v and pres_v[w] and pres[w][u] \
+                        and mul[mul[uv][rows_v[w]]][rows[w][u]] == 0:
+                    return CycleWitness((u, v, w))
     return None
 
 
@@ -579,7 +580,8 @@ def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:
 
     Each cycle is reported with its minimum vertex first (direction
     preserved: reversal is a different cycle), sorted by length then
-    lexicographically.  Output size can be exponential, hence the cap.
+    lexicographically.  Output size can be exponential, hence the caps on
+    vertices and on cycles kept.
     """
     n = L.n
     if n > ENUMERATION_CAP:
@@ -615,5 +617,8 @@ def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:
                     if (table[m][e] >> target) & 1:
                         for path in expand(table, s, m, e, target):
                             out.append(_checked(L, tuple(path)))
+                            if len(out) > CYCLE_LIST_CAP:
+                                raise TooLarge(f"more than {CYCLE_LIST_CAP} balanced cycles "
+                                               "(CYCLE_LIST_CAP)")
     out.sort(key=lambda w: (len(w.vertices), w.vertices))
     return out

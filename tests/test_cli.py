@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from balanced_cycles import BadSize, BadSpec, extremal_cyclic, labelling_from_json
-from balanced_cycles import cli
+from balanced_cycles import (BadSize, BadSpec, Labelling, cyclic_group, extremal_cyclic,
+                             labelling_from_json)
+from balanced_cycles import cli, harness, reach
 from balanced_cycles.cli import main
 
 
@@ -147,6 +148,30 @@ def test_memory_error_exits_too_large(capsys, monkeypatch, z3_file, labelling_fi
     monkeypatch.setattr(cli, "verify_all", _out_of_memory)
     code, data = run_cli(capsys, "verify", "--group", z3_file, "--n", "3")
     assert code == 5 and data == {"error": "too_large", "message": "out of memory"}
+
+
+def test_kept_counterexamples_are_capped(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps({"kind": "cyclic", "q": 4}))
+    argv = ("verify", "--group", str(path), "--n", "4", "--mode", "exhaustive-normalized")
+    monkeypatch.setattr(harness, "COUNTEREXAMPLE_CAP", 714)
+    code, data = run_cli(capsys, *argv)
+    assert code == 1 and data["counterexample_count"] == 714
+    monkeypatch.setattr(harness, "COUNTEREXAMPLE_CAP", 713)
+    code, data = run_cli(capsys, *argv)
+    assert code == 5 and data["error"] == "search_space_too_large"
+    assert "COUNTEREXAMPLE_CAP" in data["message"]
+
+
+def test_kept_cycles_are_capped(capsys, monkeypatch, labelling_file):
+    path = labelling_file(Labelling(cyclic_group(2), [[0] * 6 for _ in range(6)]))
+    monkeypatch.setattr(reach, "CYCLE_LIST_CAP", 409)
+    code, data = run_cli(capsys, "enumerate", path)
+    assert code == 0 and data["count"] == 409
+    monkeypatch.setattr(reach, "CYCLE_LIST_CAP", 408)
+    code, data = run_cli(capsys, "enumerate", path)
+    assert code == 5 and data["error"] == "too_large"
+    assert "CYCLE_LIST_CAP" in data["message"]
 
 
 def test_compute_n(capsys, z3_file):

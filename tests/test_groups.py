@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balanced_cycles import (BadSpec, NotAGroup, NotASubgroup, build_group,
-                             cosets, cyclic_group, grow_set, is_subgroup,
+                             catalog, cosets, cyclic_group, grow_set, is_subgroup,
                              metacyclic_group, product_group, stabilizer,
                              subgroup_closure, subset_elements, subset_of,
                              table_group)
@@ -199,3 +201,42 @@ def test_cosets_partition(groups):
                     union |= b
                 assert union == g.full_subset()
                 assert h in blocks
+
+
+Z2 = cyclic_group(2)
+TABLE_GROUPS = {**catalog(), "Z1": cyclic_group(1), "Z64": cyclic_group(64),
+                "Z2xZ2xZ2": product_group(product_group(Z2, Z2), Z2)}
+
+
+@st.composite
+def group_and_subset(draw):
+    group = TABLE_GROUPS[draw(st.sampled_from(sorted(TABLE_GROUPS)))]
+    elements = st.integers(0, group.order - 1)
+    bits = draw(st.one_of(
+        st.sampled_from([0, group.full_subset()]),
+        st.integers(0, group.full_subset()),
+        st.lists(elements, max_size=3).map(lambda gens: subgroup_closure(group, gens))))
+    return group, bits
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=group_and_subset(), side=st.sampled_from(["left", "right"]))
+def test_byte_tables_match_cayley_table(case, side):
+    """Both sides' subset actions and what is built on them, against brute force."""
+    group, bits = case
+    members = subset_elements(bits)
+    if side == "right":
+        images = [subset_of(group.mul(s, g) for s in members) for g in group.elements()]
+        assert [group.subset_mul_elem(bits, g) for g in group.elements()] == images
+    else:
+        images = [subset_of(group.mul(g, s) for s in members) for g in group.elements()]
+        assert [group.elem_mul_subset(g, bits) for g in group.elements()] == images
+    assert stabilizer(group, bits, side) == subset_of(
+        g for g, image in enumerate(images) if image == bits)
+    closed = bits & 1 == 1 and all((bits >> group.mul(a, b)) & 1 for a in members for b in members)
+    assert is_subgroup(group, bits) == closed
+    if closed:
+        assert cosets(group, bits, side) == sorted(set(images), key=lambda c: c & -c)
+    else:
+        with pytest.raises(NotASubgroup):
+            cosets(group, bits, side)
