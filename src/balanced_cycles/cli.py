@@ -9,7 +9,7 @@ enumerate   list every balanced cycle of a labelling file
 key-lemma   run the dichotomy procedure, print cycle or certificate JSON
 prime-find  constructive witness over a prime-order group
 verify      exhaustive or randomized campaign, JSON report
-compute-n   exact n(G) by pruned backtracking
+compute-n   exact n(G) by vertex-extension search; search_nodes counts label trials
 
 Exit codes: 0 success / cycle found; 1 campaign found a counterexample;
 2 usage or input error; 3 exactly no balanced cycle exists; 4 heuristic

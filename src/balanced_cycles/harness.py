@@ -19,15 +19,35 @@ cycles only see the few survivors.
   exact escalation.
 * ``verify_all`` turns a block of odometer indices into their base-|G|
   digits over the free arcs and sieves every length up to n.  The
-  survivors are the counterexamples, in index order.  Each is kept,
-  re-verified and reported, so past COUNTEREXAMPLE_CAP of them, checked
-  after every block, the campaign stops with ``SearchSpaceTooLarge``.
+  survivors are the counterexamples, in index order.
+
+Both campaigns keep, re-verify and report every counterexample, so past
+COUNTEREXAMPLE_CAP of them, checked after every block, a campaign stops
+with ``SearchSpaceTooLarge``.
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
 and a sieve step at most that many cycle values (one labelling at a time
 when a length has more cycles than that), and a round of the random
 generator makes at most ``rng.ROUND_WORDS`` words, so memory stays a few
 MiB for any trial count and any n <= 64.
+
+``compute_n`` finds n(G) by extending a cycle-free labelling one vertex at
+a time, with the arcs out of vertex 0 pinned to the identity (every
+labelling is shifting-equivalent to one so pinned, so this is sound for
+existence).  In a cycle-free prefix on vertices 0..k-1, every new simple
+cycle through k is k -> a ~> b -> k.  With the path table ``P[a][b]``, the
+values of the simple paths a ~> b inside the prefix as a group bitmask
+(``P[a][a]`` = {identity}, for the 2-cycles), the labels of k form a
+bipartite CSP: out-labels ``x_a = l(k, a)`` against in-labels
+``y_b = l(b, k)``, with ``y_0`` the pinned identity.  The pair is forbidden
+exactly when ``(y_b x_a)^-1`` lies in ``P[a][b]``, the value of the cycle
+then being the identity.  The x_a are placed first, each shrinking the y_b
+domains (forward checking), and a branch dies when a domain empties; row a
+of the table is walked, once per prefix, when x_a is first tried, so a
+prefix that dies early never walks the later rows.  Given every x_a, the
+y_b are independent: at the last vertex nonempty domains settle it, at
+earlier ones the search enumerates the product of the domains.  One node
+of the budget is one (variable, value) trial, x_a or y_b.
 """
 
 from __future__ import annotations
@@ -37,7 +57,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -309,6 +329,7 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
                     report.counterexamples.append(L)
             else:
                 report.unresolved += 1
+        _check_counterexamples(len(report.counterexamples))
     report.witness_lengths = dict(sorted(lengths.items()))
     report.witness_methods = dict(sorted(methods.items()))
     report.elapsed = time.perf_counter() - started
@@ -337,69 +358,99 @@ class _Budget:
     def __init__(self, limit: int):
         self.left = limit
 
-    def spend(self) -> bool:
+    def spend(self) -> None:
         self.left -= 1
-        return self.left >= 0
+        if self.left < 0:
+            raise SearchSpaceTooLarge("backtracking budget exhausted")
+
+
+def _path_row(labels: list[list[int]], k: int, a: int, mul) -> list[int]:
+    """Row a of the path table: entry b holds the values of the simple paths
+    a ~> b inside vertices 0..k-1 as a group bitmask, and entry a is
+    {identity}, the empty path.
+
+    One depth-first walk over the simple paths from a; a path that has used
+    every vertex is recorded and not pushed.
+    """
+    full = (1 << k) - 1
+    row = [0] * k
+    stack = [(a, 0, 1 << a)]
+    while stack:
+        v, value, seen = stack.pop()
+        step = mul[value]
+        out = labels[v]
+        for w in range(k):
+            bit = 1 << w
+            if not seen & bit:
+                val = step[out[w]]
+                row[w] |= 1 << val
+                if seen | bit != full:
+                    stack.append((w, val, seen | bit))
+    row[a] = 1
+    return row
 
 
 def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labelling | None:
-    """Backtracking search for a balanced-cycle-free labelling on n vertices.
+    """Vertex-extension search for a balanced-cycle-free labelling on n vertices.
 
-    Arcs out of vertex 0 stay pinned to the identity (normalization is
-    sound for existence).  Arcs are assigned vertex by vertex, and a partial
-    assignment is pruned as soon as its fully-assigned sub-digraph closes a
-    balanced cycle, which can only happen through the arc just placed.
+    See the module docstring.  Each y_b is kept as the domain of its inverse
+    z_b = y_b^-1, from which placing x_a removes the set ``x_a P[a][b]``;
+    z_0 starts as {identity}, so the row-0 pin is the rule that no domain
+    may empty.
     """
     order = group.order
     mul = group._rows
     inv = group._inv
-    arcs: list[tuple[int, int]] = []
-    for k in range(1, n):
-        for j in range(k):
-            if j != 0:
-                arcs.append((j, k))
-            arcs.append((k, j))
+    # g * S for a subset S: one byte-table lookup when the group fits in a byte
+    if order <= 8:
+        left_mul = [group._action_row("left", g)[0].__getitem__ for g in range(order)]
+    else:
+        left_mul = [partial(group.elem_mul_subset, g) for g in range(order)]
+    full = group.full_subset()
     labels = [[0] * n for _ in range(n)]
-    assigned = [[k == 0 and j != 0 for j in range(n)] for k in range(n)]  # pinned row 0
 
-    def closes_balanced(u: int, v: int, g: int) -> bool:
-        # does some assigned simple path v -> u have value g^-1?
-        target = inv[g]
-        seen = [False] * n
-        seen[v] = True
-        seen[u] = True  # u only as the endpoint
+    def extend(k: int) -> bool:
+        if k == n:
+            return True
+        # cuts[a][g][b]: the z_b that x_a = g rules out, built when x_a is first tried
+        cuts: list[list[list[int]]] = []
+        outs = labels[k]
 
-        def dfs(a: int, value: int) -> bool:
-            row = labels[a]
-            arow = assigned[a]
-            if arow[u] and mul[value][row[u]] == target:
-                return True
-            for b in range(n):
-                if arow[b] and not seen[b]:
-                    seen[b] = True
-                    if dfs(b, mul[value][row[b]]):
+        def place_x(a: int, domains: list[int]) -> bool:
+            if a == k:
+                if k == n - 1:
+                    for b in range(1, k):
+                        labels[b][k] = inv[(domains[b] & -domains[b]).bit_length() - 1]
+                    return True
+                return place_y(1, domains)
+            if a == len(cuts):
+                paths = _path_row(labels, k, a, mul)
+                cuts.append([list(map(times, paths)) for times in left_mul])
+            for g, cut in enumerate(cuts[a]):
+                budget.spend()
+                left_over = [d & ~c for d, c in zip(domains, cut)]
+                if all(left_over):
+                    outs[a] = g
+                    if place_x(a + 1, left_over):
                         return True
-                    seen[b] = False
             return False
 
-        return dfs(v, 0)
+        def place_y(b: int, domains: list[int]) -> bool:
+            if b == k:
+                return extend(k + 1)
+            bits = domains[b]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                budget.spend()
+                labels[b][k] = inv[low.bit_length() - 1]
+                if place_y(b + 1, domains):
+                    return True
+            return False
 
-    def place(i: int) -> bool:
-        if i == len(arcs):
-            return True
-        u, v = arcs[i]
-        for g in range(order):
-            if not budget.spend():
-                raise SearchSpaceTooLarge("backtracking budget exhausted")
-            labels[u][v] = g
-            assigned[u][v] = True
-            if not closes_balanced(u, v, g) and place(i + 1):
-                return True
-            assigned[u][v] = False
-        labels[u][v] = 0
-        return False
+        return place_x(0, [1] + [full] * (k - 1))
 
-    if place(0):
+    if extend(1):
         L = Labelling(group, labels)
         _reverify_cycle_free(L)
         return L
@@ -410,18 +461,20 @@ def compute_n(group: FiniteGroup, max_n: int | None = None,
               node_budget: int = DEFAULT_NODE_BUDGET) -> ComputeNResult:
     """Least n such that every labelling on n vertices has a balanced cycle.
 
-    Searches n = 1, 2, ... with the pruned backtracking above.  On budget
-    exhaustion the raised SearchSpaceTooLarge carries the best lower bound
-    and its witness.
+    Searches n = 1, 2, ... up to ``max_n`` (default |G| + 2) with the
+    vertex-extension search of the module docstring, under one budget of
+    ``node_budget`` (variable, value) trials shared by every n; ``nodes`` in
+    the result, ``search_nodes`` in its JSON, is the number spent.  The
+    witness is the cycle-free labelling found one vertex below, normalized
+    at vertex 0 and re-verified.  On budget exhaustion the raised
+    SearchSpaceTooLarge carries the best lower bound and its witness.
     """
     limit = max_n if max_n is not None else group.order + 2
+    if limit < 1:
+        raise BadSize(f"max_n {limit} is below 1")
     budget = _Budget(node_budget)
     witness: Labelling | None = None
     for n in range(1, limit + 1):
-        if n == 1:
-            # a single vertex has no cycles at all
-            witness = Labelling(group, [[0]])
-            continue
         try:
             found = _cycle_free_labelling(group, n, budget)
         except SearchSpaceTooLarge as exc:
@@ -429,7 +482,6 @@ def compute_n(group: FiniteGroup, max_n: int | None = None,
             exc.witness = witness
             raise
         if found is None:
-            assert witness is not None
             return ComputeNResult(group_name=group.name, group_spec=group.spec,
                                   value=n, witness=witness,
                                   nodes=node_budget - budget.left)

@@ -3,7 +3,7 @@
 Factorial-time enumeration of simple paths and cycles, kept deliberately
 separate from the subset-DP implementations in the package: the only
 shared machinery is the Labelling accessors and the group product.  The
-campaign references at the end are the exception: they pin the campaign
+campaign references near the end are the exception: they pin the campaign
 loops, so they call the package's scalar generator, short-cycle scan,
 exact search and counterexample re-check, as those loops did.
 """
@@ -345,3 +345,63 @@ def reference_verify_random(group, n: int, trials: int, seed: int, escalate: boo
     report.witness_lengths = dict(sorted(lengths.items()))
     report.witness_methods = dict(sorted(methods.items()))
     return report
+
+
+# -- reference n(G) search --------------------------------------------------------
+#
+# The arc-by-arc backtracker compute_n ran before the vertex-extension
+# search, without its node budget: arcs out of vertex 0 pinned to the
+# identity, the others assigned vertex by vertex, and a partial assignment
+# pruned when a depth-first walk over the assigned arcs closes a balanced
+# cycle through the arc just placed.
+
+def reference_cycle_free_labelling(group, n: int) -> Labelling | None:
+    """A balanced-cycle-free labelling on n vertices, normalized at vertex 0, or None."""
+    order = group.order
+    mul = group._rows
+    inv = group._inv
+    arcs: list[tuple[int, int]] = []
+    for k in range(1, n):
+        for j in range(k):
+            if j != 0:
+                arcs.append((j, k))
+            arcs.append((k, j))
+    labels = [[0] * n for _ in range(n)]
+    assigned = [[k == 0 and j != 0 for j in range(n)] for k in range(n)]  # pinned row 0
+
+    def closes_balanced(u: int, v: int, g: int) -> bool:
+        # does some assigned simple path v -> u have value g^-1?
+        target = inv[g]
+        seen = [False] * n
+        seen[v] = True
+        seen[u] = True  # u only as the endpoint
+
+        def dfs(a: int, value: int) -> bool:
+            row = labels[a]
+            arow = assigned[a]
+            if arow[u] and mul[value][row[u]] == target:
+                return True
+            for b in range(n):
+                if arow[b] and not seen[b]:
+                    seen[b] = True
+                    if dfs(b, mul[value][row[b]]):
+                        return True
+                    seen[b] = False
+            return False
+
+        return dfs(v, 0)
+
+    def place(i: int) -> bool:
+        if i == len(arcs):
+            return True
+        u, v = arcs[i]
+        for g in range(order):
+            labels[u][v] = g
+            assigned[u][v] = True
+            if not closes_balanced(u, v, g) and place(i + 1):
+                return True
+            assigned[u][v] = False
+        labels[u][v] = 0
+        return False
+
+    return Labelling(group, labels) if place(0) else None

@@ -163,6 +163,20 @@ def test_kept_counterexamples_are_capped(capsys, monkeypatch, tmp_path):
     assert "COUNTEREXAMPLE_CAP" in data["message"]
 
 
+def test_random_counterexamples_are_capped(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "z64.json"
+    path.write_text(json.dumps({"kind": "cyclic", "q": 64}))
+    argv = ("verify", "--group", str(path), "--random", "--n", "4", "--trials", "40",
+            "--seed", "1")
+    monkeypatch.setattr(harness, "COUNTEREXAMPLE_CAP", 29)
+    code, data = run_cli(capsys, *argv)
+    assert code == 1 and data["counterexample_count"] == 29
+    monkeypatch.setattr(harness, "COUNTEREXAMPLE_CAP", 28)
+    code, data = run_cli(capsys, *argv)
+    assert code == 5 and data["error"] == "search_space_too_large"
+    assert "COUNTEREXAMPLE_CAP" in data["message"]
+
+
 def test_kept_cycles_are_capped(capsys, monkeypatch, labelling_file):
     path = labelling_file(Labelling(cyclic_group(2), [[0] * 6 for _ in range(6)]))
     monkeypatch.setattr(reach, "CYCLE_LIST_CAP", 409)
@@ -179,6 +193,14 @@ def test_compute_n(capsys, z3_file):
     assert code == 0
     assert data["n"] == 4
     assert data["witness"]["n"] == 3
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_compute_n_rejects_max_n_below_one(capsys, z3_file, max_n):
+    assert main(["compute-n", "--group", z3_file, "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"max_n {max_n} is below 1" in captured.err
 
 
 def test_usage_errors(capsys, z3_file, tmp_path):

@@ -176,10 +176,20 @@ def test_compute_n_order_four_groups():
 
 
 def test_compute_n_budget_reports_bounds():
+    # n <= 3 spend 7 nodes on Z3 and refuting n = 4 needs 139, so 20 run out at n = 4
     with pytest.raises(SearchSpaceTooLarge) as info:
         compute_n(cyclic_group(3), node_budget=20)
-    assert info.value.lower_bound is not None
-    assert info.value.witness is not None
+    assert info.value.lower_bound == 4
+    witness = info.value.witness
+    assert witness.n == 3
+    assert enumerate_balanced_cycles(witness) == []
+    assert find_balanced_cycle(witness) is None
+
+
+def test_compute_n_rejects_max_n_below_one():
+    for max_n in (0, -2):
+        with pytest.raises(BadSize, match=f"max_n {max_n} is below 1"):
+            compute_n(cyclic_group(3), max_n=max_n)
 
 
 def test_report_json_shape():
