@@ -64,8 +64,8 @@ import numpy as np
 from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group
 from .labellings import MAX_VERTICES, Labelling
-from .reach import (EXACT_CAP, enumerate_balanced_cycles, find_balanced_cycle,
-                    short_cycle_scan)
+from .reach import (EXACT_CAP, _extend_anchored, enumerate_balanced_cycles,
+                    find_balanced_cycle, short_cycle_scan)
 from .rng import trial_seeds, xoshiro_labels
 
 SEARCH_SPACE_CAP = 10 ** 8
@@ -364,28 +364,22 @@ class _Budget:
             raise SearchSpaceTooLarge("backtracking budget exhausted")
 
 
-def _path_row(labels: list[list[int]], k: int, a: int, mul) -> list[int]:
+def _path_row(labels: list[list[int]], k: int, a: int, pres, smul) -> list[int]:
     """Row a of the path table: entry b holds the values of the simple paths
     a ~> b inside vertices 0..k-1 as a group bitmask, and entry a is
     {identity}, the empty path.
 
-    One depth-first walk over the simple paths from a; a path that has used
-    every vertex is recorded and not pushed.
+    The start-anchored push step of ``reach`` run from a over the prefix,
+    each layer OR-ed into the row by endpoint.
     """
-    full = (1 << k) - 1
+    verts = list(range(k))
     row = [0] * k
-    stack = [(a, 0, 1 << a)]
-    while stack:
-        v, value, seen = stack.pop()
-        step = mul[value]
-        out = labels[v]
-        for w in range(k):
-            bit = 1 << w
-            if not seen & bit:
-                val = step[out[w]]
-                row[w] |= 1 << val
-                if seen | bit != full:
-                    stack.append((w, val, seen | bit))
+    layer = {1 << a: {a: 1}}
+    for _ in range(k - 1):
+        layer = _extend_anchored(layer, verts, labels, pres, smul)
+        for entry in layer.values():
+            for b, bits in entry.items():
+                row[b] |= bits
     row[a] = 1
     return row
 
@@ -398,14 +392,11 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
     z_0 starts as {identity}, so the row-0 pin is the rule that no domain
     may empty.
     """
-    order = group.order
-    mul = group._rows
     inv = group._inv
-    # g * S for a subset S: one byte-table lookup when the group fits in a byte
-    if order <= 8:
-        left_mul = [group._action_row("left", g)[0].__getitem__ for g in range(order)]
-    else:
-        left_mul = [partial(group.elem_mul_subset, g) for g in range(order)]
+    smul = group.subset_mul_elem
+    left_mul = [partial(group.elem_mul_subset, g) for g in range(group.order)]
+    # every arc of the complete digraph is present
+    pres = [[True] * n] * n
     full = group.full_subset()
     labels = [[0] * n for _ in range(n)]
 
@@ -424,7 +415,7 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
                     return True
                 return place_y(1, domains)
             if a == len(cuts):
-                paths = _path_row(labels, k, a, mul)
+                paths = _path_row(labels, k, a, pres, smul)
                 cuts.append([list(map(times, paths)) for times in left_mul])
             for g, cut in enumerate(cuts[a]):
                 budget.spend()

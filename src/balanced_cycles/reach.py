@@ -60,9 +60,9 @@ clearly faster dense (cycle-free sweeps on one Xeon core: 0.7x at 6 free
 vertices, 1.1-1.3x at 7, 1.5-2.2x at 8); both routes return the same
 witness.  Reconstruction has no such split: it runs once per found cycle,
 not once per start.  ``_extend_anchored`` also builds
-``start_anchored_table``, so ``enumerate_balanced_cycles``, which reads
-that table, and any check of ``reach_set_between`` against it stay a
-route independent of the kernel.
+``start_anchored_table`` and the path rows of ``harness.compute_n``, so
+``enumerate_balanced_cycles``, which reads that table, and any check of
+``reach_set_between`` against it stay a route independent of the kernel.
 
 Exact computations are capped at 24 vertices (EXACT_CAP; a caller's limit
 can only lower it); full-table retention at 20; cycle enumeration at 12

@@ -4,10 +4,10 @@
 before.  Both decide whether a balanced-cycle-free labelling on n vertices
 exists, so their verdicts must agree: for every catalog group of order at
 most 4 (plus the trivial group and Z2xZ2) up to n = |G| + 1, where the
-answer turns to "no", and for Z5, S3 and Z6 up to n = 5.  Z9 and F21 take
-the multi-byte subset route of the new search.  Every witness must keep the
-arcs out of vertex 0 at the identity and be cycle-free, by brute force and
-by enumerate_balanced_cycles.
+answer turns to "no", and for Z5, S3 and Z6 up to n = 5.  Z9 and F21 have
+more than 8 elements, so their subsets span several byte chunks.  Every
+witness must keep the arcs out of vertex 0 at the identity and be
+cycle-free, by brute force and by enumerate_balanced_cycles.
 """
 
 import pytest
