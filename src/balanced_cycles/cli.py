@@ -16,6 +16,9 @@ Exit codes: 0 success / cycle found; 1 campaign found a counterexample;
 inconclusive; 5 search space too large or memory ran out.
 ``verify --workers N`` splits an exhaustive campaign across at most N
 processes, and never more than the machine has cores.
+``--max-dp-vertices K`` (``check``, ``verify --random``) runs the exact
+search only up to K vertices, and never above the cap of 24; larger
+instances get the short-cycle scan alone, so K = 0 means scan only.
 """
 
 from __future__ import annotations
@@ -78,9 +81,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     L = _load_labelling(args.labelling)
-    exact = L.n <= min(args.max_dp_vertices, EXACT_CAP) and not args.heuristic
-    if exact:
-        witness = find_balanced_cycle(L, max_vertices=args.max_dp_vertices)
+    if L.n <= min(args.max_dp_vertices, EXACT_CAP):
+        witness = find_balanced_cycle(L)
         mode = "exact"
     else:
         witness = short_cycle_scan(L)
@@ -149,9 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check", "find-cycle"):
         chk = sub.add_parser(name, help="balanced-cycle verdict for a labelling file")
         chk.add_argument("labelling")
-        chk.add_argument("--heuristic", action="store_true",
-                         help="short-cycle scan only, even when exact search would fit")
-        chk.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP)
+        chk.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP,
+                         help=f"exact search up to this many vertices (at most {EXACT_CAP}), "
+                              "the short-cycle scan above; 0 = scan only")
         chk.set_defaults(func=_cmd_check)
 
     enum = sub.add_parser("enumerate", help="list every balanced cycle")
@@ -175,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--workers", type=int, default=1)
-    ver.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP)
+    ver.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP,
+                     help="--random: a scan miss escalates to exact search up to this many "
+                          f"vertices (at most {EXACT_CAP}); 0 = scan only")
     ver.set_defaults(func=_cmd_verify)
 
     cn = sub.add_parser("compute-n", help="exact n(G) with a witness below")

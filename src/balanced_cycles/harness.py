@@ -63,8 +63,8 @@ import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group
-from .labellings import MAX_VERTICES, Labelling
-from .reach import (EXACT_CAP, _extend_anchored, enumerate_balanced_cycles,
+from .labellings import MAX_VERTICES, CycleWitness, Labelling
+from .reach import (EXACT_CAP, _anchored_layers, enumerate_balanced_cycles,
                     find_balanced_cycle, short_cycle_scan)
 from .rng import trial_seeds, xoshiro_labels
 
@@ -180,12 +180,19 @@ def _count_lengths(lengths: Counter[int], first: np.ndarray) -> None:
             lengths[length] += count
 
 
+def _exact_witness(L: Labelling) -> CycleWitness | None:
+    """``find_balanced_cycle``, with a None re-checked by cycle enumeration
+    when n <= 12: an escalated trial and a re-verified counterexample both
+    get one exact search."""
+    witness = find_balanced_cycle(L)
+    if witness is None and L.n <= 12 and enumerate_balanced_cycles(L):
+        raise AssertionError("counterexample failed re-verification (enumeration)")
+    return witness
+
+
 def _reverify_cycle_free(L: Labelling) -> None:
     """Independent exact re-check of a claimed counterexample."""
-    if L.n <= 12:
-        if enumerate_balanced_cycles(L):
-            raise AssertionError("counterexample failed re-verification (enumeration)")
-    if find_balanced_cycle(L) is not None:
+    if _exact_witness(L) is not None:
         raise AssertionError("counterexample failed re-verification (DP search)")
 
 
@@ -288,7 +295,7 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
 
 
 def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
-                  escalate: bool = True, max_dp_vertices: int = EXACT_CAP) -> VerdictReport:
+                  max_dp_vertices: int = EXACT_CAP) -> VerdictReport:
     """Randomized campaign: heuristic short-cycle scan first, exact on demand.
 
     Per-trial labellings are generated from sub-seeds derived from ``seed``
@@ -296,7 +303,9 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     Trials run in blocks of ``BLOCK_ELEMS // n**2`` (see the module
     docstring); a trial the 2- and 3-cycle sieve misses escalates to the
     exact search when the instance fits under ``max_dp_vertices`` and
-    EXACT_CAP (and ``escalate`` is set), and otherwise counts as unresolved.
+    EXACT_CAP, and otherwise counts as unresolved (so ``max_dp_vertices=0``
+    runs the scan alone).  A trial the exact search finds cycle-free is
+    re-checked by enumeration before it is kept as a counterexample.
     """
     started = time.perf_counter()
     if trials < 0:
@@ -308,6 +317,7 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
                            mode="randomized", trials=trials, seed=seed)
     lengths: Counter[int] = Counter()
     methods: Counter[str] = Counter()
+    exact = n <= min(max_dp_vertices, EXACT_CAP)
     block = max(1, BLOCK_ELEMS // (n * n or 1))
     for start in range(0, trials, block):
         labels = xoshiro_labels(group.order, n, seeds[start:start + block])
@@ -319,13 +329,12 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
             methods["scan"] += hits
         for lab in labels[first == 0]:
             L = Labelling(group, lab)
-            if escalate and n <= min(max_dp_vertices, EXACT_CAP):
-                witness = find_balanced_cycle(L, max_vertices=max_dp_vertices)
+            if exact:
+                witness = _exact_witness(L)
                 if witness is not None:
                     methods["dp"] += 1
                     lengths[len(witness.vertices)] += 1
                 else:
-                    _reverify_cycle_free(L)
                     report.counterexamples.append(L)
             else:
                 report.unresolved += 1
@@ -369,14 +378,11 @@ def _path_row(labels: list[list[int]], k: int, a: int, pres, smul) -> list[int]:
     a ~> b inside vertices 0..k-1 as a group bitmask, and entry a is
     {identity}, the empty path.
 
-    The start-anchored push step of ``reach`` run from a over the prefix,
-    each layer OR-ed into the row by endpoint.
+    The start-anchored layers of ``reach`` run from a over the prefix,
+    each OR-ed into the row by endpoint.
     """
-    verts = list(range(k))
     row = [0] * k
-    layer = {1 << a: {a: 1}}
-    for _ in range(k - 1):
-        layer = _extend_anchored(layer, verts, labels, pres, smul)
+    for layer in _anchored_layers(a, [b for b in range(k) if b != a], labels, pres, smul):
         for entry in layer.values():
             for b, bits in entry.items():
                 row[b] |= bits

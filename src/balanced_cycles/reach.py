@@ -14,22 +14,24 @@ stored as an int bitmask over group elements.  Three table flavours exist:
   which is how cycles are detected and counted exactly once (every cycle
   is closed from its minimum vertex).
 
-One dense kernel.  Every flavour above runs on one generator,
-``_dense_layers(L, verts, seed, inside)``.  Over the m vertices of
-``verts`` (local mask bit i = vertex verts[i], in ascending order) layer k
-is a (C(m, k), m) uint64 array: row r for the r-th smallest k-subset,
-column j for endpoint verts[j], zero where no path exists (group order
-<= 64, so one word is one value set).  Layer 1 is diag(seed).  A layer is
-extended per target vertex by one gather of the source rows, the right
-action S*label(p, j) through the group's byte lookup table
+Two routes, each with one entry point.
+
+The dense kernel, ``_dense_layers(L, verts, seed, inside)``.  Over the m
+vertices of ``verts`` (local mask bit i = vertex verts[i], in ascending
+order) layer k is a (C(m, k), m) uint64 array: row r for the r-th smallest
+k-subset, column j for endpoint verts[j], zero where no path exists (group
+order <= 64, so one word is one value set).  Layer 1 is diag(seed).  A
+layer is extended per target vertex by one gather of the source rows, the
+right action S*label(p, j) through the group's byte lookup table
 (``FiniteGroup.right_mul_lut``) and an OR over the source endpoints.  With
 ``inside`` set, seed[j] is ORed into every entry of column j, so an entry
 holds the paths inside its mask rather than exactly through it.  The
 callers:
 
-* ``find_balanced_cycle``'s sweep from start s: verts = s+1..n-1, seed the
-  arcs out of s, not inside; hits are scanned per layer in (mask,
-  endpoint) ascending order, and the sweep stops at the first;
+* ``find_balanced_cycle``'s sweep from a start s with at least
+  DENSE_MIN_FREE larger vertices: verts = s+1..n-1, seed the arcs out of
+  s, not inside; hits are scanned per layer in (mask, endpoint) ascending
+  order, and the sweep stops at the first;
 * ``aggregated_reach_layers`` (and through it ``reach_set`` and the key
   lemma): verts = the scope, seed 1 (the identity), inside; each layer is
   handed out as a read-only mapping view, and the key lemma scans its
@@ -45,6 +47,30 @@ callers:
   run over X and keeps two layers alive.  Keeping every layer of one run
   instead would make the walk a lookup but hold 2^m * m * 8 bytes, the
   memory that ``reach_table`` caps at 20 vertices, at any scope up to 24.
+  That is why a dense sweep's witness is rebuilt this way.
+
+The dict layers, ``_anchored_layers(start, verts, rows, pres, smul)``: the
+start-anchored exact-vertex-set DP as {mask: {endpoint: value bits}}, one
+layer per popcount, pushed one arc at a time in plain Python.  numpy's
+fixed cost per layer loses to it on a few vertices, and small exact
+searches are what the campaigns run by the hundred.  The callers:
+
+* ``_anchored_cycles``, every balanced cycle with minimum vertex s in
+  (length, mask, closing vertex) order, each rebuilt from the layers it
+  keeps.  These layers are small, so keeping them all is cheap, and the
+  rebuild is a walk over them with no rerun of anything.
+  ``find_balanced_cycle`` takes the first cycle of each start with fewer
+  than DENSE_MIN_FREE larger vertices, and ``enumerate_balanced_cycles``
+  takes them all;
+* ``start_anchored_table``, which merges the layers;
+* the path rows of ``harness.compute_n``, which OR each layer in by
+  endpoint.
+
+DENSE_MIN_FREE is where a full sweep first ran clearly faster dense
+(cycle-free sweeps on one Xeon core: 0.7x at 6 free vertices, 1.1-1.3x at
+7, 1.5-2.2x at 8); both routes return the same witness.  Since the dict
+route never calls the dense kernel, ``enumerate_balanced_cycles`` and
+``start_anchored_table`` stay a route independent of it.
 
 Memory, with two layers alive while one is extended: the largest
 aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
@@ -52,23 +78,11 @@ aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
 250 MB.  A retained table takes about 2^m * m * 8 bytes, 168 MB at its cap
 of 20.
 
-The sweep still runs starts with fewer than DENSE_MIN_FREE free vertices
-through the dict push step ``_extend_anchored``: numpy's fixed cost per
-layer loses to it there, and small exact searches are what the campaigns
-run by the hundred.  DENSE_MIN_FREE is where a full sweep first ran
-clearly faster dense (cycle-free sweeps on one Xeon core: 0.7x at 6 free
-vertices, 1.1-1.3x at 7, 1.5-2.2x at 8); both routes return the same
-witness.  Reconstruction has no such split: it runs once per found cycle,
-not once per start.  ``_extend_anchored`` also builds
-``start_anchored_table`` and the path rows of ``harness.compute_n``, so
-``enumerate_balanced_cycles``, which reads that table, and any check of
-``reach_set_between`` against it stay a route independent of the kernel.
-
-Exact computations are capped at 24 vertices (EXACT_CAP; a caller's limit
-can only lower it); full-table retention at 20; cycle enumeration at 12
-vertices and, since its output can be exponential, at CYCLE_LIST_CAP
-cycles.  Beyond the exact cap only the short-cycle scan is available and
-a miss is inconclusive.
+Exact computations are capped at 24 vertices (EXACT_CAP; the campaigns'
+and the CLI's ``max_dp_vertices`` can only lower it); full-table retention
+at 20; cycle enumeration at 12 vertices and, since its output can be
+exponential, at CYCLE_LIST_CAP cycles.  Beyond the exact cap only the
+short-cycle scan is available and a miss is inconclusive.
 """
 
 from __future__ import annotations
@@ -303,26 +317,33 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     return _paths_from(L, mask, u)[v]
 
 
-def _extend_anchored(layer: dict[int, dict[int, int]], verts: list[int], rows, pres,
-                     smul) -> dict[int, dict[int, int]]:
-    """One push step of a start-anchored exact-vertex-set DP.
+def _anchored_layers(start: int, verts, rows, pres,
+                     smul) -> Iterator[dict[int, dict[int, int]]]:
+    """The start-anchored exact-vertex-set DP, pushed one arc at a time.
 
-    ``layer`` maps each vertex mask of one popcount to {endpoint: value
-    bits} for paths from the fixed start; the result is the next popcount
-    level, every path extended by one arc to a vertex of ``verts`` outside
-    its mask.  Masks with no path are absent.
+    Yields the layers of paths from ``start`` by popcount, from two
+    vertices up, each as {vertex mask: {endpoint: value bits}}: every path
+    of the layer before extended by one arc to a vertex of ``verts`` (which
+    must not hold ``start``) outside its mask.  Masks with no path are
+    absent, so there is at most one layer per vertex of ``verts``, and the
+    stream stops at the first empty one.
     """
-    nxt: dict[int, dict[int, int]] = {}
-    for m, entry in layer.items():
-        for e, bits in entry.items():
-            row_e = rows[e]
-            pres_e = pres[e]
-            for w in verts:
-                if not (m >> w) & 1 and pres_e[w]:
-                    value = smul(bits, row_e[w])
-                    nentry = nxt.setdefault(m | (1 << w), {})
-                    nentry[w] = nentry.get(w, 0) | value
-    return nxt
+    layer = {1 << start: {start: 1}}
+    for _ in verts:
+        nxt: dict[int, dict[int, int]] = {}
+        for m, entry in layer.items():
+            for e, bits in entry.items():
+                row_e = rows[e]
+                pres_e = pres[e]
+                for w in verts:
+                    if not (m >> w) & 1 and pres_e[w]:
+                        value = smul(bits, row_e[w])
+                        nentry = nxt.setdefault(m | (1 << w), {})
+                        nentry[w] = nentry.get(w, 0) | value
+        if not nxt:
+            return
+        yield nxt
+        layer = nxt
 
 
 @dataclass(eq=False)
@@ -381,21 +402,16 @@ def start_anchored_table(L: Labelling, X, start: int | None = None) -> StartAnch
     capped like reach_table.
     """
     mask = _as_mask(X)
-    k = mask.bit_count()
-    if k > TABLE_RETENTION_CAP:
+    if mask.bit_count() > TABLE_RETENTION_CAP:
         raise TooLarge(f"full-table retention capped at {TABLE_RETENTION_CAP} vertices")
     verts = subset_elements(mask)
     if start is None:
         start = verts[0]
     if not (mask >> start) & 1:
         raise NotInScope(f"vertex {start} not in the scope")
-    rows = L.rows()
-    pres = L.present_rows()
-    smul = L.group.subset_mul_elem
-    layer = {1 << start: {start: 1}}
-    table = dict(layer)
-    for _ in range(k - 1):
-        layer = _extend_anchored(layer, verts, rows, pres, smul)
+    table = {1 << start: {start: 1}}
+    for layer in _anchored_layers(start, [v for v in verts if v != start], L.rows(),
+                                  L.present_rows(), L.group.subset_mul_elem):
         table.update(layer)
     return StartAnchoredTable(L, mask, start, table)
 
@@ -498,67 +514,88 @@ def _checked(L: Labelling, verts: tuple[int, ...]) -> CycleWitness:
     return witness
 
 
-def find_balanced_cycle(L: Labelling, max_vertices: int = EXACT_CAP) -> CycleWitness | None:
+def find_balanced_cycle(L: Labelling) -> CycleWitness | None:
     """Exact search: a validated balanced cycle iff one exists, else None.
 
     Strategy: short-cycle scan first, then a start-anchored subset-DP sweep
-    per minimum vertex, streamed one popcount layer at a time (dense numpy
-    layers for starts with at least DENSE_MIN_FREE larger vertices, int
-    bitmask dicts below).  Witnesses are re-evaluated before being
-    returned.  ``max_vertices`` can only lower EXACT_CAP.
+    per minimum vertex, streamed one popcount layer at a time: dense numpy
+    layers for starts with at least DENSE_MIN_FREE larger vertices, whose
+    witness ``find_path_with_value`` rebuilds, and the int bitmask dict
+    layers of ``_anchored_cycles`` below, which rebuild their own.
+    Witnesses are re-evaluated before being returned.
     """
     n = L.n
-    cap = min(max_vertices, EXACT_CAP)
-    if n > cap:
-        raise TooLarge(f"exact search capped at {cap} vertices; "
+    if n > EXACT_CAP:
+        raise TooLarge(f"exact search capped at {EXACT_CAP} vertices; "
                        "use short_cycle_scan for a heuristic verdict")
     hit = short_cycle_scan(L)
     if hit is not None:
         return _checked(L, hit.vertices)
     rows = L.rows()
     pres = L.present_rows()
-    for s in range(n):
+    # the scan ruled out 2- and 3-cycles: a start needs three larger vertices
+    for s in range(n - 3):
         if n - 1 - s >= DENSE_MIN_FREE:
             closing = _dense_sweep(L, s)
+            if closing is not None:
+                m, e, target = closing
+                return _checked(L, tuple(find_path_with_value(L, m, s, e, target)))
         else:
-            closing = _python_sweep(L, s, rows, pres)
-        if closing is not None:
-            m, e, target = closing
-            return _checked(L, tuple(find_path_with_value(L, m, s, e, target)))
+            cycle = next(_anchored_cycles(L, s, rows, pres), None)
+            if cycle is not None:
+                return _checked(L, cycle)
     return None
 
 
-def _python_sweep(L: Labelling, s: int, rows, pres) -> tuple[int, int, int] | None:
-    """First closable path from ``s`` over the larger vertices, or None.
+def _anchored_cycles(L: Labelling, s: int, rows, pres) -> Iterator[tuple[int, ...]]:
+    """Every balanced cycle with minimum vertex ``s``, as its vertices from ``s``.
 
-    Layers grow by one vertex; within a layer masks, then endpoints, are
-    tried in ascending order.  The result is (vertex mask, endpoint, value
-    the path needs to close into a balanced cycle).
+    Cycles come by length, then vertex mask, then closing vertex, in
+    ascending order.  Each is rebuilt from the layers of ``_anchored_layers``
+    kept so far, walking back from the closing vertex with the value the
+    path still needs: the predecessors p of endpoint e in mask M are the
+    vertices of M - e with an arc p -> e whose exact-mask entry (M - e, p)
+    holds val * label(p, e)^-1, tried smallest first (earliest branch
+    first).  A start's first cycle has the smallest mask that closes, so
+    every path inside that mask with the needed value runs through all of
+    it, and the walk picks what ``find_path_with_value`` would.
     """
-    inv = L.group._inv
-    smul = L.group.subset_mul_elem
-    others = list(range(s + 1, L.n))
-    layer = {1 << s: {s: 1}}
-    for _ in others:
-        layer = _extend_anchored(layer, others, rows, pres, smul)
-        for m in sorted(layer):
-            entry = layer[m]
-            for e in sorted(entry):
-                if pres[e][s]:
-                    target = inv[rows[e][s]]
-                    if (entry[e] >> target) & 1:
-                        return m, e, target
-    return None
+    G = L.group
+    inv = G._inv
+    mul_rows = G._rows
+    others = range(s + 1, L.n)
+    close = {e: inv[rows[e][s]] for e in others if pres[e][s]}
+    layers = [{1 << s: {s: 1}}]  # layers[i] holds the masks of i + 1 vertices
+    for layer in _anchored_layers(s, others, rows, pres, G.subset_mul_elem):
+        layers.append(layer)
+        hits = sorted((m, e) for m, entry in layer.items() for e, bits in entry.items()
+                      if e in close and (bits >> close[e]) & 1)
+        for hit, last in hits:
+            stack = [(hit, last, close[last], (last,))]
+            while stack:
+                mask, e, val, tail = stack.pop()
+                if mask == 1 << s:
+                    yield tail
+                    continue
+                sub = mask ^ (1 << e)
+                entry = layers[sub.bit_count() - 1][sub]
+                for p in reversed(subset_elements(sub)):
+                    if pres[p][e]:
+                        prev = mul_rows[val][inv[rows[p][e]]]
+                        if (entry.get(p, 0) >> prev) & 1:
+                            stack.append((sub, p, prev, (p,) + tail))
 
 
 def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
-    """``_python_sweep`` with each layer a dense (masks, endpoints) array.
+    """First closable path from ``s`` over the larger vertices, or None.
 
+    The result is (vertex mask, endpoint, value the path needs to close
+    into a balanced cycle), the first hit of ``_anchored_cycles``' order.
     Masks are over the free vertices s+1..n-1 (local bit j is vertex
     s+1+j); row i of layer k holds the value sets of the paths from ``s``
     through exactly the i-th smallest k-subset, one uint64 per endpoint
-    column, zero where no path exists.  Scanning hits in row-major order
-    visits (mask, endpoint) in the same order as ``_python_sweep``.
+    column, zero where no path exists, so scanning hits in row-major order
+    visits (mask, endpoint) ascending.
     """
     free = list(range(s + 1, L.n))
     lab = L.labels
@@ -588,37 +625,11 @@ def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:
         raise TooLarge(f"enumeration capped at {ENUMERATION_CAP} vertices")
     rows = L.rows()
     pres = L.present_rows()
-    G = L.group
-    inv = G._inv
-    mul_rows = G._rows
     out: list[CycleWitness] = []
-
-    def expand(table, s, m, e, value):
-        """All exact-vertex-set paths s->e realizing value, earliest branch first."""
-        if m == 1 << s:
-            yield [s]
-            return
-        sub = m ^ (1 << e)
-        sub_entry = table.get(sub, {})
-        for p in subset_elements(sub):
-            if pres[p][e]:
-                prev_val = mul_rows[value][inv[rows[p][e]]]
-                if (sub_entry.get(p, 0) >> prev_val) & 1:
-                    for prefix in expand(table, s, sub, p, prev_val):
-                        prefix.append(e)
-                        yield prefix
-
     for s in range(n):
-        table = start_anchored_table(L, range(s, n), start=s).table
-        for m in sorted(table):
-            for e in sorted(table[m]):
-                if e != s and pres[e][s]:
-                    target = inv[rows[e][s]]
-                    if (table[m][e] >> target) & 1:
-                        for path in expand(table, s, m, e, target):
-                            out.append(_checked(L, tuple(path)))
-                            if len(out) > CYCLE_LIST_CAP:
-                                raise TooLarge(f"more than {CYCLE_LIST_CAP} balanced cycles "
-                                               "(CYCLE_LIST_CAP)")
+        for cycle in _anchored_cycles(L, s, rows, pres):
+            out.append(_checked(L, cycle))
+            if len(out) > CYCLE_LIST_CAP:
+                raise TooLarge(f"more than {CYCLE_LIST_CAP} balanced cycles (CYCLE_LIST_CAP)")
     out.sort(key=lambda w: (len(w.vertices), w.vertices))
     return out

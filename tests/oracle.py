@@ -319,7 +319,7 @@ def reference_enumerate_chunk(spec: dict, n: int, normalized: bool, lo: int,
 # verify_random before it ran in blocks: one scalar random_labelling and one
 # short_cycle_scan per trial.
 
-def reference_verify_random(group, n: int, trials: int, seed: int, escalate: bool = True,
+def reference_verify_random(group, n: int, trials: int, seed: int,
                             max_dp_vertices: int = EXACT_CAP) -> VerdictReport:
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
                            mode="randomized", trials=trials, seed=seed)
@@ -332,8 +332,8 @@ def reference_verify_random(group, n: int, trials: int, seed: int, escalate: boo
             methods["scan"] += 1
             lengths[len(witness.vertices)] += 1
             continue
-        if escalate and n <= min(max_dp_vertices, EXACT_CAP):
-            witness = find_balanced_cycle(L, max_vertices=max_dp_vertices)
+        if n <= min(max_dp_vertices, EXACT_CAP):
+            witness = find_balanced_cycle(L)
             if witness is not None:
                 methods["dp"] += 1
                 lengths[len(witness.vertices)] += 1

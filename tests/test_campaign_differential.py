@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from balanced_cycles import (Labelling, build_group, catalog, cyclic_group,
                              random_labelling, short_cycle_scan, verify_random)
 from balanced_cycles import harness
+from balanced_cycles.reach import EXACT_CAP
 from balanced_cycles.rng import trial_seeds, xoshiro_labels
 from oracle import reference_enumerate_chunk, reference_verify_random
 
@@ -67,13 +68,13 @@ def test_short_cycle_sieve_matches_scan(name, n, seed, trials):
 @SETTINGS
 @given(name=st.sampled_from(["Z3", "Z5", "Z9", "F21", "M(3,2,2)", "Z64"]),
        n=st.integers(2, 9), trials=st.integers(0, 40), seed=SEEDS,
-       block=st.integers(1, 7), escalate=st.booleans())
-def test_verify_random_blocks_cut_anywhere(name, n, trials, seed, block, escalate):
+       block=st.integers(1, 7), max_dp_vertices=st.sampled_from([0, EXACT_CAP]))
+def test_verify_random_blocks_cut_anywhere(name, n, trials, seed, block, max_dp_vertices):
     group = GROUPS[name] if name != "Z64" else cyclic_group(64)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "BLOCK_ELEMS", block * n * n)
-        got = verify_random(group, n, trials, seed, escalate=escalate)
-    want = reference_verify_random(group, n, trials, seed, escalate=escalate)
+        got = verify_random(group, n, trials, seed, max_dp_vertices=max_dp_vertices)
+    want = reference_verify_random(group, n, trials, seed, max_dp_vertices=max_dp_vertices)
     assert strip_elapsed(got) == strip_elapsed(want)
 
 

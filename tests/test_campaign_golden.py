@@ -25,11 +25,11 @@ CASES = [
     ("random/Z64/n8", "verify_random", {"kind": "cyclic", "q": 64},
      dict(n=8, trials=300, seed=5)),
     ("random/Z64/n8/no-escalation", "verify_random", {"kind": "cyclic", "q": 64},
-     dict(n=8, trials=100, seed=6, escalate=False)),
+     dict(n=8, trials=100, seed=6, max_dp_vertices=0)),
     ("random/Z64/n4", "verify_random", {"kind": "cyclic", "q": 64},
      dict(n=4, trials=60, seed=2**64 - 1)),
     ("random/Z5/n12/no-escalation", "verify_random", {"kind": "cyclic", "q": 5},
-     dict(n=12, trials=200, seed=0, escalate=False)),
+     dict(n=12, trials=200, seed=0, max_dp_vertices=0)),
     ("exhaustive/Z3/n3", "verify_all", {"kind": "cyclic", "q": 3},
      dict(n=3, normalized=False)),
     ("exhaustive/Z3/n4/normalized", "verify_all", {"kind": "cyclic", "q": 3},

@@ -70,6 +70,16 @@ def test_check_verdicts(capsys, labelling_file):
     assert code == 0
 
 
+def test_check_max_dp_vertices_zero_is_scan_only(capsys, labelling_file):
+    two_cycle = Labelling(cyclic_group(3), [[0, 1], [2, 0]])
+    code, data = run_cli(capsys, "check", labelling_file(two_cycle), "--max-dp-vertices", "0")
+    assert code == 0 and data == {"balanced_cycle": [0, 1], "mode": "heuristic"}
+    # the exact search would find the 4-cycle (test_check_verdicts); the scan misses it
+    code, data = run_cli(capsys, "check", labelling_file(extremal_cyclic(3, 4)),
+                         "--max-dp-vertices", "0")
+    assert code == 4 and data == {"balanced_cycle": None, "mode": "heuristic"}
+
+
 def test_enumerate(capsys, labelling_file):
     code, data = run_cli(capsys, "enumerate", labelling_file(extremal_cyclic(3, 4)))
     assert code == 0

@@ -130,7 +130,7 @@ def test_verify_random_heuristic_only_counts_unresolved():
     # escalation a scan-only campaign cannot settle it; fabricate that by
     # refusing escalation outright
     g = cyclic_group(5)
-    report = verify_random(g, 12, 5, seed=3, escalate=False)
+    report = verify_random(g, 12, 5, seed=3, max_dp_vertices=0)
     assert report.unresolved + sum(report.witness_methods.values()) == 5
 
 

@@ -2,7 +2,8 @@
 
 find_balanced_cycle runs dense numpy layers for starts with at least
 DENSE_MIN_FREE larger vertices and the int-bitmask dict sweep below; both
-must return exactly the witness the reference in oracle.py returns.
+must return exactly the witness the reference in oracle.py returns, and
+the dict sweep must do so without the dense kernel.
 Instances come from two families: random labellings over the catalog
 (abelian and non-abelian) with random arc masks, sparse enough that the
 short-cycle scan often misses, and shifted extremal labellings with a few
@@ -14,10 +15,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balanced_cycles import (Labelling, apply_shift_family, catalog,
+from balanced_cycles import (Labelling, apply_shift_family, catalog, cyclic_group,
                              extremal_cyclic, find_balanced_cycle,
-                             random_labelling)
+                             random_labelling, short_cycle_scan)
 from balanced_cycles import reach
+from balanced_cycles.rng import trial_seeds
 from oracle import brute_has_balanced_cycle, reference_find_balanced_cycle
 
 GROUPS = catalog()
@@ -74,9 +76,49 @@ def test_small_verdict_matches_brute_force(L):
 @SETTINGS
 @given(st.one_of(masked_random(3, 11), thinned_extremal(3, 11)))
 def test_dense_and_dict_sweeps_agree_per_start(L):
+    # the dense sweep's first hit, rebuilt by find_path_with_value, is the
+    # first cycle the dict layers rebuild for themselves, start by start
     rows, pres = L.rows(), L.present_rows()
     for s in range(L.n - 1):
-        assert reach._dense_sweep(L, s) == reach._python_sweep(L, s, rows, pres), s
+        closing = reach._dense_sweep(L, s)
+        dense = None
+        if closing is not None:
+            mask, end, target = closing
+            dense = tuple(reach.find_path_with_value(L, mask, s, end, target))
+        assert dense == next(reach._anchored_cycles(L, s, rows, pres), None), s
+
+
+def _escalated_z64_trials() -> list[Labelling]:
+    """The trials of verify_random(Z64, 8, 300, seed=5) that the short-cycle scan misses."""
+    z64 = cyclic_group(64)
+    trials = (random_labelling(z64, 8, seed) for seed in trial_seeds(5, 300))
+    return [L for L in trials if short_cycle_scan(L) is None]
+
+
+def _tied_paths() -> Labelling:
+    """Over Z4, 1-3-2-4 and 1-2-3-4 have the same value and both close at 4;
+    the smaller predecessor of 4 wins, so the witness is (1, 3, 2, 4)."""
+    arcs = {(0, 1): 3, (0, 2): 2, (0, 4): 2, (1, 2): 0, (1, 3): 0, (1, 4): 0,
+            (2, 3): 1, (2, 4): 0, (3, 2): 2, (3, 4): 1, (4, 1): 2, (4, 2): 1}
+    labels = [[arcs.get((u, v), 0) for v in range(5)] for u in range(5)]
+    mask = [[(u, v) in arcs for v in range(5)] for u in range(5)]
+    return Labelling(cyclic_group(4), labels, mask)
+
+
+def test_small_witnesses_need_no_dense_kernel(monkeypatch):
+    # below DENSE_MIN_FREE free vertices a witness is rebuilt from the
+    # sweep's own dict layers, so the dense kernel never runs at n <= 8
+    cases = ([extremal_cyclic(q, q + 1) for q in range(3, 8)] + _escalated_z64_trials()
+             + [_tied_paths()])
+    want = [reference_find_balanced_cycle(L) for L in cases]
+    assert want[-1] == (1, 3, 2, 4)
+    assert sum(w is not None and len(w) > 3 for w in want) >= 10
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense kernel called")
+
+    monkeypatch.setattr(reach, "_dense_layers", no_dense)
+    assert [_witness(L) for L in cases] == want
 
 
 def test_late_cycle_rows():
