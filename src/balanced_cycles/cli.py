@@ -13,7 +13,9 @@ compute-n   exact n(G) by vertex-extension search; search_nodes counts label tri
 
 Exit codes: 0 success / cycle found; 1 campaign found a counterexample;
 2 usage or input error; 3 exactly no balanced cycle exists; 4 heuristic
-inconclusive; 5 search space too large or memory ran out.
+inconclusive; 5 search space too large or memory ran out; 6 internal error
+(any other exception, such as a failed re-verification; the traceback goes
+to stderr).
 ``verify --workers N`` splits an exhaustive campaign across at most N
 processes, and never more than the machine has cores.
 ``--max-dp-vertices K`` (``check``, ``verify --random``) runs the exact
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .constructions import arc_critical_instance, extremal_cyclic, random_labelling
 from .errors import BadSpec, BalancedCyclesError, SearchSpaceTooLarge, TooLarge
@@ -42,6 +45,7 @@ EXIT_USAGE = 2
 EXIT_NO_CYCLE = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_TOO_LARGE = 5
+EXIT_INTERNAL = 6
 
 
 def _emit(obj) -> None:
@@ -207,9 +211,13 @@ def main(argv: list[str] | None = None) -> int:
         # running out of memory is a size verdict too; exit 1 would claim a counterexample
         _emit({"error": "too_large", "message": str(exc) or "out of memory"})
         return EXIT_TOO_LARGE
-    except (BalancedCyclesError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (BalancedCyclesError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a crash must not exit 1, which would claim a counterexample
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

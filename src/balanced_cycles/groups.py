@@ -325,8 +325,16 @@ def is_json_matrix(rows, is_entry) -> bool:
         isinstance(row, list) and all(map(is_entry, row)) for row in rows)
 
 
+def json_field(obj: dict, key: str, what: str):
+    """obj[key], or BadSpec naming the missing field of ``what``."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise BadSpec(f"{what} is missing the field {key!r}") from None
+
+
 def _spec_ints(spec: dict, *keys: str) -> list[int]:
-    values = [spec[key] for key in keys]
+    values = [json_field(spec, key, "group spec") for key in keys]
     for key, value in zip(keys, values):
         if not is_json_int(value):
             raise BadSpec(f"group spec field {key!r} must be an integer, got {value!r}")
@@ -348,13 +356,15 @@ def build_group(spec: dict) -> FiniteGroup:
     if kind == "cyclic":
         return cyclic_group(*_spec_ints(spec, "q"))
     if kind == "product":
-        return product_group(build_group(spec["left"]), build_group(spec["right"]))
+        return product_group(build_group(json_field(spec, "left", "group spec")),
+                             build_group(json_field(spec, "right", "group spec")))
     if kind == "metacyclic":
         return metacyclic_group(*_spec_ints(spec, "m", "n", "r"))
     if kind == "table":
-        if not is_json_matrix(spec["mul"], is_json_int):
+        mul = json_field(spec, "mul", "group spec")
+        if not is_json_matrix(mul, is_json_int):
             raise BadSpec("table spec 'mul' must be rows of integers")
-        return table_group(spec["mul"])
+        return table_group(mul)
     raise BadSpec(f"unknown group spec kind {kind!r}")
 
 

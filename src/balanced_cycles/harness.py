@@ -2,16 +2,16 @@
 
 Everything is deterministic given (group, n, mode, seed); campaign reports
 carry per-trial witness statistics and every claimed counterexample is
-re-verified through an independent exact route before it is reported.
+re-checked before it is reported (see "What re-checks what" below).
 
 Both campaigns check labellings in blocks, as one arc-major (n*n,
 labellings) label array per block, with a cycle-length sieve (``_sieve``):
-all simple cycles of one length are evaluated at once by Cayley-table
-gathers over the labellings still alive, and a labelling dies at the first
-length with a balanced cycle.  That is the length of its first balanced
-cycle in (length, lexicographic) order, the witness length the reports
-count.  Most labellings die at length 2, so the longer, more numerous
-cycles only see the few survivors.
+all simple cycles of one length, from reach's cycle lists, are evaluated
+at once (``reach._cycle_values``) over the labellings still alive, and a
+labelling dies at the first length with a balanced cycle.  That is the
+length of its first balanced cycle in (length, lexicographic) order, the
+witness length the reports count.  Most labellings die at length 2, so
+the longer, more numerous cycles only see the few survivors.
 
 * ``verify_random`` draws a block of trials with ``rng.xoshiro_labels``
   and sieves lengths 2 and 3, the ``short_cycle_scan`` verdict.  Only the
@@ -24,6 +24,18 @@ cycles only see the few survivors.
 Both campaigns keep, re-verify and report every counterexample, so past
 COUNTEREXAMPLE_CAP of them, checked after every block, a campaign stops
 with ``SearchSpaceTooLarge``.
+
+What re-checks what (``_exact_witness``): an escalated trial, a kept
+counterexample and ``compute_n``'s witness each get one exact search,
+``find_balanced_cycle``, and a None from it is re-checked by a second
+route before it is believed.  Up to DENSE_MIN_FREE (8) vertices the
+search runs on reach's dict layers alone, and the re-check is every cycle
+of the cycle lists, with no DP (for ``verify_all``, whose sieve read the
+same lists, the search is the independent half).  From 9 to
+ENUMERATION_CAP (12) vertices it is ``enumerate_balanced_cycles``: the
+search's large starts are dense there, but the enumeration shares the
+dict route with its small starts, so the two halves are only partly
+independent.  Above 12 vertices nothing re-checks the search.
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
 and a sieve step at most that many cycle values (one labelling at a time
@@ -57,15 +69,16 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group
 from .labellings import MAX_VERTICES, CycleWitness, Labelling
-from .reach import (EXACT_CAP, _anchored_layers, enumerate_balanced_cycles,
-                    find_balanced_cycle, short_cycle_scan)
+from .reach import (DENSE_MIN_FREE, ENUMERATION_CAP, EXACT_CAP, _anchored_layers,
+                    _cycle_arcs, _cycle_values, _first_listed_cycle,
+                    enumerate_balanced_cycles, find_balanced_cycle, short_cycle_scan)
 from .rng import trial_seeds, xoshiro_labels
 
 SEARCH_SPACE_CAP = 10 ** 8
@@ -124,28 +137,6 @@ def _free_arcs(n: int, normalized: bool) -> list[tuple[int, int]]:
             if u != v and not (normalized and u == 0)]
 
 
-@lru_cache(maxsize=8)
-def _cycle_arcs(n: int, max_len: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Per length 2..max_len, every simple cycle of the complete digraph on n
-    vertices as a read-only (length, cycles) array of flat arc indices
-    u*n + v, arc i of each cycle in row i.
-
-    Cycles start at their minimum vertex, so each is listed once; they are
-    grown from paths one vertex at a time, by a larger vertex not on the path.
-    """
-    out = []
-    vertices = np.arange(n)
-    paths = vertices[:, None]
-    for length in range(2, min(max_len, n) + 1):
-        grow = (vertices > paths[:, :1]) & (vertices != paths[:, :, None]).all(axis=1)
-        row, vertex = np.nonzero(grow)
-        paths = np.column_stack([paths[row], vertex])
-        arcs = (paths * n + np.roll(paths, -1, axis=1)).T.copy()
-        arcs.setflags(write=False)
-        out.append((length, arcs))
-    return tuple(out)
-
-
 def _sieve(table: np.ndarray, labels: np.ndarray, cycles) -> np.ndarray:
     """Length of each labelling's shortest balanced cycle among ``cycles``; 0 if none.
 
@@ -154,18 +145,13 @@ def _sieve(table: np.ndarray, labels: np.ndarray, cycles) -> np.ndarray:
     A length is only evaluated on the labellings no shorter length has
     settled.
     """
-    order = len(table)
-    flat = table.ravel()
     first = np.zeros(labels.shape[1], dtype=np.int64)
     alive = np.arange(labels.shape[1])
     for length, arcs in cycles:
         step = max(1, BLOCK_ELEMS // arcs.shape[1])
         hit = np.zeros(alive.size, dtype=bool)
         for lo in range(0, alive.size, step):
-            part = labels[:, lo:lo + step]
-            value = part[arcs[0]]
-            for arc in arcs[1:]:
-                value = flat.take(value * order + part[arc])
+            value = _cycle_values(table, labels[:, lo:lo + step], arcs)
             hit[lo:lo + step] = (value == 0).any(axis=0)
         first[alive[hit]] = length
         alive = alive[~hit]
@@ -181,12 +167,20 @@ def _count_lengths(lengths: Counter[int], first: np.ndarray) -> None:
 
 
 def _exact_witness(L: Labelling) -> CycleWitness | None:
-    """``find_balanced_cycle``, with a None re-checked by cycle enumeration
-    when n <= 12: an escalated trial and a re-verified counterexample both
-    get one exact search."""
+    """``find_balanced_cycle``, with a None re-checked by a second route: an
+    escalated trial and a re-verified counterexample both get one exact search.
+
+    Up to DENSE_MIN_FREE vertices every start of the search is on the dict
+    route, so the re-check is every cycle of the lists instead; from there
+    to ENUMERATION_CAP it is cycle enumeration.
+    """
     witness = find_balanced_cycle(L)
-    if witness is None and L.n <= 12 and enumerate_balanced_cycles(L):
-        raise AssertionError("counterexample failed re-verification (enumeration)")
+    if witness is None:
+        if L.n <= DENSE_MIN_FREE:
+            if _first_listed_cycle(L, L.n) is not None:
+                raise AssertionError("counterexample failed re-verification (cycle lists)")
+        elif L.n <= ENUMERATION_CAP and enumerate_balanced_cycles(L):
+            raise AssertionError("counterexample failed re-verification (enumeration)")
     return witness
 
 
@@ -305,7 +299,8 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     exact search when the instance fits under ``max_dp_vertices`` and
     EXACT_CAP, and otherwise counts as unresolved (so ``max_dp_vertices=0``
     runs the scan alone).  A trial the exact search finds cycle-free is
-    re-checked by enumeration before it is kept as a counterexample.
+    re-checked by a second route (module docstring) before it is kept as a
+    counterexample.
     """
     started = time.perf_counter()
     if trials < 0:

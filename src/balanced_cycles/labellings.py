@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (AsymmetricMask, BadSize, BadSpec, IncompleteDigraph,
                      MissingArc, Mismatch)
-from .groups import FiniteGroup, build_group, is_json_int, is_json_matrix
+from .groups import FiniteGroup, build_group, is_json_int, is_json_matrix, json_field
 
 MAX_VERTICES = 64
 
@@ -121,8 +121,8 @@ def labelling_from_json(obj: dict) -> Labelling:
     """
     if not isinstance(obj, dict):
         raise BadSpec(f"a labelling must be a JSON object, got {type(obj).__name__}")
-    group = build_group(obj["group"])
-    labels = obj["labels"]
+    group = build_group(json_field(obj, "group", "labelling"))
+    labels = json_field(obj, "labels", "labelling")
     if not is_json_matrix(labels, lambda x: is_json_int(x) and 0 <= x < group.order):
         raise BadSpec(f"labels must be rows of integers in 0..{group.order - 1}")
     n = obj.get("n", len(labels))

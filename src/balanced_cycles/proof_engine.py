@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from .errors import (BadSize, IncompleteDigraph, NotPrime, PreconditionViolated,
                      TheoremViolation, TooLarge, TrivialGroup)
 from .groups import grow_set, stabilizer, subset_elements, subset_sizes
-from .labellings import (CycleWitness, Labelling, apply_shift_family, normalize,
-                         shifting_equivalent)
+from .labellings import (CycleWitness, Labelling, apply_shift_family, cycle_value,
+                         normalize, shifting_equivalent)
 from .reach import (_checked, aggregated_reach_layers, find_path_with_value,
                     reach_set, reach_set_between, short_cycle_scan)
 
@@ -199,10 +199,7 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
         assert r_sets[i] == shifted, "reach propagation equality failed"
 
     dcycle = [cyc[0]] + cyc[:0:-1]  # the D-cycle v0, v_{l-1}, ..., v1
-    p = 0
-    closed = dcycle + [dcycle[0]]
-    for a, b in zip(closed, closed[1:]):
-        p = G.mul(p, rows[a][b])
+    p = cycle_value(L, dcycle)
     if p == 0:
         return Dichotomy(cycle=_checked(L, tuple(dcycle)),
                          within_hypothesis=within)

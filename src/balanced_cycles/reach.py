@@ -14,7 +14,8 @@ stored as an int bitmask over group elements.  Three table flavours exist:
   which is how cycles are detected and counted exactly once (every cycle
   is closed from its minimum vertex).
 
-Two routes, each with one entry point.
+Three routes, each with one entry point: the dense kernel, the dict layers
+and the cycle lists.
 
 The dense kernel, ``_dense_layers(L, verts, seed, inside)``.  Over the m
 vertices of ``verts`` (local mask bit i = vertex verts[i], in ascending
@@ -72,6 +73,20 @@ DENSE_MIN_FREE is where a full sweep first ran clearly faster dense
 route never calls the dense kernel, ``enumerate_balanced_cycles`` and
 ``start_anchored_table`` stay a route independent of it.
 
+The cycle lists, ``_cycle_arcs(n, max_len)``: every simple cycle of the
+complete digraph on n vertices up to a length, minimum vertex first, by
+length and then lexicographically, as arrays of flat arc indices.
+``_cycle_values`` evaluates a list for one labelling or a block of them
+by Cayley-table gathers, with no DP at all.  The callers:
+
+* ``short_cycle_scan``, the first balanced 2- or 3-cycle with every arc
+  present (``_first_listed_cycle``), at any n up to 64;
+* the campaigns' sieve (``harness._sieve``), one block of labellings per
+  call;
+* the counterexample re-check of ``harness._exact_witness`` up to
+  DENSE_MIN_FREE vertices, where the exact search is on the dict route
+  alone: every cycle of the list, one labelling at a time.
+
 Memory, with two layers alive while one is extended: the largest
 aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
 520 MB at the cap of 24; the sweep's, over at most 23 free vertices,
@@ -89,7 +104,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -475,36 +490,73 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
     return path
 
 
+# -- cycle lists -----------------------------------------------------------------
+
+@lru_cache(maxsize=16)  # a campaign round reads ten lists; at most ~2 MB each (n = 64, 3)
+def _cycle_arcs(n: int, max_len: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Per length 2..max_len, every simple cycle of the complete digraph on n
+    vertices as a read-only (length, cycles) array of flat arc indices
+    u*n + v, arc i of each cycle in row i.
+
+    Cycles start at their minimum vertex, so each is listed once; they are
+    grown from paths one vertex at a time, by a larger vertex not on the path.
+    """
+    out = []
+    vertices = np.arange(n)
+    paths = vertices[:, None]
+    for length in range(2, min(max_len, n) + 1):
+        grow = (vertices > paths[:, :1]) & (vertices != paths[:, :, None]).all(axis=1)
+        row, vertex = np.nonzero(grow)
+        paths = np.column_stack([paths[row], vertex])
+        arcs = (paths * n + np.roll(paths, -1, axis=1)).T.copy()
+        arcs.setflags(write=False)
+        out.append((length, arcs))
+    return tuple(out)
+
+
+def _cycle_values(table: np.ndarray, labels: np.ndarray, arcs: np.ndarray) -> np.ndarray:
+    """Label product around each cycle of ``arcs`` (one array of ``_cycle_arcs``).
+
+    ``labels`` is arc-major: entry u*n + v is the label of arc (u, v), for
+    one labelling (1-D; one value per cycle) or one labelling per column
+    (2-D; one row per cycle).  ``table`` is the group's Cayley table.
+    """
+    order = len(table)
+    flat = table.ravel()
+    value = labels[arcs[0]]
+    for arc in arcs[1:]:
+        value = flat.take(value * order + labels[arc])
+    return value
+
+
+def _first_listed_cycle(L: Labelling, max_len: int) -> tuple[int, ...] | None:
+    """The first cycle of ``_cycle_arcs(L.n, max_len)`` that is balanced and
+    has every arc present, as its vertices from the minimum; None if none."""
+    n = L.n
+    labels = L.labels.ravel()
+    for _, arcs in _cycle_arcs(n, max_len):
+        balanced = np.flatnonzero(_cycle_values(L.group.table, labels, arcs) == 0)
+        if balanced.size:
+            # absent arcs carry label 0, so a balanced value alone proves nothing
+            present = L.present.ravel()[arcs[:, balanced]].all(axis=0)
+            if present.any():
+                return tuple((arcs[:, balanced[present.argmax()]] // n).tolist())
+    return None
+
+
 # -- balanced-cycle search -------------------------------------------------------
 
 def short_cycle_scan(L: Labelling) -> CycleWitness | None:
-    """O(n^3) scan of 2- and 3-cycles; a miss is inconclusive.
+    """The first balanced 2- or 3-cycle of ``_cycle_arcs``; a miss is inconclusive.
 
     This is the heuristic mode: it works at any vertex count and is the
-    fast path of the exact search.  Over a group of order q a random
-    instance has about n(n-1)/(2q) balanced 2-cycles, so at harness scale
-    a miss is vanishingly rare.
+    fast path of the exact search.  The list order is (u, v) then
+    (u, v, w), lexicographic with u the minimum.  Over a group of order q a
+    random instance has about n(n-1)/(2q) balanced 2-cycles, so at harness
+    scale a miss is vanishingly rare.
     """
-    rows = L.rows()
-    pres = L.present_rows()
-    mul = L.group._rows
-    n = L.n
-    for u in range(n):
-        row_u, pres_u = rows[u], pres[u]
-        for v in range(u + 1, n):
-            if pres_u[v] and pres[v][u] and mul[row_u[v]][rows[v][u]] == 0:
-                return CycleWitness((u, v))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not pres[u][v]:
-                continue
-            uv = rows[u][v]
-            pres_v, rows_v = pres[v], rows[v]
-            for w in range(u + 1, n):
-                if w != v and pres_v[w] and pres[w][u] \
-                        and mul[mul[uv][rows_v[w]]][rows[w][u]] == 0:
-                    return CycleWitness((u, v, w))
-    return None
+    cycle = _first_listed_cycle(L, 3)
+    return None if cycle is None else CycleWitness(cycle)
 
 
 def _checked(L: Labelling, verts: tuple[int, ...]) -> CycleWitness:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
-from balanced_cycles import (Labelling, VerdictReport, build_group,
+from balanced_cycles import (CycleWitness, Labelling, VerdictReport, build_group,
                              find_balanced_cycle, random_labelling,
                              short_cycle_scan)
 from balanced_cycles.harness import _free_arcs, _reverify_cycle_free
@@ -153,6 +153,30 @@ def reference_path_with_value(L: Labelling, mask: int, u: int, v: int, value: in
     return path
 
 
+def reference_short_cycle_scan(L: Labelling) -> CycleWitness | None:
+    """The hand loops short_cycle_scan ran before it read the cycle lists."""
+    rows = L.rows()
+    pres = L.present_rows()
+    mul = L.group._rows
+    n = L.n
+    for u in range(n):
+        row_u, pres_u = rows[u], pres[u]
+        for v in range(u + 1, n):
+            if pres_u[v] and pres[v][u] and mul[row_u[v]][rows[v][u]] == 0:
+                return CycleWitness((u, v))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not pres[u][v]:
+                continue
+            uv = rows[u][v]
+            pres_v, rows_v = pres[v], rows[v]
+            for w in range(u + 1, n):
+                if w != v and pres_v[w] and pres[w][u] \
+                        and mul[mul[uv][rows_v[w]]][rows[w][u]] == 0:
+                    return CycleWitness((u, v, w))
+    return None
+
+
 def reference_find_balanced_cycle(L: Labelling) -> tuple[int, ...] | None:
     """The witness find_balanced_cycle must return, or None when cycle-free."""
     rows = L.rows()
@@ -160,16 +184,9 @@ def reference_find_balanced_cycle(L: Labelling) -> tuple[int, ...] | None:
     mul = L.group._rows
     inv = L.group._inv
     n = L.n
-    for u in range(n):  # 2-cycles, then 3-cycles, as the short-cycle scan
-        for v in range(u + 1, n):
-            if pres[u][v] and pres[v][u] and mul[rows[u][v]][rows[v][u]] == 0:
-                return (u, v)
-    for u in range(n):
-        for v in range(u + 1, n):
-            for w in range(u + 1, n):
-                if w != v and pres[u][v] and pres[v][w] and pres[w][u] \
-                        and mul[mul[rows[u][v]][rows[v][w]]][rows[w][u]] == 0:
-                    return (u, v, w)
+    hit = reference_short_cycle_scan(L)
+    if hit is not None:
+        return hit.vertices
     for s in range(n):
         others = list(range(s + 1, n))
         layer = {1 << s: {s: 1}}

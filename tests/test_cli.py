@@ -245,6 +245,28 @@ def test_malformed_labelling_is_rejected(capsys, tmp_path, case):
     assert capsys.readouterr().out == ""
 
 
+def test_missing_group_field_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "product", "left": {"kind": "cyclic", "q": 2}}))
+    assert main(["compute-n", "--group", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group spec is missing the field 'right'\n"
+
+
+@pytest.mark.parametrize("exc", [AssertionError, RuntimeError, KeyError])
+@pytest.mark.parametrize("argv", [["compute-n"], ["verify", "--n", "3"]])
+def test_crash_exits_internal_error(capsys, monkeypatch, z3_file, argv, exc):
+    def crash(*args, **kwargs):
+        raise exc("counterexample failed re-verification")
+    monkeypatch.setattr(cli, "compute_n", crash)
+    monkeypatch.setattr(cli, "verify_all", crash)
+    assert main(argv[:1] + ["--group", z3_file] + argv[1:]) == cli.EXIT_INTERNAL == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "re-verification" in captured.err
+
+
 def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path):
     depth = 5000  # past the interpreter's recursion limit
     group = ('{"kind": "product", "left": ' * depth + '{"kind": "cyclic", "q": 1}'

@@ -82,6 +82,24 @@ def test_bad_specs():
         product_group(cyclic_group(9), cyclic_group(9))  # order 81 > 64
 
 
+SPECS = {"cyclic": {"kind": "cyclic", "q": 3},
+         "product": {"kind": "product", "left": {"kind": "cyclic", "q": 2},
+                     "right": {"kind": "cyclic", "q": 3}},
+         "metacyclic": {"kind": "metacyclic", "m": 7, "n": 3, "r": 2},
+         "table": {"kind": "table", "mul": [[0, 1], [1, 0]]}}
+
+
+@pytest.mark.parametrize("kind, key", [("cyclic", "q"), ("product", "left"), ("product", "right"),
+                                       ("metacyclic", "m"), ("metacyclic", "n"),
+                                       ("metacyclic", "r"), ("table", "mul")])
+def test_missing_spec_field_is_named(kind, key):
+    spec = dict(SPECS[kind])
+    build_group(spec)
+    del spec[key]
+    with pytest.raises(BadSpec, match=f"group spec is missing the field '{key}'"):
+        build_group(spec)
+
+
 def test_not_a_group():
     with pytest.raises(NotAGroup):
         table_group([[0, 1], [1, 1]])  # not a Latin square

@@ -4,7 +4,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from balanced_cycles import harness
+from balanced_cycles import harness, reach
 from balanced_cycles import (BadSeed, BadSize, SearchSpaceTooLarge, compute_n,
                              cyclic_group, enumerate_balanced_cycles, extremal_cyclic,
                              find_balanced_cycle, metacyclic_group,
@@ -199,3 +199,11 @@ def test_report_json_shape():
     assert data["trials"] == 10
     assert isinstance(data["witness_lengths"], dict)
     assert data["counterexample_count"] == len(data["counterexamples"])
+
+
+def test_recheck_does_not_share_the_dict_route(monkeypatch):
+    # up to DENSE_MIN_FREE vertices the exact search runs on the dict layers
+    # alone; with them broken, its misses must not pass the re-check too
+    monkeypatch.setattr(reach, "_anchored_layers", lambda *args: iter(()))
+    with pytest.raises(AssertionError, match="re-verification"):
+        verify_random(cyclic_group(64), 8, 300, seed=5)

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from balanced_cycles import (AsymmetricMask, CycleWitness, IncompleteDigraph,
+from balanced_cycles import (AsymmetricMask, BadSpec, CycleWitness, IncompleteDigraph,
                              Labelling, Mismatch, MissingArc,
                              apply_shift_family, cycle_value, cyclic_group,
                              enumerate_balanced_cycles, extremal_cyclic, invert,
@@ -225,6 +225,14 @@ def test_labelling_json_round_trip():
     obj = masked.to_json()
     assert "mask" in obj
     assert labelling_from_json(obj) == masked
+
+
+@pytest.mark.parametrize("key", ["group", "labels"])
+def test_missing_labelling_field_is_named(key):
+    obj = extremal_cyclic(3, 3).to_json()
+    del obj[key]
+    with pytest.raises(BadSpec, match=f"labelling is missing the field '{key}'"):
+        labelling_from_json(obj)
 
 
 def test_dot_golden():

@@ -7,7 +7,9 @@ the dict sweep must do so without the dense kernel.
 Instances come from two families: random labellings over the catalog
 (abelian and non-abelian) with random arc masks, sparse enough that the
 short-cycle scan often misses, and shifted extremal labellings with a few
-arcs deleted, which have no short balanced cycles at all.
+arcs deleted, which have no short balanced cycles at all.  The short-cycle
+scan alone, which reads reach's cycle lists, is held to the hand loops it
+ran before (``reference_short_cycle_scan``) up to the heuristic sizes.
 """
 
 import random
@@ -20,9 +22,11 @@ from balanced_cycles import (Labelling, apply_shift_family, catalog, cyclic_grou
                              random_labelling, short_cycle_scan)
 from balanced_cycles import reach
 from balanced_cycles.rng import trial_seeds
-from oracle import brute_has_balanced_cycle, reference_find_balanced_cycle
+from oracle import (brute_has_balanced_cycle, reference_find_balanced_cycle,
+                    reference_short_cycle_scan)
 
 GROUPS = catalog()
+SCAN_GROUPS = dict(GROUPS, Z64=cyclic_group(64))
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -48,6 +52,32 @@ def thinned_extremal(draw, n_min: int, n_max: int) -> Labelling:
     shifted = apply_shift_family(extremal_cyclic(q, n),
                                  tuple(rng.randrange(q) for _ in range(n)))
     return Labelling(shifted.group, shifted.labels, _mask(rng, n, 0.95))
+
+
+@st.composite
+def scan_labellings(draw) -> Labelling:
+    """Masked labellings on 1-14 vertices or the heuristic sizes 24, 40 and 64:
+    uniform labels over the catalog or Z64, or, so that misses and late hits
+    occur at every size, Z64 extremal labels (no balanced 2- or 3-cycle)
+    with a few arcs relabelled at random."""
+    n = draw(st.sampled_from(list(range(1, 15)) + [24, 40, 64]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if rng.random() < 0.5:
+        group = SCAN_GROUPS[draw(st.sampled_from(sorted(SCAN_GROUPS)))]
+        labels = [[rng.randrange(group.order) for _ in range(n)] for _ in range(n)]
+    else:
+        group = SCAN_GROUPS["Z64"]
+        labels = [[int(u < v) for v in range(n)] for u in range(n)]
+        for _ in range(rng.randint(0, n)):
+            labels[rng.randrange(n)][rng.randrange(n)] = rng.randrange(64)
+    density = rng.choice([0.3, 0.6, 0.9, 1.0])
+    return Labelling(group, labels, _mask(rng, n, density))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scan_labellings())
+def test_short_cycle_scan_matches_reference(L):
+    assert short_cycle_scan(L) == reference_short_cycle_scan(L)
 
 
 def _witness(L: Labelling):
