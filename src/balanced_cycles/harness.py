@@ -25,17 +25,12 @@ Both campaigns keep, re-verify and report every counterexample, so past
 COUNTEREXAMPLE_CAP of them, checked after every block, a campaign stops
 with ``SearchSpaceTooLarge``.
 
-What re-checks what (``_exact_witness``): an escalated trial, a kept
-counterexample and ``compute_n``'s witness each get one exact search,
-``find_balanced_cycle``, and a None from it is re-checked by a second
-route before it is believed.  Up to DENSE_MIN_FREE (8) vertices the
-search runs on reach's dict layers alone, and the re-check is every cycle
-of the cycle lists, with no DP (for ``verify_all``, whose sieve read the
-same lists, the search is the independent half).  From 9 to
-ENUMERATION_CAP (12) vertices it is ``enumerate_balanced_cycles``: the
-search's large starts are dense there, but the enumeration shares the
-dict route with its small starts, so the two halves are only partly
-independent.  Above 12 vertices nothing re-checks the search.
+What re-checks what is one rule, kept in ``reach``'s module docstring: a
+cycle-free verdict is confirmed by a route that did not produce it.  An
+escalated trial's None from ``find_balanced_cycle`` is confirmed by
+``reach._recheck_cycle_free``; the sieve's counterexamples and
+``compute_n``'s witness, which other routes produced, by
+``find_balanced_cycle`` finding nothing (``_reverify_cycle_free``).
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
 and a sieve step at most that many cycle values (one labelling at a time
@@ -75,11 +70,10 @@ import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group
-from .labellings import MAX_VERTICES, CycleWitness, Labelling
-from .reach import (DENSE_MIN_FREE, ENUMERATION_CAP, EXACT_CAP, _anchored_layers,
-                    _cycle_arcs, _cycle_values, _first_listed_cycle,
-                    enumerate_balanced_cycles, find_balanced_cycle, short_cycle_scan)
-from .rng import trial_seeds, xoshiro_labels
+from .labellings import MAX_VERTICES, Labelling
+from .reach import (EXACT_CAP, _anchored_layers, _cycle_arcs, _cycle_values,
+                    _recheck_cycle_free, find_balanced_cycle, short_cycle_scan)
+from .rng import _check_seed, trial_seeds, xoshiro_labels
 
 SEARCH_SPACE_CAP = 10 ** 8
 COUNTEREXAMPLE_CAP = 100_000  # about 0.9 KB per kept n=3 counterexample with its report
@@ -166,27 +160,9 @@ def _count_lengths(lengths: Counter[int], first: np.ndarray) -> None:
             lengths[length] += count
 
 
-def _exact_witness(L: Labelling) -> CycleWitness | None:
-    """``find_balanced_cycle``, with a None re-checked by a second route: an
-    escalated trial and a re-verified counterexample both get one exact search.
-
-    Up to DENSE_MIN_FREE vertices every start of the search is on the dict
-    route, so the re-check is every cycle of the lists instead; from there
-    to ENUMERATION_CAP it is cycle enumeration.
-    """
-    witness = find_balanced_cycle(L)
-    if witness is None:
-        if L.n <= DENSE_MIN_FREE:
-            if _first_listed_cycle(L, L.n) is not None:
-                raise AssertionError("counterexample failed re-verification (cycle lists)")
-        elif L.n <= ENUMERATION_CAP and enumerate_balanced_cycles(L):
-            raise AssertionError("counterexample failed re-verification (enumeration)")
-    return witness
-
-
 def _reverify_cycle_free(L: Labelling) -> None:
-    """Independent exact re-check of a claimed counterexample."""
-    if _exact_witness(L) is not None:
+    """Confirm a cycle-free verdict of the sieve or the CSP by the exact search."""
+    if find_balanced_cycle(L) is not None:
         raise AssertionError("counterexample failed re-verification (DP search)")
 
 
@@ -295,17 +271,17 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     Per-trial labellings are generated from sub-seeds derived from ``seed``
     (``random_labelling(group, n, sub_seed)``), so reports are reproducible.
     Trials run in blocks of ``BLOCK_ELEMS // n**2`` (see the module
-    docstring); a trial the 2- and 3-cycle sieve misses escalates to the
-    exact search when the instance fits under ``max_dp_vertices`` and
-    EXACT_CAP, and otherwise counts as unresolved (so ``max_dp_vertices=0``
-    runs the scan alone).  A trial the exact search finds cycle-free is
-    re-checked by a second route (module docstring) before it is kept as a
-    counterexample.
+    docstring), and a block's sub-seeds are derived when it is drawn; a
+    trial the 2- and 3-cycle sieve misses escalates to the exact search
+    when the instance fits under ``max_dp_vertices`` and EXACT_CAP, and
+    otherwise counts as unresolved (so ``max_dp_vertices=0`` runs the scan
+    alone).  A trial the exact search finds cycle-free is confirmed by
+    ``reach._recheck_cycle_free`` before it is kept as a counterexample.
     """
     started = time.perf_counter()
     if trials < 0:
         raise BadSize(f"trial count {trials} is negative")
-    seeds = trial_seeds(seed, trials)
+    _check_seed(seed)
     if trials and not 2 <= n <= MAX_VERTICES:
         raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
@@ -315,7 +291,7 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     exact = n <= min(max_dp_vertices, EXACT_CAP)
     block = max(1, BLOCK_ELEMS // (n * n or 1))
     for start in range(0, trials, block):
-        labels = xoshiro_labels(group.order, n, seeds[start:start + block])
+        labels = xoshiro_labels(group.order, n, trial_seeds(seed, min(block, trials - start), start))
         first = _sieve(group.table, np.ascontiguousarray(labels.reshape(len(labels), n * n).T),
                        _cycle_arcs(n, 3))
         _count_lengths(lengths, first)
@@ -325,11 +301,12 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
         for lab in labels[first == 0]:
             L = Labelling(group, lab)
             if exact:
-                witness = _exact_witness(L)
+                witness = find_balanced_cycle(L)
                 if witness is not None:
                     methods["dp"] += 1
                     lengths[len(witness.vertices)] += 1
                 else:
+                    _recheck_cycle_free(L)
                     report.counterexamples.append(L)
             else:
                 report.unresolved += 1

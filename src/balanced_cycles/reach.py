@@ -61,8 +61,8 @@ searches are what the campaigns run by the hundred.  The callers:
   keeps.  These layers are small, so keeping them all is cheap, and the
   rebuild is a walk over them with no rerun of anything.
   ``find_balanced_cycle`` takes the first cycle of each start with fewer
-  than DENSE_MIN_FREE larger vertices, and ``enumerate_balanced_cycles``
-  takes them all;
+  than DENSE_MIN_FREE larger vertices, ``_recheck_cycle_free`` that of
+  each other start, and ``enumerate_balanced_cycles`` takes them all;
 * ``start_anchored_table``, which merges the layers;
 * the path rows of ``harness.compute_n``, which OR each layer in by
   endpoint.
@@ -83,9 +83,31 @@ by Cayley-table gathers, with no DP at all.  The callers:
   present (``_first_listed_cycle``), at any n up to 64;
 * the campaigns' sieve (``harness._sieve``), one block of labellings per
   call;
-* the counterexample re-check of ``harness._exact_witness`` up to
-  DENSE_MIN_FREE vertices, where the exact search is on the dict route
-  alone: every cycle of the list, one labelling at a time.
+* ``_recheck_cycle_free``: every cycle inside the last min(n,
+  DENSE_MIN_FREE) vertices, one labelling at a time.
+
+What re-checks what.  A cycle-free verdict is confirmed by a route that
+did not produce it:
+
+=====================================  ==========================================
+producer of the verdict                confirming route
+=====================================  ==========================================
+``find_balanced_cycle`` returns None   ``_recheck_cycle_free``: the starts the
+(``harness.verify_random``)            search ran dense rerun on the dict layers;
+                                       the cycles of the starts it ran on the dict
+                                       layers, which lie inside the last
+                                       min(n, DENSE_MIN_FREE) vertices, come from
+                                       the cycle lists.  Up to ENUMERATION_CAP
+                                       vertices; above, nothing re-checks.
+the sieve's counterexamples            ``find_balanced_cycle`` finds nothing
+(``harness.verify_all``)               (``harness._reverify_cycle_free``)
+the CSP's witness                      ``find_balanced_cycle`` finds nothing
+(``harness.compute_n``)                (``harness._reverify_cycle_free``)
+=====================================  ==========================================
+
+The search itself sweeps every start that can close a cycle, so its DP
+sees the 2- and 3-cycles that the short-cycle scan, its fast path, read
+off the lists; a fault in any one route is caught by another.
 
 Memory, with two layers alive while one is extended: the largest
 aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
@@ -529,18 +551,19 @@ def _cycle_values(table: np.ndarray, labels: np.ndarray, arcs: np.ndarray) -> np
     return value
 
 
-def _first_listed_cycle(L: Labelling, max_len: int) -> tuple[int, ...] | None:
-    """The first cycle of ``_cycle_arcs(L.n, max_len)`` that is balanced and
-    has every arc present, as its vertices from the minimum; None if none."""
-    n = L.n
-    labels = L.labels.ravel()
-    for _, arcs in _cycle_arcs(n, max_len):
+def _first_listed_cycle(L: Labelling, max_len: int, lo: int = 0) -> tuple[int, ...] | None:
+    """The first cycle of ``_cycle_arcs(L.n - lo, max_len)`` over the vertices
+    lo..n-1 that is balanced and has every arc present, as its vertices
+    from the minimum; None if none."""
+    m = L.n - lo
+    labels = L.labels[lo:, lo:].ravel()
+    for _, arcs in _cycle_arcs(m, max_len):
         balanced = np.flatnonzero(_cycle_values(L.group.table, labels, arcs) == 0)
         if balanced.size:
             # absent arcs carry label 0, so a balanced value alone proves nothing
-            present = L.present.ravel()[arcs[:, balanced]].all(axis=0)
+            present = L.present[lo:, lo:].ravel()[arcs[:, balanced]].all(axis=0)
             if present.any():
-                return tuple((arcs[:, balanced[present.argmax()]] // n).tolist())
+                return tuple((arcs[:, balanced[present.argmax()]] // m + lo).tolist())
     return None
 
 
@@ -573,8 +596,12 @@ def find_balanced_cycle(L: Labelling) -> CycleWitness | None:
     per minimum vertex, streamed one popcount layer at a time: dense numpy
     layers for starts with at least DENSE_MIN_FREE larger vertices, whose
     witness ``find_path_with_value`` rebuilds, and the int bitmask dict
-    layers of ``_anchored_cycles`` below, which rebuild their own.
-    Witnesses are re-evaluated before being returned.
+    layers of ``_anchored_cycles`` below, which rebuild their own.  The
+    sweep covers every start with a larger vertex, 2- and 3-cycles too.
+    After a scan miss the last two starts hold no cycle, so the witness
+    is the same as with the scan's own; sweeping them keeps the DP
+    independent of the lists.  Witnesses are re-evaluated before being
+    returned; callers confirm a None with ``_recheck_cycle_free``.
     """
     n = L.n
     if n > EXACT_CAP:
@@ -585,8 +612,7 @@ def find_balanced_cycle(L: Labelling) -> CycleWitness | None:
         return _checked(L, hit.vertices)
     rows = L.rows()
     pres = L.present_rows()
-    # the scan ruled out 2- and 3-cycles: a start needs three larger vertices
-    for s in range(n - 3):
+    for s in range(n - 1):
         if n - 1 - s >= DENSE_MIN_FREE:
             closing = _dense_sweep(L, s)
             if closing is not None:
@@ -662,6 +688,25 @@ def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
             e = s + 1 + j
             return (int(masks[row]) << (s + 1)) | (1 << s), e, int(inv[lab[e, s]])
     return None
+
+
+def _recheck_cycle_free(L: Labelling) -> None:
+    """Confirm a None of ``find_balanced_cycle`` by the routes it did not use.
+
+    Raises AssertionError if a balanced cycle turns up.  Every start the
+    search ran dense reruns on the dict layers, and the cycles of the
+    other starts, which lie inside the last min(n, DENSE_MIN_FREE)
+    vertices, are read off the cycle lists.  Above ENUMERATION_CAP
+    vertices nothing is re-checked.
+    """
+    if L.n > ENUMERATION_CAP:
+        return
+    lo = max(0, L.n - DENSE_MIN_FREE)
+    rows, pres = L.rows(), L.present_rows()
+    if any(next(_anchored_cycles(L, s, rows, pres), None) for s in range(lo)):
+        raise AssertionError("cycle-free verdict failed re-verification (dict layers)")
+    if _first_listed_cycle(L, L.n - lo, lo) is not None:
+        raise AssertionError("cycle-free verdict failed re-verification (cycle lists)")
 
 
 def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:

@@ -4,7 +4,9 @@ Reproducibility across platforms and library versions is a hard requirement
 for the randomized campaigns, so the generator is spelled out here instead of
 delegating to ``random`` or numpy:
 
-* stream seeding: SplitMix64 (Steele-Lea-Flood finalizer),
+* stream seeding: SplitMix64 (Steele-Lea-Flood finalizer), whose k-th
+  output is mix(seed + k * gamma), so any run of outputs of any number of
+  streams is one vectorised mix (``_splitmix``),
 * raw 64-bit words: xoshiro256** (Blackman-Vigna),
 * bounded draws: masked rejection on the top bits of the next word.
 
@@ -40,18 +42,27 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-class SplitMix64:
-    """64-bit state-increment generator; also used to derive per-trial seeds."""
+_U64 = np.uint64
 
-    def __init__(self, seed: int):
-        self.state = _check_seed(seed)
 
-    def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+def _splitmix(seeds: Sequence[int], start: int, count: int) -> np.ndarray:
+    """Outputs start+1..start+count of each seed's SplitMix64 stream, as a
+    (count, len(seeds)) uint64 array; all arithmetic wraps in the arrays."""
+    k = np.arange(start + 1, start + count + 1, dtype=_U64)[:, None]
+    z = k * _U64(0x9E3779B97F4A7C15) + np.array([_check_seed(seed) for seed in seeds], dtype=_U64)
+    z ^= z >> _U64(30)
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    return z
+
+
+def _splitmix_lanes(seeds: Sequence[int]) -> np.ndarray:
+    """The four xoshiro256** state words of each seed, one row each, one lane per column."""
+    words = _splitmix(seeds, 0, 4)
+    words[0, ~words.any(axis=0)] = 1  # all-zero state is the one forbidden state
+    return words
 
 
 def _rotl(x: int, k: int) -> int:
@@ -62,10 +73,7 @@ class Xoshiro256StarStar:
     """xoshiro256** seeded from a single 64-bit value via SplitMix64."""
 
     def __init__(self, seed: int):
-        sm = SplitMix64(seed)
-        self.s = [sm.next() for _ in range(4)]
-        if not any(self.s):  # all-zero state is the one forbidden state
-            self.s[0] = 1
+        self.s = _splitmix_lanes([seed])[:, 0].tolist()
 
     def next(self) -> int:
         s0, s1, s2, s3 = self.s
@@ -96,30 +104,12 @@ class Xoshiro256StarStar:
                 return candidate
 
 
-def trial_seeds(master_seed: int, count: int) -> list[int]:
-    """Per-trial sub-seeds for a campaign, derived with SplitMix64."""
-    sm = SplitMix64(master_seed)
-    return [sm.next() for _ in range(count)]
+def trial_seeds(master_seed: int, count: int, start: int = 0) -> list[int]:
+    """Sub-seeds start..start+count-1 of a campaign, derived with SplitMix64."""
+    return _splitmix([master_seed], start, count)[:, 0].tolist()
 
 
-_U64 = np.uint64
 ROUND_WORDS = 1 << 14
-
-
-def _splitmix_lanes(seeds: Sequence[int]) -> list[np.ndarray]:
-    """The four xoshiro256** state words of each seed, as uint64 lane arrays."""
-    state = np.array([_check_seed(seed) for seed in seeds], dtype=_U64)
-    words = []
-    for _ in range(4):
-        state += _U64(0x9E3779B97F4A7C15)
-        z = state ^ (state >> _U64(30))
-        z *= _U64(0xBF58476D1CE4E5B9)
-        z ^= z >> _U64(27)
-        z *= _U64(0x94D049BB133111EB)
-        z ^= z >> _U64(31)
-        words.append(z)
-    words[0][(words[0] | words[1] | words[2] | words[3]) == 0] = 1
-    return words
 
 
 def _next_words(state: list[np.ndarray], steps: int) -> np.ndarray:
@@ -155,7 +145,7 @@ def xoshiro_labels(order: int, n: int, seeds: Sequence[int]) -> np.ndarray:
     """
     arcs = n * (n - 1)
     labels = np.zeros((len(seeds), n, n), dtype=np.int64)
-    state = _splitmix_lanes(seeds)
+    state = list(_splitmix_lanes(seeds))
     if order == 1:  # k = 0: every draw is 0, whatever its word
         return labels
     k = (order - 1).bit_length()

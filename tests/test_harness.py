@@ -149,6 +149,28 @@ def test_campaign_arguments_are_checked():
             verify_all(g, n)
 
 
+def test_verify_random_derives_seeds_block_by_block(monkeypatch):
+    # a bad n derives no seed, and each block derives its own sub-seeds
+    # when it is drawn, so seed memory does not grow with the trial count
+    derived = []
+    real = harness.trial_seeds
+
+    def spy(*args):
+        seeds = real(*args)
+        derived.append(seeds)
+        return seeds
+
+    monkeypatch.setattr(harness, "trial_seeds", spy)
+    g = cyclic_group(3)
+    with pytest.raises(BadSize, match="vertex count"):
+        verify_random(g, 1, 10, 0)
+    assert derived == []
+    block = harness.BLOCK_ELEMS // 30 ** 2
+    verify_random(g, 30, 2 * block + 5, seed=9)
+    assert [len(seeds) for seeds in derived] == [block, block, 5]
+    assert sum(derived, []) == real(9, 2 * block + 5)
+
+
 def test_compute_n_values():
     assert compute_n(cyclic_group(1)).value == 2
     assert compute_n(cyclic_group(2)).value == 3

@@ -10,15 +10,21 @@ short-cycle scan often misses, and shifted extremal labellings with a few
 arcs deleted, which have no short balanced cycles at all.  The short-cycle
 scan alone, which reads reach's cycle lists, is held to the hand loops it
 ran before (``reference_short_cycle_scan``) up to the heuristic sizes.
+The re-check of a cycle-free verdict, ``reach._recheck_cycle_free``, must
+raise exactly when a balanced cycle exists, and with any one of the
+three routes broken, the search and the re-check together must still
+find the cycle.
 """
 
 import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balanced_cycles import (Labelling, apply_shift_family, catalog, cyclic_group,
-                             extremal_cyclic, find_balanced_cycle,
+                             enumerate_balanced_cycles, extremal_cyclic, find_balanced_cycle,
                              random_labelling, short_cycle_scan)
 from balanced_cycles import reach
 from balanced_cycles.rng import trial_seeds
@@ -154,3 +160,69 @@ def test_small_witnesses_need_no_dense_kernel(monkeypatch):
 def test_late_cycle_rows():
     for q in (10, 11):
         assert _witness(extremal_cyclic(q, q + 1)) == tuple(range(q + 1))
+
+
+# -- the re-check of cycle-free verdicts ---------------------------------------------
+
+def _confirmed_witness(L: Labelling):
+    """The search's witness, a None confirmed by the re-check, as campaigns do."""
+    found = _witness(L)
+    if found is None:
+        reach._recheck_cycle_free(L)
+    return found
+
+
+def _masked(L: Labelling, present) -> Labelling:
+    return Labelling(L.group, L.labels, [[u != v and present(u, v) for v in range(L.n)]
+                                         for u in range(L.n)])
+
+
+def test_recheck_catches_a_broken_dict_route(monkeypatch):
+    # the only cycle, 2 -> ... -> 9, closes from a start the search runs on
+    # the dict layers; the lists over the last 8 vertices still see it
+    L = _masked(extremal_cyclic(7, 10), lambda u, v: v > 1)
+    assert [c.vertices for c in enumerate_balanced_cycles(L)] == [tuple(range(2, 10))]
+    monkeypatch.setattr(reach, "_anchored_layers", lambda *args: iter(()))
+    with pytest.raises(AssertionError, match="re-verification"):
+        _confirmed_witness(L)
+
+
+def test_search_catches_broken_cycle_lists(monkeypatch):
+    # with no balanced value on any listed cycle, the scan misses the only
+    # cycle, (3, 4); the sweep reaches start 3 and closes it on the dict layers
+    base = extremal_cyclic(7, 5)
+    labels = base.labels.copy()
+    labels[4, 3] = 6
+    L = _masked(Labelling(base.group, labels), lambda u, v: not (v == 4 and u < 3))
+    assert [c.vertices for c in enumerate_balanced_cycles(L)] == [(3, 4)]
+    listed = reach._cycle_values
+    monkeypatch.setattr(reach, "_cycle_values", lambda *args: listed(*args) | 1)
+    assert short_cycle_scan(L) is None
+    assert _confirmed_witness(L) == (3, 4)
+
+
+def test_recheck_catches_a_broken_dense_kernel(monkeypatch):
+    # the only cycle of extremal(q, q + 1) has minimum vertex 0, a dense start
+    cases = [extremal_cyclic(q, q + 1) for q in range(8, 12)]
+    for L in cases:
+        assert [c.vertices for c in enumerate_balanced_cycles(L)] == [tuple(range(L.n))]
+    monkeypatch.setattr(reach, "_dense_layers", lambda *args, **kwargs: iter(()))
+    for L in cases:
+        with pytest.raises(AssertionError, match="re-verification"):
+            _confirmed_witness(L)
+
+
+@SETTINGS
+@given(st.one_of(masked_random(2, 12), thinned_extremal(2, 12)))
+def test_recheck_raises_exactly_on_a_balanced_cycle(L):
+    # enumeration would list millions of cycles on a dense random labelling
+    # with 12 vertices; above 7 the reference sweep of oracle.py decides
+    if L.n <= 7:
+        has_cycle = brute_has_balanced_cycle(L)
+    else:
+        has_cycle = reference_find_balanced_cycle(L) is not None
+    if has_cycle:
+        with pytest.raises(AssertionError, match="re-verification"):
+            reach._recheck_cycle_free(L)
+    else:
+        reach._recheck_cycle_free(L)
