@@ -28,9 +28,10 @@ with ``SearchSpaceTooLarge``.
 What re-checks what is one rule, kept in ``reach``'s module docstring: a
 cycle-free verdict is confirmed by a route that did not produce it.  An
 escalated trial's None from ``find_balanced_cycle`` is confirmed by
-``reach._recheck_cycle_free``; the sieve's counterexamples and
-``compute_n``'s witness, which other routes produced, by
-``find_balanced_cycle`` finding nothing (``_reverify_cycle_free``).
+``reach._recheck_cycle_free``; the sieve's counterexamples, which the
+cycle lists produced, by ``find_balanced_cycle`` finding nothing
+(``_reverify_cycle_free``); and ``compute_n``'s witness, whose CSP built
+its path rows on the dict layers, by both.
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
 and a sieve step at most that many cycle values (one labelling at a time
@@ -421,7 +422,10 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
 
     if extend(1):
         L = Labelling(group, labels)
+        # the CSP built its path rows on the dict layers, which the search
+        # runs on its last starts; the re-check reads those off the lists
         _reverify_cycle_free(L)
+        _recheck_cycle_free(L)
         return L
     return None
 

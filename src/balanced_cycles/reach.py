@@ -101,8 +101,14 @@ producer of the verdict                confirming route
                                        vertices; above, nothing re-checks.
 the sieve's counterexamples            ``find_balanced_cycle`` finds nothing
 (``harness.verify_all``)               (``harness._reverify_cycle_free``)
-the CSP's witness                      ``find_balanced_cycle`` finds nothing
-(``harness.compute_n``)                (``harness._reverify_cycle_free``)
+the CSP's witness, whose path rows     ``find_balanced_cycle`` finds nothing
+are the dict layers                    (``harness._reverify_cycle_free``) and
+(``harness.compute_n``)                ``_recheck_cycle_free`` passes: the search
+                                       runs the first starts dense, the re-check
+                                       reads the cycles of the others off the
+                                       cycle lists.  Up to ENUMERATION_CAP
+                                       vertices; above, the last DENSE_MIN_FREE
+                                       starts share the dict layers with the CSP.
 =====================================  ==========================================
 
 The search itself sweeps every start that can close a cycle, so its DP
@@ -137,7 +143,7 @@ from .labellings import CycleWitness, Labelling, cycle_value
 
 EXACT_CAP = 24
 TABLE_RETENTION_CAP = 20
-ENUMERATION_CAP = 12
+ENUMERATION_CAP = 12  # also how far _recheck_cycle_free re-checks
 CYCLE_LIST_CAP = 500_000  # about 250 B per kept cycle: some 125 MB
 DENSE_MIN_FREE = 8
 

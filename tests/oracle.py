@@ -16,8 +16,8 @@ from itertools import combinations, permutations
 from balanced_cycles import (CycleWitness, Labelling, VerdictReport, build_group,
                              find_balanced_cycle, random_labelling,
                              short_cycle_scan)
-from balanced_cycles.harness import _free_arcs, _reverify_cycle_free
-from balanced_cycles.reach import EXACT_CAP
+from balanced_cycles.harness import _free_arcs
+from balanced_cycles.reach import EXACT_CAP, _recheck_cycle_free
 from balanced_cycles.rng import trial_seeds
 
 
@@ -355,7 +355,7 @@ def reference_verify_random(group, n: int, trials: int, seed: int,
                 methods["dp"] += 1
                 lengths[len(witness.vertices)] += 1
             else:
-                _reverify_cycle_free(L)
+                _recheck_cycle_free(L)
                 report.counterexamples.append(L)
         else:
             report.unresolved += 1

@@ -1,6 +1,7 @@
 """Campaign machinery: exhaustive sweeps, randomized trials, n(G) search."""
 
 from concurrent.futures import Future
+from itertools import islice
 
 import pytest
 
@@ -206,6 +207,22 @@ def test_compute_n_budget_reports_bounds():
     assert witness.n == 3
     assert enumerate_balanced_cycles(witness) == []
     assert find_balanced_cycle(witness) is None
+
+
+def test_compute_n_catches_a_broken_dict_route(monkeypatch):
+    # dict layers cut after paths of one arc hide every cycle of four or
+    # more vertices from both the CSP's path rows and the search's small
+    # starts, so the CSP's 4-vertex labelling over Z3 has a balanced
+    # 4-cycle that only the re-check's cycle lists see
+    layers = reach._anchored_layers
+
+    def first_layer(*args):
+        return islice(layers(*args), 1)
+
+    monkeypatch.setattr(reach, "_anchored_layers", first_layer)
+    monkeypatch.setattr(harness, "_anchored_layers", first_layer)
+    with pytest.raises(AssertionError, match=r"re-verification \(cycle lists\)"):
+        compute_n(cyclic_group(3))
 
 
 def test_compute_n_rejects_max_n_below_one():
