@@ -16,11 +16,12 @@ Exit codes: 0 success / cycle found; 1 campaign found a counterexample;
 inconclusive; 5 search space too large or memory ran out; 6 internal error
 (any other exception, such as a failed re-verification; the traceback goes
 to stderr).
-``verify --workers N`` splits an exhaustive campaign across at most N
-processes, and never more than the machine has cores.
-``--max-dp-vertices K`` (``check``, ``verify --random``) runs the exact
-search only up to K vertices, and never above the cap of 24; larger
+``verify --workers N`` (N >= 1) splits an exhaustive campaign across at
+most N processes, and never more than the machine has cores.
+``--max-dp-vertices K`` (K >= 0; ``check``, ``verify --random``) runs the
+exact search only up to K vertices, and never above the cap of 24; larger
 instances get the short-cycle scan alone, so K = 0 means scan only.
+A value outside these ranges exits 2.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .groups import build_group
 from .harness import compute_n, verify_all, verify_random
 from .labellings import Labelling, labelling_from_json
 from .proof_engine import key_lemma, prime_finder
-from .reach import (EXACT_CAP, enumerate_balanced_cycles, find_balanced_cycle,
+from .reach import (EXACT_CAP, enumerate_balanced_cycles, find_balanced_cycle, runs_exact,
                     short_cycle_scan)
 
 EXIT_OK = 0
@@ -85,7 +86,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     L = _load_labelling(args.labelling)
-    if L.n <= min(args.max_dp_vertices, EXACT_CAP):
+    if runs_exact(L.n, args.max_dp_vertices):
         witness = find_balanced_cycle(L)
         mode = "exact"
     else:

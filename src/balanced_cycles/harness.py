@@ -73,7 +73,7 @@ from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group
 from .labellings import MAX_VERTICES, Labelling
 from .reach import (EXACT_CAP, _anchored_layers, _cycle_arcs, _cycle_values,
-                    _recheck_cycle_free, find_balanced_cycle, short_cycle_scan)
+                    _recheck_cycle_free, find_balanced_cycle, runs_exact, short_cycle_scan)
 from .rng import _check_seed, trial_seeds, xoshiro_labels
 
 SEARCH_SPACE_CAP = 10 ** 8
@@ -211,6 +211,8 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     """
     if n < 1:
         raise BadSize(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    if workers < 1:
+        raise BadSize(f"worker count {workers} is below 1")
     started = time.perf_counter()
     mode = "exhaustive_normalized" if normalized else "exhaustive"
     report = VerdictReport(group_name=group.name, group_spec=group.spec,
@@ -233,12 +235,10 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     if space > SEARCH_SPACE_CAP:
         raise SearchSpaceTooLarge(
             f"{group.order}^{len(free)} = {space} labellings exceed the cap of {SEARCH_SPACE_CAP}")
-    if n > 7:
-        raise SearchSpaceTooLarge(f"exhaustive checking keeps cycle lists only up to 7 vertices, got n={n}")
 
     # the executor forks all of its workers at once: never more than the
     # machine has cores, nor more than there are ranges to check
-    workers = max(1, min(workers, os.cpu_count() or 1, space))
+    workers = min(workers, os.cpu_count() or 1, space)
     if workers == 1:
         chunks = [_enumerate_chunk(group.spec, n, normalized, 0, space)]
     else:
@@ -274,10 +274,11 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     Trials run in blocks of ``BLOCK_ELEMS // n**2`` (see the module
     docstring), and a block's sub-seeds are derived when it is drawn; a
     trial the 2- and 3-cycle sieve misses escalates to the exact search
-    when the instance fits under ``max_dp_vertices`` and EXACT_CAP, and
-    otherwise counts as unresolved (so ``max_dp_vertices=0`` runs the scan
-    alone).  A trial the exact search finds cycle-free is confirmed by
-    ``reach._recheck_cycle_free`` before it is kept as a counterexample.
+    when ``reach.runs_exact(n, max_dp_vertices)`` holds, and otherwise
+    counts as unresolved (so ``max_dp_vertices=0`` runs the scan alone; a
+    negative one raises BadSize).  A trial the exact search finds
+    cycle-free is confirmed by ``reach._recheck_cycle_free`` before it is
+    kept as a counterexample.
     """
     started = time.perf_counter()
     if trials < 0:
@@ -285,11 +286,11 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     _check_seed(seed)
     if trials and not 2 <= n <= MAX_VERTICES:
         raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
+    exact = runs_exact(n, max_dp_vertices)
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
                            mode="randomized", trials=trials, seed=seed)
     lengths: Counter[int] = Counter()
     methods: Counter[str] = Counter()
-    exact = n <= min(max_dp_vertices, EXACT_CAP)
     block = max(1, BLOCK_ELEMS // (n * n or 1))
     for start in range(0, trials, block):
         labels = xoshiro_labels(group.order, n, trial_seeds(seed, min(block, trials - start), start))

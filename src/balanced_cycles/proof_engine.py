@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (BadSize, IncompleteDigraph, NotPrime, PreconditionViolated,
-                     TheoremViolation, TooLarge, TrivialGroup)
+                     TheoremViolation, TrivialGroup)
 from .groups import grow_set, stabilizer, subset_elements, subset_sizes
 from .labellings import (CycleWitness, Labelling, apply_shift_family, cycle_value,
                          normalize, shifting_equivalent)
-from .reach import (_checked, aggregated_reach_layers, find_path_with_value,
+from .reach import (_checked, _scope, aggregated_reach_layers, find_path_with_value,
                     reach_set, reach_set_between, short_cycle_scan)
 
 KEY_LEMMA_CAP = 20
@@ -139,11 +139,7 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
     G = L.group
     if G.order == 1:
         raise TrivialGroup("the key lemma needs a non-trivial group")
-    nverts = scope.bit_count()
-    if nverts > KEY_LEMMA_CAP:
-        raise TooLarge(f"key lemma capped at {KEY_LEMMA_CAP} vertices")
-    if nverts < 1:
-        raise ValueError("empty scope")
+    nverts = _scope(L, scope, KEY_LEMMA_CAP, None).bit_count()
     within = nverts == G.order
 
     U = None
@@ -230,8 +226,7 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
         raise ValueError(f"vertex {v0} out of range")
     if n < 2:
         raise BadSize("tuple construction needs at least two vertices")
-    if n - 1 > KEY_LEMMA_CAP:
-        raise TooLarge(f"inner key lemma capped at {KEY_LEMMA_CAP} vertices")
+    scope = _scope(L, ((1 << n) - 1) ^ (1 << v0), KEY_LEMMA_CAP)
     G = L.group
     within = n - 1 == G.order
 
@@ -243,7 +238,7 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
     normalized = normalize(L, v0)
     family = [int(x) for x in L.labels[v0]]
     family[v0] = 0
-    inner = _key_lemma_scoped(normalized, ((1 << n) - 1) ^ (1 << v0))
+    inner = _key_lemma_scoped(normalized, scope)
     if inner.cycle is not None:
         return Dichotomy(cycle=_checked(L, inner.cycle.vertices),
                          within_hypothesis=inner.within_hypothesis)

@@ -60,9 +60,9 @@ searches are what the campaigns run by the hundred.  The callers:
   (length, mask, closing vertex) order, each rebuilt from the layers it
   keeps.  These layers are small, so keeping them all is cheap, and the
   rebuild is a walk over them with no rerun of anything.
-  ``find_balanced_cycle`` takes the first cycle of each start with fewer
-  than DENSE_MIN_FREE larger vertices, ``_recheck_cycle_free`` that of
-  each other start, and ``enumerate_balanced_cycles`` takes them all;
+  ``find_balanced_cycle`` takes the first cycle of each start it does not
+  run dense, ``_recheck_cycle_free`` that of each start it does (both read
+  ``_dense_starts``), and ``enumerate_balanced_cycles`` takes them all;
 * ``start_anchored_table``, which merges the layers;
 * the path rows of ``harness.compute_n``, which OR each layer in by
   endpoint.
@@ -97,7 +97,7 @@ producer of the verdict                confirming route
                                        the cycles of the starts it ran on the dict
                                        layers, which lie inside the last
                                        min(n, DENSE_MIN_FREE) vertices, come from
-                                       the cycle lists.  Up to ENUMERATION_CAP
+                                       the cycle lists.  Up to DICT_SWEEP_CAP
                                        vertices; above, nothing re-checks.
 the sieve's counterexamples            ``find_balanced_cycle`` finds nothing
 (``harness.verify_all``)               (``harness._reverify_cycle_free``)
@@ -106,7 +106,7 @@ are the dict layers                    (``harness._reverify_cycle_free``) and
 (``harness.compute_n``)                ``_recheck_cycle_free`` passes: the search
                                        runs the first starts dense, the re-check
                                        reads the cycles of the others off the
-                                       cycle lists.  Up to ENUMERATION_CAP
+                                       cycle lists.  Up to DICT_SWEEP_CAP
                                        vertices; above, the last DENSE_MIN_FREE
                                        starts share the dict layers with the CSP.
 =====================================  ==========================================
@@ -121,11 +121,23 @@ aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
 250 MB.  A retained table takes about 2^m * m * 8 bytes, 168 MB at its cap
 of 20.
 
-Exact computations are capped at 24 vertices (EXACT_CAP; the campaigns'
-and the CLI's ``max_dp_vertices`` can only lower it); full-table retention
-at 20; cycle enumeration at 12 vertices and, since its output can be
-exponential, at CYCLE_LIST_CAP cycles.  Beyond the exact cap only the
-short-cycle scan is available and a miss is inconclusive.
+Scope and size, one rule.  Every exact route hands its scope, the
+vertices it names and its cap to ``_scope`` before it allocates anything.
+A vertex must lie in 0..n-1, a named vertex in the scope, a scope a route
+takes its start from must not be empty (NotInScope otherwise), and the
+scope must not exceed the route's cap (TooLarge, naming the cap).  The
+caps: EXACT_CAP (24) for the search, the aggregated layers, ``reach_set``,
+``reach_set_between`` and ``find_path_with_value``; TABLE_RETENTION_CAP
+(20) for the retained ``reach_table`` and ``start_anchored_table``;
+DICT_SWEEP_CAP (12) for ``enumerate_balanced_cycles``, which also keeps at
+most CYCLE_LIST_CAP cycles (``_recheck_cycle_free`` stops at the same cap,
+since both sweep the dict route over every start); and
+``proof_engine.KEY_LEMMA_CAP`` (20) for the key lemma.  Whether a campaign
+or the CLI runs the exact search or the short-cycle scan alone is
+``runs_exact(n, max_dp_vertices)``: the limit is at least 0 and can only
+lower EXACT_CAP.  Which starts the search runs dense is
+``_dense_starts(n)``.  Beyond the exact cap only the short-cycle scan is
+available and a miss is inconclusive.
 """
 
 from __future__ import annotations
@@ -137,24 +149,64 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NotInScope, TooLarge
+from .errors import BadSize, NotInScope, TooLarge
 from .groups import subset_elements
 from .labellings import CycleWitness, Labelling, cycle_value
 
 EXACT_CAP = 24
 TABLE_RETENTION_CAP = 20
-ENUMERATION_CAP = 12  # also how far _recheck_cycle_free re-checks
+DICT_SWEEP_CAP = 12  # every start on the dict layers: enumeration and the re-check
 CYCLE_LIST_CAP = 500_000  # about 250 B per kept cycle: some 125 MB
 DENSE_MIN_FREE = 8
 
 
-def _as_mask(X) -> int:
+# -- scope and size: the one place the exact routes check their input -----------
+
+def _scope(L: Labelling, X, cap: int, *vertices: int | None) -> int:
+    """The vertex mask of the scope ``X`` (a mask or an iterable of vertices)
+    of an exact route that runs on at most ``cap`` vertices.
+
+    Raises NotInScope for a vertex outside 0..n-1 and for a named vertex
+    outside the scope; a named None is a start the route takes from the
+    scope itself, so the scope must not be empty.  Raises TooLarge when the
+    scope has more than ``cap`` vertices.
+    """
+    n = L.n
     if isinstance(X, int):
-        return X
-    bits = 0
-    for v in X:
-        bits |= 1 << v
-    return bits
+        mask = X
+    else:
+        mask = 0
+        for v in X:
+            if not 0 <= v < n:
+                raise NotInScope(f"vertex {v} outside 0..{n - 1}")
+            mask |= 1 << v
+    if not 0 <= mask < 1 << n:
+        raise NotInScope(f"scope {mask} has a vertex outside 0..{n - 1}")
+    for w in vertices:
+        if w is None:
+            if not mask:
+                raise NotInScope("empty scope: there is no start")
+        elif not (0 <= w < n and (mask >> w) & 1):
+            raise NotInScope(f"vertex {w} not in the scope")
+    if mask.bit_count() > cap:
+        raise TooLarge(f"scope of {mask.bit_count()} vertices exceeds the cap of {cap}")
+    return mask
+
+
+def runs_exact(n: int, max_dp_vertices: int) -> bool:
+    """Whether an n-vertex instance gets the exact search rather than the
+    short-cycle scan alone: ``max_dp_vertices`` (at least 0) can only lower
+    EXACT_CAP, and 0 means the scan alone."""
+    if max_dp_vertices < 0:
+        raise BadSize(f"max_dp_vertices {max_dp_vertices} is negative")
+    return n <= min(max_dp_vertices, EXACT_CAP)
+
+
+def _dense_starts(n: int) -> int:
+    """How many starts, from 0, ``find_balanced_cycle`` runs dense: those with
+    at least DENSE_MIN_FREE larger vertices.  ``_recheck_cycle_free`` reruns
+    exactly these on the dict layers."""
+    return max(0, n - DENSE_MIN_FREE)
 
 
 # -- the dense layer kernel ----------------------------------------------------
@@ -313,24 +365,15 @@ def aggregated_reach_layers(L: Labelling, scope) -> Iterator[tuple[int, Mapping[
 
         R[mask][e] = {1} | union over p in mask-e of R[mask-e][p] * label(p, e).
     """
-    verts = subset_elements(_as_mask(scope))
+    verts = subset_elements(_scope(L, scope, EXACT_CAP))
     ones = np.ones(len(verts), dtype=np.uint64)
     for size, masks, values in _dense_layers(L, verts, ones, inside=True):
         yield size, _LayerView(verts, masks, values)
 
 
-def _check_scope(mask: int, *vertices: int) -> None:
-    for w in vertices:
-        if not (mask >> w) & 1:
-            raise NotInScope(f"vertex {w} not in the scope")
-    if mask.bit_count() > EXACT_CAP:
-        raise TooLarge(f"scope larger than the exact cap of {EXACT_CAP}")
-
-
 def reach_set(L: Labelling, X, x: int) -> int:
     """Values of simple paths inside X ending at x, as an element bitmask."""
-    mask = _as_mask(X)
-    _check_scope(mask, x)
+    mask = _scope(L, X, EXACT_CAP, x)
     layer = None
     for _, layer in aggregated_reach_layers(L, mask):
         pass
@@ -355,9 +398,7 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     For u == v only the length-0 path qualifies (simple paths cannot
     return), so the result is the singleton identity.
     """
-    mask = _as_mask(X)
-    _check_scope(mask, u, v)
-    return _paths_from(L, mask, u)[v]
+    return _paths_from(L, _scope(L, X, EXACT_CAP, u, v), u)[v]
 
 
 def _anchored_layers(start: int, verts, rows, pres,
@@ -444,14 +485,10 @@ def start_anchored_table(L: Labelling, X, start: int | None = None) -> StartAnch
     ``start`` defaults to the smallest vertex of the scope.  Retention is
     capped like reach_table.
     """
-    mask = _as_mask(X)
-    if mask.bit_count() > TABLE_RETENTION_CAP:
-        raise TooLarge(f"full-table retention capped at {TABLE_RETENTION_CAP} vertices")
+    mask = _scope(L, X, TABLE_RETENTION_CAP, start)
     verts = subset_elements(mask)
     if start is None:
         start = verts[0]
-    if not (mask >> start) & 1:
-        raise NotInScope(f"vertex {start} not in the scope")
     table = {1 << start: {start: 1}}
     for layer in _anchored_layers(start, [v for v in verts if v != start], L.rows(),
                                   L.present_rows(), L.group.subset_mul_elem):
@@ -462,17 +499,12 @@ def start_anchored_table(L: Labelling, X, start: int | None = None) -> StartAnch
 def reach_table(L: Labelling, X) -> ReachTable:
     """Build the full exact-vertex-set table for the scope.
 
-    Retention is capped at 20 vertices (the aggregated per-layer routines
-    above stream instead and go up to 24).
+    Retention is capped at TABLE_RETENTION_CAP vertices; ``reach_set`` and
+    ``reach_set_between`` stream their layers instead and go up to EXACT_CAP.
     """
-    mask = _as_mask(X)
-    k = mask.bit_count()
-    if k > TABLE_RETENTION_CAP:
-        raise TooLarge(
-            f"full-table retention capped at {TABLE_RETENTION_CAP} vertices; "
-            "use reach_set / reach_set_between for streamed aggregation")
+    mask = _scope(L, X, TABLE_RETENTION_CAP)
     verts = subset_elements(mask)
-    ones = np.ones(k, dtype=np.uint64)
+    ones = np.ones(len(verts), dtype=np.uint64)
     layers = [(masks, values)
               for _, masks, values in _dense_layers(L, verts, ones, inside=False)]
     return ReachTable(L, mask, layers)
@@ -487,11 +519,12 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
     smallest p of the remaining vertices with an arc p -> e such that some
     u-to-p path inside them has value val * label(p, e)^-1, read from one
     ``_paths_from`` run per step.  The runs shrink by a vertex each, so the
-    walk costs about one kernel run over X.  Raises ValueError when no such
-    path exists.
+    walk costs about one kernel run over X.  Raises ValueError when
+    ``value`` is not a group element or no such path exists.
     """
-    mask = _as_mask(X)
-    _check_scope(mask, u, v)
+    mask = _scope(L, X, EXACT_CAP, u, v)
+    if not 0 <= value < L.group.order:
+        raise ValueError(f"value {value} is not a group element 0..{L.group.order - 1}")
     if u == v and value != 0:
         raise ValueError(f"the only path from {u} to itself has the identity value")
     rows = L.rows()
@@ -600,9 +633,9 @@ def find_balanced_cycle(L: Labelling) -> CycleWitness | None:
 
     Strategy: short-cycle scan first, then a start-anchored subset-DP sweep
     per minimum vertex, streamed one popcount layer at a time: dense numpy
-    layers for starts with at least DENSE_MIN_FREE larger vertices, whose
-    witness ``find_path_with_value`` rebuilds, and the int bitmask dict
-    layers of ``_anchored_cycles`` below, which rebuild their own.  The
+    layers for the first ``_dense_starts(n)`` starts, whose witness
+    ``find_path_with_value`` rebuilds, and the int bitmask dict layers of
+    ``_anchored_cycles`` below, which rebuild their own.  The
     sweep covers every start with a larger vertex, 2- and 3-cycles too.
     After a scan miss the last two starts hold no cycle, so the witness
     is the same as with the scan's own; sweeping them keeps the DP
@@ -610,16 +643,15 @@ def find_balanced_cycle(L: Labelling) -> CycleWitness | None:
     returned; callers confirm a None with ``_recheck_cycle_free``.
     """
     n = L.n
-    if n > EXACT_CAP:
-        raise TooLarge(f"exact search capped at {EXACT_CAP} vertices; "
-                       "use short_cycle_scan for a heuristic verdict")
+    _scope(L, (1 << n) - 1, EXACT_CAP)
     hit = short_cycle_scan(L)
     if hit is not None:
         return _checked(L, hit.vertices)
     rows = L.rows()
     pres = L.present_rows()
+    dense = _dense_starts(n)
     for s in range(n - 1):
-        if n - 1 - s >= DENSE_MIN_FREE:
+        if s < dense:
             closing = _dense_sweep(L, s)
             if closing is not None:
                 m, e, target = closing
@@ -702,12 +734,12 @@ def _recheck_cycle_free(L: Labelling) -> None:
     Raises AssertionError if a balanced cycle turns up.  Every start the
     search ran dense reruns on the dict layers, and the cycles of the
     other starts, which lie inside the last min(n, DENSE_MIN_FREE)
-    vertices, are read off the cycle lists.  Above ENUMERATION_CAP
+    vertices, are read off the cycle lists.  Above DICT_SWEEP_CAP
     vertices nothing is re-checked.
     """
-    if L.n > ENUMERATION_CAP:
+    if L.n > DICT_SWEEP_CAP:
         return
-    lo = max(0, L.n - DENSE_MIN_FREE)
+    lo = _dense_starts(L.n)
     rows, pres = L.rows(), L.present_rows()
     if any(next(_anchored_cycles(L, s, rows, pres), None) for s in range(lo)):
         raise AssertionError("cycle-free verdict failed re-verification (dict layers)")
@@ -724,8 +756,7 @@ def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:
     vertices and on cycles kept.
     """
     n = L.n
-    if n > ENUMERATION_CAP:
-        raise TooLarge(f"enumeration capped at {ENUMERATION_CAP} vertices")
+    _scope(L, (1 << n) - 1, DICT_SWEEP_CAP)
     rows = L.rows()
     pres = L.present_rows()
     out: list[CycleWitness] = []

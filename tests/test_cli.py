@@ -80,6 +80,13 @@ def test_check_max_dp_vertices_zero_is_scan_only(capsys, labelling_file):
     assert code == 4 and data == {"balanced_cycle": None, "mode": "heuristic"}
 
 
+def test_check_rejects_a_negative_dp_limit(capsys, labelling_file):
+    # extremal_cyclic(3, 4) has a balanced 4-cycle, which the exact search finds
+    assert main(["check", labelling_file(extremal_cyclic(3, 4)), "--max-dp-vertices", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_dp_vertices -3" in captured.err
+
+
 def test_enumerate(capsys, labelling_file):
     code, data = run_cli(capsys, "enumerate", labelling_file(extremal_cyclic(3, 4)))
     assert code == 0
@@ -133,7 +140,10 @@ def test_verify_too_large(capsys, tmp_path):
     (["--random", "--n", "4", "--trials", "3", "--seed", "-1"], "seed -1"),
     (["--random", "--n", "4", "--trials", "3", "--seed", str(2 ** 64)], "seed 1844"),
     (["--n", "0"], "vertex count 0"),
-], ids=["negative_trials", "negative_seed", "seed_past_64_bits", "no_vertices"])
+    (["--n", "2", "--workers", "0"], "worker count 0"),
+    (["--random", "--n", "4", "--trials", "3", "--max-dp-vertices", "-1"], "max_dp_vertices -1"),
+], ids=["negative_trials", "negative_seed", "seed_past_64_bits", "no_vertices", "no_workers",
+        "negative_dp_limit"])
 def test_verify_rejects_bad_campaign_arguments(capsys, z3_file, argv, message):
     assert main(["verify", "--group", z3_file, *argv]) == 2
     captured = capsys.readouterr()

@@ -106,6 +106,10 @@ def test_verify_all_clamps_workers(monkeypatch):
 def test_verify_all_too_large():
     with pytest.raises(SearchSpaceTooLarge):
         verify_all(cyclic_group(5), 8)
+    # over any group of order >= 2, n >= 8 leaves at least (n-1)^2 = 49 free
+    # arcs, so the search-space cap is what stops it
+    with pytest.raises(SearchSpaceTooLarge, match=r"2\^49 = "):
+        verify_all(cyclic_group(2), 8, normalized=True)
 
 
 def test_verify_random_campaign():
@@ -148,6 +152,12 @@ def test_campaign_arguments_are_checked():
     for n in (0, -2):
         with pytest.raises(BadSize, match="vertex count"):
             verify_all(g, n)
+    # limits are never silently raised to a valid value
+    for workers in (0, -1):
+        with pytest.raises(BadSize, match=f"worker count {workers} "):
+            verify_all(g, 2, workers=workers)
+    with pytest.raises(BadSize, match="max_dp_vertices -1"):
+        verify_random(g, 4, 3, 0, max_dp_vertices=-1)
 
 
 def test_verify_random_derives_seeds_block_by_block(monkeypatch):

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from balanced_cycles import (Labelling, NotInScope, TooLarge, catalog,
+from balanced_cycles import (BadSize, Labelling, NotInScope, TooLarge, catalog,
                              cycle_value, cyclic_group,
                              enumerate_balanced_cycles, extremal_cyclic,
                              find_balanced_cycle, find_path_with_value,
                              random_labelling, reach_set, reach_set_between,
                              reach_table, short_cycle_scan,
                              start_anchored_table, subset_elements, subset_of)
+from balanced_cycles import reach
 from oracle import (brute_balanced_cycles, brute_has_balanced_cycle,
                     brute_reach_between, brute_reach_set)
 
@@ -224,9 +225,13 @@ def test_caps():
         reach_table(Labelling(g1, [[0] * 21 for _ in range(21)]), range(21))
     with pytest.raises(TooLarge):
         reach_set(big, range(30), 0)
+    with pytest.raises(TooLarge):
+        start_anchored_table(Labelling(g1, [[0] * 21 for _ in range(21)]), range(21))
     arcless = Labelling(g1, [[0] * 25 for _ in range(25)], [[False] * 25 for _ in range(25)])
     with pytest.raises(TooLarge):
         find_path_with_value(arcless, range(25), 0, 24, 0)
+    with pytest.raises(TooLarge):
+        reach_set_between(arcless, range(25), 0, 24)
     # the heuristic scan has no cap
     assert short_cycle_scan(big) is not None
 
@@ -251,3 +256,52 @@ def test_max_vertices_never_lifts_the_exact_cap():
     big = Labelling(cyclic_group(2), [[0] * 30 for _ in range(30)])
     with pytest.raises(TooLarge):
         find_balanced_cycle(big)
+
+
+def test_empty_scope_has_no_start():
+    from balanced_cycles.proof_engine import _key_lemma_scoped
+    L = extremal_cyclic(5, 5)
+    with pytest.raises(NotInScope, match="empty scope"):
+        start_anchored_table(L, 0)
+    with pytest.raises(NotInScope, match="empty scope"):
+        _key_lemma_scoped(L, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda L: reach_set(L, [0, 9], 0),
+    lambda L: reach_set(L, [-1, 0], 0),
+    lambda L: reach_set(L, (1 << 9) | 1, 0),
+    lambda L: reach_table(L, [0, 9]),
+    lambda L: start_anchored_table(L, [0, 9], 0),
+    lambda L: reach_set_between(L, range(5), 0, 9),
+    lambda L: find_path_with_value(L, range(5), -1, 2, 0),
+], ids=["list", "negative", "mask", "table", "anchored", "between", "path"])
+def test_scope_vertex_outside_the_labelling(call):
+    with pytest.raises(NotInScope):
+        call(extremal_cyclic(5, 5))
+
+
+@pytest.mark.parametrize("value", [7, 5, -1])
+def test_find_path_with_value_rejects_a_non_element(value):
+    with pytest.raises(ValueError, match=f"value {value} is not a group element"):
+        find_path_with_value(extremal_cyclic(5, 5), [0, 1, 2], 0, 2, value)
+
+
+def test_aggregated_layers_check_the_cap_before_any_layer(monkeypatch):
+    def no_layers(*args):
+        raise AssertionError("a layer was allocated")
+        yield
+
+    monkeypatch.setattr(reach, "_dense_layers", no_layers)
+    L = Labelling(cyclic_group(2), [[0] * 25 for _ in range(25)])
+    with pytest.raises(TooLarge, match="cap of 24"):
+        next(reach.aggregated_reach_layers(L, range(25)))
+
+
+def test_runs_exact():
+    assert reach.runs_exact(24, reach.EXACT_CAP) and not reach.runs_exact(25, reach.EXACT_CAP)
+    assert reach.runs_exact(12, 12) and not reach.runs_exact(13, 12)
+    assert not reach.runs_exact(25, 40)  # the limit only lowers the cap
+    assert not reach.runs_exact(2, 0)  # 0 is the scan alone
+    with pytest.raises(BadSize, match="max_dp_vertices -1"):
+        reach.runs_exact(2, -1)
