@@ -9,7 +9,9 @@ Every subset action reads one byte table per side, built once per group by
 ``_byte_table``: entry [g, c, b] of the right table is S*g for the subset S
 whose members are the bits of byte b in chunk c (elements 8c..8c+7), and the
 left table holds g*S the same way, so an action is the OR over the bytes of
-S.  ``right_mul_lut`` hands the right table to the dense DP kernel.  The
+S.  ``right_mul_lut`` hands the right table to the dense DP kernel, which
+reads it for every group whose table is not exactly (a + b) mod order
+(``is_cyclic_numbering``); for those it rotates the bits of S instead.  The
 scalar ``subset_mul_elem`` / ``elem_mul_subset`` take element g's row of the
 table as lists the first time g is used and walk the bytes of S in Python.
 ``stabilizer`` and ``cosets`` gather the images of S under every element
@@ -53,9 +55,11 @@ class FiniteGroup:
     ``table`` and ``inverse_table`` are numpy arrays; scalar arithmetic goes
     through plain nested tuples, which are faster for single lookups.
     Instances are safe to share freely: every operation here is pure.
+    ``is_cyclic_numbering`` is checked once from the table: whether it is
+    exactly (a + b) mod order, so that S*g is S rotated up by g bits.
     """
 
-    __slots__ = ("order", "name", "spec", "table", "inverse_table",
+    __slots__ = ("order", "name", "spec", "table", "inverse_table", "is_cyclic_numbering",
                  "_rows", "_inv", "_luts", "_lut_rows")
 
     def __init__(self, table, name: str = "", spec: dict | None = None):
@@ -69,6 +73,8 @@ class FiniteGroup:
             raise NotAGroup("inverses are not two-sided")  # unreachable after validation
         inv.setflags(write=False)
         self.inverse_table = inv
+        ref = np.arange(self.order)
+        self.is_cyclic_numbering = bool(np.array_equal(mul, (ref[:, None] + ref) % self.order))
         self.name = name or f"table{self.order}"
         self.spec = spec if spec is not None else {"kind": "table", "mul": mul.tolist()}
         self._rows = tuple(tuple(int(x) for x in row) for row in mul)

@@ -36,7 +36,10 @@ class StabilizerCertificate:
     def validate(self, L: Labelling) -> list[str]:
         """Recompute everything the certificate claims; empty list means valid."""
         failures = []
-        if not (self.X >> self.x) & 1:
+        if not 0 <= self.X < 1 << L.n:
+            failures.append(f"X holds a vertex outside 0..{L.n - 1}")
+            return failures
+        if not (0 <= self.x < L.n and (self.X >> self.x) & 1):
             failures.append("x is not a member of X")
             return failures
         recomputed = reach_set(L, self.X, self.x)
@@ -222,8 +225,7 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
     if not L.is_complete():
         raise IncompleteDigraph("tuple construction needs a complete digraph")
     n = L.n
-    if not 0 <= v0 < n:
-        raise ValueError(f"vertex {v0} out of range")
+    _scope(L, (1 << n) - 1, n, v0)  # v0 must be a vertex
     if n < 2:
         raise BadSize("tuple construction needs at least two vertices")
     scope = _scope(L, ((1 << n) - 1) ^ (1 << v0), KEY_LEMMA_CAP)
@@ -293,10 +295,13 @@ def validate_tuple(L_base: Labelling, T: EfficientTuple) -> TupleReport:
     if L_base.group != G or L_base.n != n:
         report.failures.append("tuple labelling does not match the base labelling")
         return report
+    if not 0 <= T.X < 1 << n:
+        report.failures.append(f"X holds a vertex outside 0..{n - 1}")
+        return report
     if T.u == T.v:
         report.failures.append("u and v must be distinct")
     for w in (T.u, T.v):
-        if not (T.X >> w) & 1:
+        if not (0 <= w < n and (T.X >> w) & 1):
             report.failures.append(f"vertex {w} is outside X")
     if report.failures:
         return report

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from balanced_cycles import (BadSize, EfficientTuple, Labelling, NotPrime,
-                             PreconditionViolated, TooLarge, TrivialGroup,
+from balanced_cycles import (BadSize, EfficientTuple, Labelling, NotInScope, NotPrime,
+                             PreconditionViolated, StabilizerCertificate, TooLarge,
+                             TrivialGroup,
                              augment_tuple, catalog, cycle_value, cyclic_group,
                              extremal_cyclic, find_balanced_cycle, key_lemma,
                              make_efficient_tuple, normalize, prime_finder,
@@ -126,6 +127,22 @@ def test_make_efficient_tuple_short_circuit():
         assert out.cycle is not None and len(out.cycle.vertices) == 2
 
 
+@pytest.mark.parametrize("v0", [9, 5, -1])
+def test_make_efficient_tuple_rejects_a_vertex_outside_the_labelling(v0):
+    with pytest.raises(NotInScope, match=f"vertex {v0} not in the scope"):
+        make_efficient_tuple(extremal_cyclic(5, 5), v0)
+
+
+def test_certificate_lists_a_vertex_outside_the_labelling():
+    L = extremal_cyclic(5, 5)
+    for X, x in [((1 << 9) | 1, 0), (-1, 0)]:
+        cert = StabilizerCertificate(X=X, x=x, R=1, right_stab=1)
+        assert cert.validate(L) == ["X holds a vertex outside 0..4"]
+    for x in (9, -1):
+        cert = StabilizerCertificate(X=0b11, x=x, R=1, right_stab=1)
+        assert cert.validate(L) == ["x is not a member of X"]
+
+
 def test_make_efficient_tuple_genuine_tuple():
     # Z9 on 5 vertices, labels from the generator-1 extremal pattern: the
     # inner digraph is balanced-cycle-free and its reach certificate has
@@ -180,6 +197,17 @@ def test_validate_tuple_negative_control():
                             shift_family=tup.shift_family, is_super=False)
     report = validate_tuple(L, broken)
     assert "|R| < |X| - 1" in report.failures
+
+
+def test_validate_tuple_lists_a_vertex_outside_the_labelling():
+    L, tup = build_synthetic_tuple()
+    fields = dict(u=tup.u, v=tup.v, gamma_prime=tup.gamma_prime, R=tup.R,
+                  shift_family=tup.shift_family, is_super=False)
+    report = validate_tuple(L, EfficientTuple(X=tup.X | 1 << L.n, **fields))
+    assert report.failures == [f"X holds a vertex outside 0..{L.n - 1}"]
+    fields.update(u=-1)
+    report = validate_tuple(L, EfficientTuple(X=tup.X, **fields))
+    assert report.failures == ["vertex -1 is outside X"]
 
 
 def test_validate_tuple_full_reach_extracts_witness():

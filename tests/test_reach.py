@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from balanced_cycles import (BadSize, Labelling, NotInScope, TooLarge, catalog,
-                             cycle_value, cyclic_group,
+import numpy as np
+
+from balanced_cycles import (BadSize, Labelling, NotInScope, TooLarge, build_group,
+                             catalog, cycle_value, cyclic_group,
                              enumerate_balanced_cycles, extremal_cyclic,
                              find_balanced_cycle, find_path_with_value,
                              random_labelling, reach_set, reach_set_between,
@@ -305,3 +307,65 @@ def test_runs_exact():
     assert not reach.runs_exact(2, 0)  # 0 is the scan alone
     with pytest.raises(BadSize, match="max_dp_vertices -1"):
         reach.runs_exact(2, -1)
+
+
+# -- the dense kernel's two right actions --------------------------------------------
+
+@pytest.mark.parametrize("q", range(1, 65))
+def test_rotation_matches_the_byte_table_layer_by_layer(q, monkeypatch):
+    # masked labellings over Z_q: every layer of the rotation equals the byte
+    # table's, with and without ``inside``; arc 1 -> 2 always carries label 0,
+    # which at q = 64 shifts right by the full word width
+    group = cyclic_group(q)
+    assert group.is_cyclic_numbering
+    rng = random.Random(q)
+    n = 7
+    labels = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+    labels[1][2] = 0
+    present = [[u != v and ((u, v) == (1, 2) or rng.random() < 0.7) for v in range(n)]
+               for u in range(n)]
+    L = Labelling(group, labels, present)
+    verts = list(range(1, n))
+    full = group.full_subset()
+    seeds = [reach._arc_bits(L, 0, verts),
+             np.array([rng.getrandbits(q) | 1 << (q - 1) for _ in verts], dtype=np.uint64),
+             np.full(len(verts), full, dtype=np.uint64)]
+    cases = [(seed, inside) for seed in seeds for inside in (False, True)]
+    rotated = [list(reach._dense_layers(L, verts, seed, inside)) for seed, inside in cases]
+    monkeypatch.setattr(reach, "_rotate_action", reach._byte_action)
+    for (seed, inside), want in zip(cases, rotated):
+        got = list(reach._dense_layers(L, verts, seed, inside))
+        assert len(got) == len(want)
+        for (k, _, values), (_, _, expected) in zip(got, want):
+            assert np.array_equal(values, expected), (q, inside, k)
+    assert any(values.any() for _, _, values in rotated[1][3:])
+
+
+def _permuted_cyclic(q: int) -> list[list[int]]:
+    """Z_q's table with elements 1 and 2 swapped: a cyclic group, not numbered a + b."""
+    swap = list(range(q))
+    swap[1], swap[2] = 2, 1
+    return [[swap[(swap[a] + swap[b]) % q] for b in range(q)] for a in range(q)]
+
+
+@pytest.mark.parametrize("spec, rotates", [
+    ({"kind": "product", "left": {"kind": "cyclic", "q": 2}, "right": {"kind": "cyclic", "q": 3}},
+     False),
+    ({"kind": "table", "mul": _permuted_cyclic(5)}, False),
+    ({"kind": "metacyclic", "m": 7, "n": 3, "r": 2}, False),
+    ({"kind": "product", "left": {"kind": "cyclic", "q": 1}, "right": {"kind": "cyclic", "q": 5}},
+     True),
+    ({"kind": "table", "mul": [[(a + b) % 5 for b in range(5)] for a in range(5)]}, True),
+    ({"kind": "cyclic", "q": 64}, True),
+], ids=["Z2xZ3", "permuted-Z5", "F21", "Z1xZ5", "table-Z5", "Z64"])
+def test_the_cayley_table_picks_the_action(spec, rotates, monkeypatch):
+    group = build_group(spec)
+    assert group.is_cyclic_numbering is rotates
+    unused = "_byte_action" if rotates else "_rotate_action"
+
+    def refuse(*args):
+        raise AssertionError(f"{unused} ran")
+
+    monkeypatch.setattr(reach, unused, refuse)
+    L = random_labelling(group, 6, 3)
+    assert set(subset_elements(reach_set(L, range(6), 5))) == brute_reach_set(L, list(range(6)), 5)
