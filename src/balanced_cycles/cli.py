@@ -21,7 +21,9 @@ most N processes, and never more than the machine has cores.
 ``--max-dp-vertices K`` (K >= 0; ``check``, ``verify --random``) runs the
 exact search only up to K vertices, and never above the cap of 24; larger
 instances get the short-cycle scan alone, so K = 0 means scan only.
-A value outside these ranges exits 2.
+A value outside these ranges exits 2, and so does a ``verify`` flag its
+mode does not read: ``--trials``, ``--seed`` and ``--max-dp-vertices``
+without ``--random``, ``--mode`` and ``--workers`` with it.
 """
 
 from __future__ import annotations
@@ -119,6 +121,18 @@ def _cmd_prime_find(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the flags that only one mode reads, with their defaults; the parser
+    # leaves them None, so a flag given to the other mode is caught
+    random_only = {"trials": None, "seed": 0, "max_dp_vertices": EXACT_CAP}
+    exhaustive_only = {"mode": "exhaustive", "workers": 1}
+    mode, read, unread = (("verify --random", random_only, exhaustive_only) if args.random
+                          else ("exhaustive verify", exhaustive_only, random_only))
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise BalancedCyclesError(f"--{name.replace('_', '-')} does not apply to {mode}")
+    for name, default in read.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     group = _load_group(args.group)
     if args.random:
         if args.n is None or args.trials is None:
@@ -177,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--group", required=True, help="group spec JSON file")
     ver.add_argument("--n", type=int)
     ver.add_argument("--mode", choices=("exhaustive", "exhaustive-normalized"),
-                     default="exhaustive")
+                     help="exhaustive only (default exhaustive)")
     ver.add_argument("--random", action="store_true")
-    ver.add_argument("--trials", type=int)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--workers", type=int, default=1)
-    ver.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP,
-                     help="--random: a scan miss escalates to exact search up to this many "
-                          f"vertices (at most {EXACT_CAP}); 0 = scan only")
+    ver.add_argument("--trials", type=int, help="--random only")
+    ver.add_argument("--seed", type=int, help="--random only (default 0)")
+    ver.add_argument("--workers", type=int, help="exhaustive only (default 1)")
+    ver.add_argument("--max-dp-vertices", type=int,
+                     help="--random only: a scan miss escalates to exact search up to this "
+                          f"many vertices (default and at most {EXACT_CAP}); 0 = scan only")
     ver.set_defaults(func=_cmd_verify)
 
     cn = sub.add_parser("compute-n", help="exact n(G) with a witness below")

@@ -27,11 +27,11 @@ with ``SearchSpaceTooLarge``.
 
 What re-checks what is one rule, kept in ``reach``'s module docstring: a
 cycle-free verdict is confirmed by a route that did not produce it.  An
-escalated trial's None from ``find_balanced_cycle`` is confirmed by
-``reach._recheck_cycle_free``; the sieve's counterexamples, which the
-cycle lists produced, by ``find_balanced_cycle`` finding nothing
-(``_reverify_cycle_free``); and ``compute_n``'s witness, whose CSP built
-its path rows on the dict layers, by both.
+escalated trial's None from ``find_balanced_cycle`` (the dense kernel) and
+the sieve's counterexamples (the cycle lists) are confirmed on the dict
+layers by ``reach._recheck_cycle_free``; ``compute_n``'s witness, whose
+CSP built its path rows on the dict layers, by ``find_balanced_cycle``
+finding nothing (``_reverify_cycle_free``).
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
 and a sieve step at most that many cycle values (one labelling at a time
@@ -162,9 +162,9 @@ def _count_lengths(lengths: Counter[int], first: np.ndarray) -> None:
 
 
 def _reverify_cycle_free(L: Labelling) -> None:
-    """Confirm a cycle-free verdict of the sieve or the CSP by the exact search."""
+    """Confirm the CSP's cycle-free witness by the exact search."""
     if find_balanced_cycle(L) is not None:
-        raise AssertionError("counterexample failed re-verification (DP search)")
+        raise AssertionError("cycle-free witness failed re-verification (exact search)")
 
 
 def _check_counterexamples(count: int) -> None:
@@ -256,7 +256,7 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
         lengths.update(chunk_lengths)
         for raw in raw_counterexamples:
             L = Labelling(group, raw)
-            _reverify_cycle_free(L)
+            _recheck_cycle_free(L)
             report.counterexamples.append(L)
     report.witness_lengths = dict(sorted(lengths.items()))
     if report.trials != len(report.counterexamples):
@@ -423,10 +423,8 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
 
     if extend(1):
         L = Labelling(group, labels)
-        # the CSP built its path rows on the dict layers, which the search
-        # runs on its last starts; the re-check reads those off the lists
+        # the CSP built its path rows on the dict layers, which the search never runs
         _reverify_cycle_free(L)
-        _recheck_cycle_free(L)
         return L
     return None
 

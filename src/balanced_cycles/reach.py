@@ -41,10 +41,9 @@ extremal_cyclic(30, n), n = 16..20, one Xeon core).  With ``inside`` set, seed[j
 entry of column j, so an entry holds the paths inside its mask rather
 than exactly through it.  The callers:
 
-* ``find_balanced_cycle``'s sweep from a start s with at least
-  DENSE_MIN_FREE larger vertices: verts = s+1..n-1, seed the arcs out of
-  s, not inside; hits are scanned per layer in (mask, endpoint) ascending
-  order, and the sweep stops at the first;
+* ``find_balanced_cycle``'s sweep from every start s: verts = s+1..n-1,
+  seed the arcs out of s, not inside; hits are scanned per layer in
+  (mask, endpoint) ascending order, and the sweep stops at the first;
 * ``aggregated_reach_layers`` (and through it ``reach_set`` and the key
   lemma): verts = the scope, seed 1 (the identity), inside; each layer is
   handed out as a read-only mapping view, and the key lemma scans its
@@ -64,26 +63,18 @@ than exactly through it.  The callers:
 
 The dict layers, ``_anchored_layers(start, verts, rows, pres, smul)``: the
 start-anchored exact-vertex-set DP as {mask: {endpoint: value bits}}, one
-layer per popcount, pushed one arc at a time in plain Python.  numpy's
-fixed cost per layer loses to it on a few vertices, and small exact
-searches are what the campaigns run by the hundred.  The callers:
+layer per popcount, pushed one arc at a time in plain Python.  It never
+calls the dense kernel, and the search never calls it.  The callers:
 
 * ``_anchored_cycles``, every balanced cycle with minimum vertex s in
   (length, mask, closing vertex) order, each rebuilt from the layers it
   keeps.  These layers are small, so keeping them all is cheap, and the
   rebuild is a walk over them with no rerun of anything.
-  ``find_balanced_cycle`` takes the first cycle of each start it does not
-  run dense, ``_recheck_cycle_free`` that of each start it does (both read
-  ``_dense_starts``), and ``enumerate_balanced_cycles`` takes them all;
+  ``_recheck_cycle_free`` takes the first cycle of every start, and
+  ``enumerate_balanced_cycles`` takes them all;
 * ``start_anchored_table``, which merges the layers;
 * the path rows of ``harness.compute_n``, which OR each layer in by
   endpoint.
-
-DENSE_MIN_FREE is where a full sweep first ran clearly faster dense
-(cycle-free sweeps on one Xeon core: 0.7x at 6 free vertices, 1.1-1.3x at
-7, 1.5-2.2x at 8); both routes return the same witness.  Since the dict
-route never calls the dense kernel, ``enumerate_balanced_cycles`` and
-``start_anchored_table`` stay a route independent of it.
 
 The cycle lists, ``_cycle_arcs(n, max_len)``: every simple cycle of the
 complete digraph on n vertices up to a length, minimum vertex first, by
@@ -92,35 +83,26 @@ length and then lexicographically, as arrays of flat arc indices.
 by Cayley-table gathers, with no DP at all.  The callers:
 
 * ``short_cycle_scan``, the first balanced 2- or 3-cycle with every arc
-  present (``_first_listed_cycle``), at any n up to 64;
+  present, at any n up to 64;
 * the campaigns' sieve (``harness._sieve``), one block of labellings per
-  call;
-* ``_recheck_cycle_free``: every cycle inside the last min(n,
-  DENSE_MIN_FREE) vertices, one labelling at a time.
+  call.
 
 What re-checks what.  A cycle-free verdict is confirmed by a route that
-did not produce it:
+did not produce it: the dict layers confirm what the dense kernel or the
+cycle lists produced, and the search confirms what the dict layers
+produced.
 
 =====================================  ==========================================
 producer of the verdict                confirming route
 =====================================  ==========================================
-``find_balanced_cycle`` returns None   ``_recheck_cycle_free``: the starts the
-(``harness.verify_random``)            search ran dense rerun on the dict layers;
-                                       the cycles of the starts it ran on the dict
-                                       layers, which lie inside the last
-                                       min(n, DENSE_MIN_FREE) vertices, come from
-                                       the cycle lists.  Up to DICT_SWEEP_CAP
-                                       vertices; above, nothing re-checks.
-the sieve's counterexamples            ``find_balanced_cycle`` finds nothing
-(``harness.verify_all``)               (``harness._reverify_cycle_free``)
+``find_balanced_cycle`` returns None:  ``_recheck_cycle_free``: the dict layers
+the cycle lists, then the dense        from every start.  Up to DICT_SWEEP_CAP
+kernel (``harness.verify_random``)     vertices; above, nothing re-checks.
+the sieve's counterexamples: the       ``_recheck_cycle_free``, as above
+cycle lists (``harness.verify_all``)
 the CSP's witness, whose path rows     ``find_balanced_cycle`` finds nothing
-are the dict layers                    (``harness._reverify_cycle_free``) and
-(``harness.compute_n``)                ``_recheck_cycle_free`` passes: the search
-                                       runs the first starts dense, the re-check
-                                       reads the cycles of the others off the
-                                       cycle lists.  Up to DICT_SWEEP_CAP
-                                       vertices; above, the last DENSE_MIN_FREE
-                                       starts share the dict layers with the CSP.
+are the dict layers                    (``harness._reverify_cycle_free``)
+(``harness.compute_n``)
 =====================================  ==========================================
 
 The search itself sweeps every start that can close a cycle, so its DP
@@ -152,8 +134,7 @@ since both sweep the dict route over every start); and
 ``proof_engine.KEY_LEMMA_CAP`` (20) for the key lemma.  Whether a campaign
 or the CLI runs the exact search or the short-cycle scan alone is
 ``runs_exact(n, max_dp_vertices)``: the limit is at least 0 and can only
-lower EXACT_CAP.  Which starts the search runs dense is
-``_dense_starts(n)``.  Beyond the exact cap only the short-cycle scan is
+lower EXACT_CAP.  Beyond the exact cap only the short-cycle scan is
 available and a miss is inconclusive.
 """
 
@@ -174,7 +155,6 @@ EXACT_CAP = 24
 TABLE_RETENTION_CAP = 20
 DICT_SWEEP_CAP = 12  # every start on the dict layers: enumeration and the re-check
 CYCLE_LIST_CAP = 500_000  # about 250 B per kept cycle: some 125 MB
-DENSE_MIN_FREE = 8
 
 
 # -- scope and size: the one place the exact routes check their input -----------
@@ -217,13 +197,6 @@ def runs_exact(n: int, max_dp_vertices: int) -> bool:
     if max_dp_vertices < 0:
         raise BadSize(f"max_dp_vertices {max_dp_vertices} is negative")
     return n <= min(max_dp_vertices, EXACT_CAP)
-
-
-def _dense_starts(n: int) -> int:
-    """How many starts, from 0, ``find_balanced_cycle`` runs dense: those with
-    at least DENSE_MIN_FREE larger vertices.  ``_recheck_cycle_free`` reruns
-    exactly these on the dict layers."""
-    return max(0, n - DENSE_MIN_FREE)
 
 
 # -- the dense layer kernel ----------------------------------------------------
@@ -663,22 +636,6 @@ def _cycle_values(table: np.ndarray, labels: np.ndarray, arcs: np.ndarray) -> np
     return value
 
 
-def _first_listed_cycle(L: Labelling, max_len: int, lo: int = 0) -> tuple[int, ...] | None:
-    """The first cycle of ``_cycle_arcs(L.n - lo, max_len)`` over the vertices
-    lo..n-1 that is balanced and has every arc present, as its vertices
-    from the minimum; None if none."""
-    m = L.n - lo
-    labels = L.labels[lo:, lo:].ravel()
-    for _, arcs in _cycle_arcs(m, max_len):
-        balanced = np.flatnonzero(_cycle_values(L.group.table, labels, arcs) == 0)
-        if balanced.size:
-            # absent arcs carry label 0, so a balanced value alone proves nothing
-            present = L.present[lo:, lo:].ravel()[arcs[:, balanced]].all(axis=0)
-            if present.any():
-                return tuple((arcs[:, balanced[present.argmax()]] // m + lo).tolist())
-    return None
-
-
 # -- balanced-cycle search -------------------------------------------------------
 
 def short_cycle_scan(L: Labelling) -> CycleWitness | None:
@@ -690,8 +647,16 @@ def short_cycle_scan(L: Labelling) -> CycleWitness | None:
     random instance has about n(n-1)/(2q) balanced 2-cycles, so at harness
     scale a miss is vanishingly rare.
     """
-    cycle = _first_listed_cycle(L, 3)
-    return None if cycle is None else CycleWitness(cycle)
+    n = L.n
+    labels = L.labels.ravel()
+    for _, arcs in _cycle_arcs(n, 3):
+        balanced = np.flatnonzero(_cycle_values(L.group.table, labels, arcs) == 0)
+        if balanced.size:
+            # absent arcs carry label 0, so a balanced value alone proves nothing
+            present = L.present.ravel()[arcs[:, balanced]].all(axis=0)
+            if present.any():
+                return CycleWitness(tuple((arcs[:, balanced[present.argmax()]] // n).tolist()))
+    return None
 
 
 def _checked(L: Labelling, verts: tuple[int, ...]) -> CycleWitness:
@@ -704,35 +669,26 @@ def _checked(L: Labelling, verts: tuple[int, ...]) -> CycleWitness:
 def find_balanced_cycle(L: Labelling) -> CycleWitness | None:
     """Exact search: a validated balanced cycle iff one exists, else None.
 
-    Strategy: short-cycle scan first, then a start-anchored subset-DP sweep
-    per minimum vertex, streamed one popcount layer at a time: dense numpy
-    layers for the first ``_dense_starts(n)`` starts, whose witness
-    ``find_path_with_value`` rebuilds, and the int bitmask dict layers of
-    ``_anchored_cycles`` below, which rebuild their own.  The
-    sweep covers every start with a larger vertex, 2- and 3-cycles too.
-    After a scan miss the last two starts hold no cycle, so the witness
-    is the same as with the scan's own; sweeping them keeps the DP
-    independent of the lists.  Witnesses are re-evaluated before being
-    returned; callers confirm a None with ``_recheck_cycle_free``.
+    Strategy: short-cycle scan first, then a start-anchored sweep of the
+    dense kernel per minimum vertex (``_dense_sweep``), streamed one
+    popcount layer at a time, whose first hit ``find_path_with_value``
+    rebuilds into the witness.  The sweep covers every start with a larger
+    vertex, 2- and 3-cycles too.  After a scan miss the last two starts
+    hold no cycle, so the witness is the same as with the scan's own;
+    sweeping them keeps the DP independent of the lists.  Witnesses are
+    re-evaluated before being returned; callers confirm a None with
+    ``_recheck_cycle_free``.
     """
     n = L.n
     _scope(L, (1 << n) - 1, EXACT_CAP)
     hit = short_cycle_scan(L)
     if hit is not None:
         return _checked(L, hit.vertices)
-    rows = L.rows()
-    pres = L.present_rows()
-    dense = _dense_starts(n)
     for s in range(n - 1):
-        if s < dense:
-            closing = _dense_sweep(L, s)
-            if closing is not None:
-                m, e, target = closing
-                return _checked(L, tuple(find_path_with_value(L, m, s, e, target)))
-        else:
-            cycle = next(_anchored_cycles(L, s, rows, pres), None)
-            if cycle is not None:
-                return _checked(L, cycle)
+        closing = _dense_sweep(L, s)
+        if closing is not None:
+            m, e, target = closing
+            return _checked(L, tuple(find_path_with_value(L, m, s, e, target)))
     return None
 
 
@@ -802,22 +758,18 @@ def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
 
 
 def _recheck_cycle_free(L: Labelling) -> None:
-    """Confirm a None of ``find_balanced_cycle`` by the routes it did not use.
+    """Confirm a cycle-free verdict of the dense kernel or the cycle lists on
+    the dict layers, which neither uses.
 
-    Raises AssertionError if a balanced cycle turns up.  Every start the
-    search ran dense reruns on the dict layers, and the cycles of the
-    other starts, which lie inside the last min(n, DENSE_MIN_FREE)
-    vertices, are read off the cycle lists.  Above DICT_SWEEP_CAP
-    vertices nothing is re-checked.
+    Raises AssertionError if a balanced cycle turns up: every start reruns
+    on ``_anchored_cycles``.  Above DICT_SWEEP_CAP vertices nothing is
+    re-checked.
     """
     if L.n > DICT_SWEEP_CAP:
         return
-    lo = _dense_starts(L.n)
     rows, pres = L.rows(), L.present_rows()
-    if any(next(_anchored_cycles(L, s, rows, pres), None) for s in range(lo)):
+    if any(next(_anchored_cycles(L, s, rows, pres), None) for s in range(L.n - 1)):
         raise AssertionError("cycle-free verdict failed re-verification (dict layers)")
-    if _first_listed_cycle(L, L.n - lo, lo) is not None:
-        raise AssertionError("cycle-free verdict failed re-verification (cycle lists)")
 
 
 def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:

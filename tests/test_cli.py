@@ -142,8 +142,16 @@ def test_verify_too_large(capsys, tmp_path):
     (["--n", "0"], "vertex count 0"),
     (["--n", "2", "--workers", "0"], "worker count 0"),
     (["--random", "--n", "4", "--trials", "3", "--max-dp-vertices", "-1"], "max_dp_vertices -1"),
+    (["--n", "2", "--max-dp-vertices", "-1"], "--max-dp-vertices does not apply"),
+    (["--n", "2", "--seed", "-1"], "--seed does not apply"),
+    (["--n", "2", "--seed", "3"], "--seed does not apply"),
+    (["--n", "2", "--trials", "-3"], "--trials does not apply"),
+    (["--random", "--n", "4", "--trials", "3", "--workers", "0"], "--workers does not apply"),
+    (["--random", "--n", "4", "--trials", "3", "--mode", "exhaustive-normalized"],
+     "--mode does not apply"),
 ], ids=["negative_trials", "negative_seed", "seed_past_64_bits", "no_vertices", "no_workers",
-        "negative_dp_limit"])
+        "negative_dp_limit", "exhaustive_dp_limit", "exhaustive_negative_seed", "exhaustive_seed",
+        "exhaustive_trials", "random_workers", "random_mode"])
 def test_verify_rejects_bad_campaign_arguments(capsys, z3_file, argv, message):
     assert main(["verify", "--group", z3_file, *argv]) == 2
     captured = capsys.readouterr()

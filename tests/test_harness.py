@@ -221,9 +221,8 @@ def test_compute_n_budget_reports_bounds():
 
 def test_compute_n_catches_a_broken_dict_route(monkeypatch):
     # dict layers cut after paths of one arc hide every cycle of four or
-    # more vertices from both the CSP's path rows and the search's small
-    # starts, so the CSP's 4-vertex labelling over Z3 has a balanced
-    # 4-cycle that only the re-check's cycle lists see
+    # more vertices from the CSP's path rows, so its 4-vertex labelling
+    # over Z3 has a balanced 4-cycle, which the exact search finds
     layers = reach._anchored_layers
 
     def first_layer(*args):
@@ -231,7 +230,7 @@ def test_compute_n_catches_a_broken_dict_route(monkeypatch):
 
     monkeypatch.setattr(reach, "_anchored_layers", first_layer)
     monkeypatch.setattr(harness, "_anchored_layers", first_layer)
-    with pytest.raises(AssertionError, match=r"re-verification \(cycle lists\)"):
+    with pytest.raises(AssertionError, match=r"re-verification \(exact search\)"):
         compute_n(cyclic_group(3))
 
 
@@ -250,9 +249,18 @@ def test_report_json_shape():
     assert data["counterexample_count"] == len(data["counterexamples"])
 
 
-def test_recheck_does_not_share_the_dict_route(monkeypatch):
-    # up to DENSE_MIN_FREE vertices the exact search runs on the dict layers
-    # alone; with them broken, its misses must not pass the re-check too
-    monkeypatch.setattr(reach, "_anchored_layers", lambda *args: iter(()))
+def test_recheck_does_not_share_the_dense_kernel(monkeypatch):
+    # the exact search runs the dense kernel from every start; with it
+    # broken, the escalated trials' misses must not pass the re-check too
+    monkeypatch.setattr(reach, "_dense_layers", lambda *args, **kwargs: iter(()))
     with pytest.raises(AssertionError, match="re-verification"):
         verify_random(cyclic_group(64), 8, 300, seed=5)
+
+
+def test_verify_all_confirms_the_sieve(monkeypatch):
+    # with no listed cycle balanced, the sieve calls every labelling a
+    # counterexample; the re-check on the dict layers must refuse them
+    listed = harness._cycle_values
+    monkeypatch.setattr(harness, "_cycle_values", lambda *args: listed(*args) | 1)
+    with pytest.raises(AssertionError, match="re-verification"):
+        verify_all(cyclic_group(3), 3, normalized=True)

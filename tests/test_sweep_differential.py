@@ -1,9 +1,10 @@
 """The exact search against the reference dict sweep, witness for witness.
 
-find_balanced_cycle runs dense numpy layers for starts with at least
-DENSE_MIN_FREE larger vertices and the int-bitmask dict sweep below; both
-must return exactly the witness the reference in oracle.py returns, and
-the dict sweep must do so without the dense kernel.
+find_balanced_cycle runs the dense numpy kernel from every start, and the
+int-bitmask dict layers confirm its cycle-free verdicts; the search must
+return exactly the witness the reference in oracle.py returns, without
+the dict layers, and the dict layers must close the same first cycle as
+the dense kernel, start by start.
 Instances come from two families: random labellings over the catalog
 (abelian and non-abelian) with random arc masks, sparse enough that the
 short-cycle scan often misses, and shifted extremal labellings with a few
@@ -11,9 +12,9 @@ arcs deleted, which have no short balanced cycles at all.  The short-cycle
 scan alone, which reads reach's cycle lists, is held to the hand loops it
 ran before (``reference_short_cycle_scan``) up to the heuristic sizes.
 The re-check of a cycle-free verdict, ``reach._recheck_cycle_free``, must
-raise exactly when a balanced cycle exists, and with any one of the
-three routes broken, the search and the re-check together must still
-find the cycle.
+raise exactly when a balanced cycle exists, with neither the dense kernel
+nor the cycle lists, and with any one of the three routes broken, the
+search and the re-check together must still find the cycle.
 """
 
 import random
@@ -141,19 +142,19 @@ def _tied_paths() -> Labelling:
     return Labelling(cyclic_group(4), labels, mask)
 
 
-def test_small_witnesses_need_no_dense_kernel(monkeypatch):
-    # below DENSE_MIN_FREE free vertices a witness is rebuilt from the
-    # sweep's own dict layers, so the dense kernel never runs at n <= 8
+def _broken(*args, **kwargs):
+    raise AssertionError("route called")
+
+
+def test_search_never_runs_the_dict_layers(monkeypatch):
+    # the dict layers confirm the search's verdicts, so the search runs the
+    # dense kernel from every start, the last ones on a few vertices too
     cases = ([extremal_cyclic(q, q + 1) for q in range(3, 8)] + _escalated_z64_trials()
              + [_tied_paths()])
     want = [reference_find_balanced_cycle(L) for L in cases]
     assert want[-1] == (1, 3, 2, 4)
     assert sum(w is not None and len(w) > 3 for w in want) >= 10
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense kernel called")
-
-    monkeypatch.setattr(reach, "_dense_layers", no_dense)
+    monkeypatch.setattr(reach, "_anchored_layers", _broken)
     assert [_witness(L) for L in cases] == want
 
 
@@ -177,19 +178,19 @@ def _masked(L: Labelling, present) -> Labelling:
                                          for u in range(L.n)])
 
 
-def test_recheck_catches_a_broken_dict_route(monkeypatch):
-    # the only cycle, 2 -> ... -> 9, closes from a start the search runs on
-    # the dict layers; the lists over the last 8 vertices still see it
+def test_recheck_catches_a_broken_dense_kernel_on_a_late_start(monkeypatch):
+    # the only cycle, 2 -> ... -> 9, closes from a start with 7 larger
+    # vertices; the re-check reruns that start on the dict layers too
     L = _masked(extremal_cyclic(7, 10), lambda u, v: v > 1)
     assert [c.vertices for c in enumerate_balanced_cycles(L)] == [tuple(range(2, 10))]
-    monkeypatch.setattr(reach, "_anchored_layers", lambda *args: iter(()))
+    monkeypatch.setattr(reach, "_dense_layers", lambda *args, **kwargs: iter(()))
     with pytest.raises(AssertionError, match="re-verification"):
         _confirmed_witness(L)
 
 
 def test_search_catches_broken_cycle_lists(monkeypatch):
     # with no balanced value on any listed cycle, the scan misses the only
-    # cycle, (3, 4); the sweep reaches start 3 and closes it on the dict layers
+    # cycle, (3, 4); the sweep reaches start 3 and closes it on the dense kernel
     base = extremal_cyclic(7, 5)
     labels = base.labels.copy()
     labels[4, 3] = 6
@@ -226,3 +227,21 @@ def test_recheck_raises_exactly_on_a_balanced_cycle(L):
             reach._recheck_cycle_free(L)
     else:
         reach._recheck_cycle_free(L)
+
+
+def test_recheck_needs_neither_the_dense_kernel_nor_the_cycle_lists(monkeypatch):
+    # the re-check confirms what those two produced, so it must decide alone
+    cases = ([extremal_cyclic(q, q) for q in range(2, 13)]
+             + [extremal_cyclic(q, q + 1) for q in range(2, 12)]
+             + [_masked(extremal_cyclic(7, 10), lambda u, v: v > 1), _tied_paths()]
+             + _escalated_z64_trials())
+    has_cycle = [reference_find_balanced_cycle(L) is not None for L in cases]
+    assert 0 < sum(has_cycle) < len(cases)
+    monkeypatch.setattr(reach, "_dense_layers", _broken)
+    monkeypatch.setattr(reach, "_cycle_values", _broken)
+    for L, cycle in zip(cases, has_cycle):
+        if cycle:
+            with pytest.raises(AssertionError, match="re-verification"):
+                reach._recheck_cycle_free(L)
+        else:
+            reach._recheck_cycle_free(L)
