@@ -39,7 +39,23 @@ Both give the same layers; on the paper's cyclic family the rotation
 runs about 2x faster than the byte table (cycle-free
 extremal_cyclic(30, n), n = 16..20, one Xeon core).  With ``inside`` set, seed[j] is ORed into every
 entry of column j, so an entry holds the paths inside its mask rather
-than exactly through it.  The callers:
+than exactly through it.
+
+The index plans.  Extending layer k reads, per target j, the rows of the
+k-subsets without j and the rows of layer k + 1 that adding j takes them
+to (``_extend_rows``, from ``_layer_masks(m)``: the masks by popcount and
+each one's rank).  They depend on m and k alone, so up to
+_PLAN_CACHE_MAX_M = 15 vertices they are built once per process, by the
+first run of that size, and kept read-only as uint16 (every mask and row
+index fits below 2^16 there): ``_MASK_CACHE`` keyed by m,
+``_PLAN_CACHE`` keyed by (m, k) with every target's rows built at once.
+Filled for every m <= 15 they take 2,096,668 bytes, within
+_PLAN_CACHE_BYTES (2 MiB); a search on up to 16 vertices then reuses them
+across starts and calls.  Above the bound nothing is cached, and each
+target's rows are built as the loop reaches it, so only one target's are
+alive: m = 16 alone would take 2.4 MB and m = 23 about 0.8 GB as int32,
+and all of one layer's targets at once would hold m times one target's
+rows.  The callers:
 
 * ``find_balanced_cycle``'s sweep from every start s: verts = s+1..n-1,
   seed the arcs out of s, not inside; hits are scanned per layer in
@@ -118,7 +134,9 @@ Memory, with two layers alive while one is extended: the largest
 aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
 520 MB at the cap of 24; the sweep's, over at most 23 free vertices,
 250 MB.  A retained table takes about 2^m * m * 8 bytes, 168 MB at its cap
-of 20.
+of 20.  The plan cache adds at most 2 MiB for the life of the process;
+above its bound a run holds its mask table (2^m * 8 bytes, 128 MiB at 24)
+and one target's rows.
 
 Scope and size, one rule.  Every exact route hands its scope, the
 vertices it names and its cap to ``_scope`` before it allocates anything.
@@ -203,18 +221,72 @@ def runs_exact(n: int, max_dp_vertices: int) -> bool:
 
 def _layer_masks(m: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Every m-bit mask grouped by popcount (ascending within a group),
-    and each mask's index inside its group."""
+    and each mask's index inside its group; read-only."""
     masks = np.arange(1 << m, dtype=np.int32)
     count = np.zeros(1 << m, dtype=np.int8)
     for b in range(m):
         count += ((masks >> b) & 1).astype(np.int8)
     order = np.argsort(count, kind="stable").astype(np.int32)
+    order.setflags(write=False)
     bounds = np.searchsorted(count[order], np.arange(m + 2))
     layers = [order[bounds[k]:bounds[k + 1]] for k in range(m + 1)]
     rank = np.empty(1 << m, dtype=np.int32)
     for layer in layers:
         rank[layer] = np.arange(layer.size, dtype=np.int32)
+    rank.setflags(write=False)
     return layers, rank
+
+
+def _extend_rows(masks: np.ndarray, rank: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per target j of ``targets`` (one row each), the rows of layer
+    ``masks`` without bit j, and the rows of the next layer (``rank``) that
+    adding j takes them to.  Every target leaves the same number of rows."""
+    bits = np.left_shift(1, np.asarray(targets, dtype=masks.dtype))[:, None]
+    src = np.flatnonzero((masks & bits) == 0).reshape(bits.size, -1)
+    src -= np.arange(bits.size)[:, None] * masks.size
+    return src, rank[masks[src] | bits]
+
+
+# the index plans of every size up to _PLAN_CACHE_MAX_M (module docstring)
+_PLAN_CACHE_MAX_M = 15
+_PLAN_CACHE_BYTES = 1 << 21  # every m <= 15, filled: 2,096,668 bytes
+_MASK_CACHE: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
+_PLAN_CACHE: dict[tuple[int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    out = a.astype(np.uint16)
+    out.setflags(write=False)
+    return out
+
+
+def _dense_masks(m: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``_layer_masks(m)``, cached as uint16 up to _PLAN_CACHE_MAX_M."""
+    if m > _PLAN_CACHE_MAX_M:
+        return _layer_masks(m)
+    hit = _MASK_CACHE.get(m)
+    if hit is None:
+        layers, rank = _layer_masks(m)
+        hit = _MASK_CACHE[m] = [_compact(masks) for masks in layers], _compact(rank)
+    return hit
+
+
+def _extend_plan(m: int, k: int, masks: np.ndarray, rank: np.ndarray):
+    """Per target j, the (src, dst) rows of ``_extend_rows`` for layer k of
+    ``_dense_masks(m)``.
+
+    Up to _PLAN_CACHE_MAX_M the plan is built for every target at once on
+    first use and cached as uint16; above it each target's rows are built
+    as the loop reaches them, so only one target's are alive.
+    """
+    if m > _PLAN_CACHE_MAX_M:
+        return ((src[0], dst[0]) for src, dst in (_extend_rows(masks, rank, [j])
+                                                   for j in range(m)))
+    plan = _PLAN_CACHE.get((m, k))
+    if plan is None:
+        src, dst = _extend_rows(masks, rank, range(m))
+        plan = _PLAN_CACHE[m, k] = tuple(zip(_compact(src), _compact(dst)))
+    return plan
 
 
 def _global_masks(verts: list[int], masks: np.ndarray) -> list[int]:
@@ -254,14 +326,14 @@ def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
         return
     action = _rotate_action if L.group.is_cyclic_numbering else _byte_action
     operand, act = action(L, verts)
-    layers, rank = _layer_masks(m)
+    layers, rank = _dense_masks(m)
     values = np.diag(seed).astype("<u8")
     yield 1, layers[1], values
     for k in range(2, m + 1):
         if not inside and not values.any():
             return
-        values = _dense_extend(values, layers[k - 1], layers[k].size, rank, operand, act,
-                               seed if inside else None)
+        values = _dense_extend(values, _extend_plan(m, k - 1, layers[k - 1], rank),
+                               layers[k].size, operand, act, seed if inside else None)
         yield k, layers[k], values
 
 
@@ -333,19 +405,16 @@ def _rotate_action(L: Labelling, verts: list[int]):
 _DENSE_BLOCK = 1 << 16  # operand entries per block: keeps the temporaries in cache
 
 
-def _dense_extend(values: np.ndarray, masks: np.ndarray, size: int, rank: np.ndarray,
-                  operand, act, seed: np.ndarray | None) -> np.ndarray:
-    """Next dense layer: out[rank[M | j], j] = OR_p values[M, p] * label(p, j),
-    with seed[j] ORed in unless ``seed`` is None.  ``operand`` and ``act``
-    are one action's."""
+def _dense_extend(values: np.ndarray, plan, size: int, operand, act,
+                  seed: np.ndarray | None) -> np.ndarray:
+    """Next dense layer, of ``size`` rows: out[dst, j] = OR_p values[src, p] *
+    label(p, j) for the j-th (src, dst) of ``plan``, with seed[j] ORed in
+    unless ``seed`` is None.  ``operand`` and ``act`` are one action's."""
     m = values.shape[1]
     data = operand(values)
     out = np.zeros((size, m), dtype="<u8")
     step = max(1, _DENSE_BLOCK // data.shape[1])
-    for j in range(m):
-        bit = 1 << j
-        src = np.flatnonzero((masks & bit) == 0)
-        dst = rank[masks[src] | bit]
+    for j, (src, dst) in enumerate(plan):
         for lo in range(0, src.size, step):
             acc = act(j, data[src[lo:lo + step]])
             if seed is not None:

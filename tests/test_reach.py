@@ -369,3 +369,71 @@ def test_the_cayley_table_picks_the_action(spec, rotates, monkeypatch):
     monkeypatch.setattr(reach, unused, refuse)
     L = random_labelling(group, 6, 3)
     assert set(subset_elements(reach_set(L, range(6), 5))) == brute_reach_set(L, list(range(6)), 5)
+
+
+# -- the kernel's cached index plans ---------------------------------------------------
+
+def _cached_arrays():
+    for layers, rank in reach._MASK_CACHE.values():
+        yield from layers
+        yield rank
+    for plan in reach._PLAN_CACHE.values():
+        for rows in plan:
+            yield from rows
+
+
+def test_cached_plans_equal_a_fresh_build():
+    # every mask table and plan under the bound, against plain enumeration:
+    # layer k lists the k-subsets in ascending order, and target j of plan k
+    # pairs the rows of layer k without j with the rows of layer k + 1 they reach
+    for m in range(1, reach._PLAN_CACHE_MAX_M + 1):
+        layers, rank = reach._dense_masks(m)
+        by_count = [[] for _ in range(m + 1)]
+        for mask in range(1 << m):
+            by_count[mask.bit_count()].append(mask)
+        ranks = [0] * (1 << m)
+        for masks in by_count:
+            for row, mask in enumerate(masks):
+                ranks[mask] = row
+        assert [masks.tolist() for masks in layers] == by_count, m
+        assert rank.tolist() == ranks, m
+        for k in range(1, m):
+            plan = reach._extend_plan(m, k, layers[k], rank)
+            assert plan is reach._extend_plan(m, k, layers[k], rank)
+            assert len(plan) == m
+            for j, (src, dst) in enumerate(plan):
+                free = [(row, mask) for row, mask in enumerate(by_count[k]) if not mask >> j & 1]
+                assert src.tolist() == [row for row, _ in free], (m, k, j)
+                assert dst.tolist() == [ranks[mask | 1 << j] for _, mask in free], (m, k, j)
+    assert all(a.dtype == np.uint16 for a in _cached_arrays())
+
+
+def test_the_kernel_hands_out_read_only_masks():
+    # a write into a cached array, or into masks a run hands out, would
+    # corrupt every later run of the same size
+    L = extremal_cyclic(30, 17)
+    for m in (5, reach._PLAN_CACHE_MAX_M + 1):  # cached, and built per run
+        verts = list(range(1, m + 1))
+        for k, masks, _ in reach._dense_layers(L, verts, np.ones(m, dtype=np.uint64), True):
+            with pytest.raises(ValueError, match="read-only"):
+                masks[0] = 0
+            if k == 3:
+                break
+    for masks, _ in reach_table(L, range(6)).layers:
+        with pytest.raises(ValueError, match="read-only"):
+            masks[0] = 0
+    arrays = list(_cached_arrays())
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_the_plan_cache_stays_under_its_bound():
+    # a cycle-free search sweeps starts of 17 free vertices down to 1, and the
+    # aggregated layers run over 17: only sizes up to the bound are kept
+    assert find_balanced_cycle(extremal_cyclic(30, 18)) is None
+    reach_set(random_labelling(cyclic_group(9), 17, 5), range(17), 3)
+    assert set(reach._MASK_CACHE) == set(range(1, reach._PLAN_CACHE_MAX_M + 1))
+    assert {m for m, _ in reach._PLAN_CACHE} == set(range(2, reach._PLAN_CACHE_MAX_M + 1))
+    assert sum(a.nbytes for a in _cached_arrays()) <= reach._PLAN_CACHE_BYTES
