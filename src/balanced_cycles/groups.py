@@ -197,14 +197,6 @@ def subset_elements(bits: int) -> list[int]:
     return out
 
 
-_BYTE_SIZES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def subset_sizes(bits: np.ndarray) -> np.ndarray:
-    """Member count of every subset in a contiguous uint64 array, by byte table."""
-    return _BYTE_SIZES[bits.view(np.uint8)].reshape(*bits.shape, 8).sum(axis=-1)
-
-
 def _images(group: FiniteGroup, bits: int, side: str) -> np.ndarray:
     """S*g (side "right") or g*S (side "left") for every element g, by one gather."""
     if side not in ("left", "right"):

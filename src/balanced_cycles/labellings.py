@@ -189,11 +189,16 @@ def apply_shift_family(L: Labelling, family: Sequence[int]) -> Labelling:
     """Shift simultaneously at every vertex: arc (u,v) becomes g_u * label * g_v^-1.
 
     Equivalent to applying the single shifts (v, g_v) in any order, since
-    shifts at distinct vertices touch disjoint sides of each arc.
+    shifts at distinct vertices touch disjoint sides of each arc.  Raises
+    ValueError unless the family holds one group element per vertex.
     """
     fam = np.asarray(family, dtype=np.int64)
     if fam.shape != (L.n,):
         raise ValueError("family must assign one element per vertex")
+    outside = fam[(fam < 0) | (fam >= L.group.order)]
+    if outside.size:
+        raise ValueError(f"shift family holds {outside[0]}, not a group element "
+                         f"0..{L.group.order - 1}")
     table = L.group.table
     inv_fam = L.group.inverse_table[fam]
     step = table[fam[:, None], L.labels]

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (BadSize, IncompleteDigraph, NotPrime, PreconditionViolated,
                      TheoremViolation, TrivialGroup)
-from .groups import grow_set, stabilizer, subset_elements, subset_sizes
+from .groups import grow_set, stabilizer, subset_elements
 from .labellings import (CycleWitness, Labelling, apply_shift_family, cycle_value,
                          normalize, shifting_equivalent)
-from .reach import (_checked, _scope, aggregated_reach_layers, find_path_with_value,
-                    reach_set, reach_set_between, short_cycle_scan)
+from .reach import (_checked, _close_cycle, _scope, aggregated_reach_layers, reach_set,
+                    reach_set_between, short_cycle_scan)
 
 KEY_LEMMA_CAP = 20
 
@@ -152,7 +154,7 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
         if size < 2:
             continue  # singletons reach exactly the identity, never small
         # entries outside a row's mask are empty, so they never disqualify it
-        small = (subset_sizes(layer.array) < size).all(axis=1)
+        small = (np.bitwise_count(layer.array) < size).all(axis=1)
         if small.any():
             U = layer.mask_at(int(small.argmax()))
             break
@@ -250,9 +252,7 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
     u, v = v0, cert.x
     R = cert.R
     if R == G.full_subset():
-        target = G.inv(normalized.label(v, u))
-        path = find_path_with_value(normalized, X, u, v, target)
-        return Dichotomy(cycle=_checked(L, tuple(path)),
+        return Dichotomy(cycle=_checked(L, _close_cycle(normalized, X, u, v).vertices),
                          within_hypothesis=inner.within_hypothesis)
     tup = EfficientTuple(X=X, u=u, v=v, gamma_prime=normalized, R=R,
                          shift_family=tuple(family),
@@ -307,7 +307,10 @@ def validate_tuple(L_base: Labelling, T: EfficientTuple) -> TupleReport:
         return report
 
     equivalent = True
-    if apply_shift_family(L_base, T.shift_family) != T.gamma_prime:
+    if not all(0 <= g < G.order for g in T.shift_family):
+        report.failures.append("shift family holds a non-element")
+        equivalent = False
+    elif apply_shift_family(L_base, T.shift_family) != T.gamma_prime:
         report.failures.append("stored shift family does not reproduce gamma_prime")
         equivalent = False
     if shifting_equivalent(L_base, T.gamma_prime) is None:
@@ -332,9 +335,7 @@ def validate_tuple(L_base: Labelling, T: EfficientTuple) -> TupleReport:
     if T.R == full:
         report.claim_failures.append("R equals the whole group")
         if membership_ok and equivalent:
-            target = G.inv(T.gamma_prime.label(T.v, T.u))
-            path = find_path_with_value(T.gamma_prime, T.X, T.u, T.v, target)
-            witness = _checked(T.gamma_prime, tuple(path))
+            witness = _close_cycle(T.gamma_prime, T.X, T.u, T.v)
             report.extracted_cycle = _checked(L_base, witness.vertices)
     if report.counting_applicable:
         stab_l = stabilizer(G, T.R, "left")

@@ -24,8 +24,12 @@ k-subset, column j for endpoint verts[j], zero where no path exists (group
 order <= 64, so one word is one value set).  Layer 1 is diag(seed).  A
 layer is extended per target vertex j, a block of source rows at a time,
 by the right action S*label(p, j) and an OR over the source endpoints p.
-The action is one of two, chosen from the group's Cayley table
-(``FiniteGroup.is_cyclic_numbering``, checked once per group):
+Each layer leaves the kernel as a ``_LayerView``, a read-only mapping
+{vertex mask: {endpoint: value bits}} over the layer's array; the view is
+the only code that turns local masks and columns into vertices, and every
+caller reads a layer through it.  The action is one of two, chosen from
+the group's Cayley table (``FiniteGroup.is_cyclic_numbering``, checked
+once per group):
 
 * when the table is exactly (a + b) mod q, the rotation
   ((S << g) | (S >> (q - g))) & full on the words themselves, an absent
@@ -59,23 +63,25 @@ rows.  The callers:
 
 * ``find_balanced_cycle``'s sweep from every start s: verts = s+1..n-1,
   seed the arcs out of s, not inside; hits are scanned per layer in
-  (mask, endpoint) ascending order, and the sweep stops at the first;
+  (mask, endpoint) ascending order, and the sweep stops at the first,
+  which ``_close_cycle`` rebuilds into the witness;
 * ``aggregated_reach_layers`` (and through it ``reach_set`` and the key
-  lemma): verts = the scope, seed 1 (the identity), inside; each layer is
-  handed out as a read-only mapping view, and the key lemma scans its
-  array;
-* ``reach_table``: the same seed, not inside, every layer kept; the dict
-  ``table`` is built only on first access;
+  lemma): verts = the scope, seed 1 (the identity), inside; the layers are
+  handed out as they come, and the key lemma scans each one's array;
+* ``reach_table``: the same seed, not inside, every layer kept, so
+  ``ReachTable.layers`` holds views; the dict ``table`` is built from them
+  only on first access;
 * ``_paths_from(L, X, u)``: verts = X minus u, seed the arcs out of u,
-  inside; the last layer's single row holds the values of the u-to-w paths
-  inside X for every w at once.  ``reach_set_between`` reads one entry of
-  it, and ``find_path_with_value`` walks back from v, rerunning it over
-  the vertices still unused at each step to pick the smallest feasible
-  predecessor.  Each rerun has one vertex fewer, so a walk costs about one
-  run over X and keeps two layers alive.  Keeping every layer of one run
-  instead would make the walk a lookup but hold 2^m * m * 8 bytes, the
-  memory that ``reach_table`` caps at 20 vertices, at any scope up to 24.
-  That is why a dense sweep's witness is rebuilt this way.
+  inside; the last layer's single entry holds the values of the u-to-w
+  paths inside X for every w at once.  ``reach_set_between`` reads one
+  value of it, and ``find_path_with_value`` walks back from v, rerunning
+  it over the vertices still unused at each step to pick the smallest
+  feasible predecessor.  Each rerun has one vertex fewer, so a walk costs
+  about one run over X and keeps two layers alive.  Keeping every layer
+  of one run instead would make the walk a lookup but hold 2^m * m * 8
+  bytes, the memory that ``reach_table`` caps at 20 vertices, at any
+  scope up to 24.  That is why a dense sweep's witness is rebuilt this
+  way.
 
 The dict layers, ``_anchored_layers(start, verts, rows, pres, smul)``: the
 start-anchored exact-vertex-set DP as {mask: {endpoint: value bits}}, one
@@ -222,10 +228,7 @@ def runs_exact(n: int, max_dp_vertices: int) -> bool:
 def _layer_masks(m: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Every m-bit mask grouped by popcount (ascending within a group),
     and each mask's index inside its group; read-only."""
-    masks = np.arange(1 << m, dtype=np.int32)
-    count = np.zeros(1 << m, dtype=np.int8)
-    for b in range(m):
-        count += ((masks >> b) & 1).astype(np.int8)
+    count = np.bitwise_count(np.arange(1 << m, dtype=np.int32))
     order = np.argsort(count, kind="stable").astype(np.int32)
     order.setflags(write=False)
     bounds = np.searchsorted(count[order], np.arange(m + 2))
@@ -289,14 +292,6 @@ def _extend_plan(m: int, k: int, masks: np.ndarray, rank: np.ndarray):
     return plan
 
 
-def _global_masks(verts: list[int], masks: np.ndarray) -> list[int]:
-    """Local masks (bit i = vertex verts[i]) as vertex masks, in the same order."""
-    out = np.zeros(masks.size, dtype=np.uint64)
-    for i, v in enumerate(verts):
-        out |= ((masks >> i) & 1).astype(np.uint64) << np.uint64(v)
-    return out.tolist()
-
-
 def _arc_bits(L: Labelling, u: int, verts: list[int]) -> np.ndarray:
     """Per vertex w of ``verts``, the singleton {label(u, w)}, or 0 when the arc is absent."""
     return np.where(L.present[u, verts],
@@ -304,15 +299,69 @@ def _arc_bits(L: Labelling, u: int, verts: list[int]) -> np.ndarray:
                     np.uint64(0))
 
 
+class _LayerView(Mapping):
+    """One dense layer as a read-only {mask: {endpoint: value bits}}: the one
+    form in which a layer leaves the kernel, and the one place that turns
+    its local masks and columns into vertices.
+
+    Keys are vertex masks in ascending order, and each entry holds every
+    endpoint of its mask.  ``array`` (rows in key order, column j for
+    vertex verts[j], zero outside the row's mask) and ``mask_at`` serve
+    callers that scan a whole layer at once.
+    """
+
+    __slots__ = ("verts", "masks", "array")
+
+    def __init__(self, verts: list[int], masks: np.ndarray, array: np.ndarray):
+        self.verts = verts
+        self.masks = masks
+        self.array = array
+
+    def _vertex_masks(self, masks: np.ndarray) -> list[int]:
+        """Local masks (bit i = vertex verts[i]) as vertex masks, in the same order."""
+        out = np.zeros(masks.size, dtype=np.uint64)
+        for i, v in enumerate(self.verts):
+            out |= ((masks >> i) & 1).astype(np.uint64) << np.uint64(v)
+        return out.tolist()
+
+    def mask_at(self, row: int) -> int:
+        return self._vertex_masks(self.masks[row:row + 1])[0]
+
+    def _entry(self, local: int, row: list[int]) -> dict[int, int]:
+        return {v: row[i] for i, v in enumerate(self.verts) if (local >> i) & 1}
+
+    def __getitem__(self, mask: int) -> dict[int, int]:
+        local = 0
+        for i, v in enumerate(self.verts):
+            if (mask >> v) & 1:
+                local |= 1 << i
+        row = int(np.searchsorted(self.masks, local))
+        if row == self.masks.size or self.masks[row] != local or self.mask_at(row) != mask:
+            raise KeyError(mask)
+        return self._entry(local, self.array[row].tolist())
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._vertex_masks(self.masks))
+
+    def __len__(self) -> int:
+        return self.masks.size
+
+    def values(self) -> Iterator[dict[int, int]]:
+        """Entries in key order, one pass, without a lookup per key."""
+        for local, row in zip(self.masks.tolist(), self.array.tolist()):
+            yield self._entry(local, row)
+
+
 def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
-                  inside: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+                  inside: bool) -> Iterator[tuple[int, _LayerView]]:
     """The subset-DP recurrence over ``verts``, one dense popcount layer at a time.
 
-    Yields (k, masks, values) for k = 1, 2, ...: ``masks`` holds every
+    Yields (k, layer) for k = 1, 2, ...: ``layer.masks`` holds every
     k-subset of ``verts`` as a local mask (bit i = vertex verts[i]) in
-    ascending order, and ``values[r, j]`` is the element bitmask of the
-    paths through exactly masks[r] ending at verts[j], zero when there is
-    none (always for j outside the mask).  Layer 1 is diag(seed); then
+    ascending order, and ``values = layer.array`` has ``values[r, j]``, the
+    element bitmask of the paths through exactly masks[r] ending at
+    verts[j], zero when there is none (always for j outside the mask).
+    Layer 1 is diag(seed); then
 
         values[M | j, j] = OR over p in M of values[M, p] * label(verts[p], verts[j]),
 
@@ -328,13 +377,13 @@ def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
     operand, act = action(L, verts)
     layers, rank = _dense_masks(m)
     values = np.diag(seed).astype("<u8")
-    yield 1, layers[1], values
+    yield 1, _LayerView(verts, layers[1], values)
     for k in range(2, m + 1):
         if not inside and not values.any():
             return
         values = _dense_extend(values, _extend_plan(m, k - 1, layers[k - 1], rank),
                                layers[k].size, operand, act, seed if inside else None)
-        yield k, layers[k], values
+        yield k, _LayerView(verts, layers[k], values)
 
 
 # The two right actions S -> S*label(p, j) of the kernel.  Each returns
@@ -425,50 +474,6 @@ def _dense_extend(values: np.ndarray, plan, size: int, operand, act,
 
 # -- reach sets and tables -------------------------------------------------------
 
-class _LayerView(Mapping):
-    """One aggregated layer as a read-only {mask: {endpoint: value bits}}.
-
-    Keys are vertex masks in ascending order, and each entry holds every
-    endpoint of its mask.  ``array`` (rows in key order, one column per
-    vertex of ``verts``, zero outside the row's mask) and ``mask_at`` serve
-    callers that scan a whole layer at once.
-    """
-
-    __slots__ = ("verts", "masks", "array")
-
-    def __init__(self, verts: list[int], masks: np.ndarray, array: np.ndarray):
-        self.verts = verts
-        self.masks = masks
-        self.array = array
-
-    def mask_at(self, row: int) -> int:
-        return _global_masks(self.verts, self.masks[row:row + 1])[0]
-
-    def _entry(self, local: int, row: list[int]) -> dict[int, int]:
-        return {v: row[i] for i, v in enumerate(self.verts) if (local >> i) & 1}
-
-    def __getitem__(self, mask: int) -> dict[int, int]:
-        local = 0
-        for i, v in enumerate(self.verts):
-            if (mask >> v) & 1:
-                local |= 1 << i
-        row = int(np.searchsorted(self.masks, local))
-        if row == self.masks.size or self.masks[row] != local or self.mask_at(row) != mask:
-            raise KeyError(mask)
-        return self._entry(local, self.array[row].tolist())
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(_global_masks(self.verts, self.masks))
-
-    def __len__(self) -> int:
-        return self.masks.size
-
-    def values(self) -> Iterator[dict[int, int]]:
-        """Entries in key order, one pass, without a lookup per key."""
-        for local, row in zip(self.masks.tolist(), self.array.tolist()):
-            yield self._entry(local, row)
-
-
 def aggregated_reach_layers(L: Labelling, scope) -> Iterator[tuple[int, Mapping[int, dict[int, int]]]]:
     """Stream aggregated reach sets for every submask of ``scope``.
 
@@ -481,9 +486,7 @@ def aggregated_reach_layers(L: Labelling, scope) -> Iterator[tuple[int, Mapping[
         R[mask][e] = {1} | union over p in mask-e of R[mask-e][p] * label(p, e).
     """
     verts = subset_elements(_scope(L, scope, EXACT_CAP))
-    ones = np.ones(len(verts), dtype=np.uint64)
-    for size, masks, values in _dense_layers(L, verts, ones, inside=True):
-        yield size, _LayerView(verts, masks, values)
+    yield from _dense_layers(L, verts, np.ones(len(verts), dtype=np.uint64), inside=True)
 
 
 def reach_set(L: Labelling, X, x: int) -> int:
@@ -499,11 +502,10 @@ def _paths_from(L: Labelling, mask: int, u: int) -> dict[int, int]:
     """{w: values of the simple u-to-w paths inside ``mask``} for every w of
     the mask, u included (only the length-0 path: the identity)."""
     others = subset_elements(mask ^ (1 << u))
-    last = np.zeros((1, len(others)), dtype=np.uint64)
-    for _, _, last in _dense_layers(L, others, _arc_bits(L, u, others), inside=True):
-        pass
-    paths = dict(zip(others, last[0].tolist()))
-    paths[u] = 1
+    paths = {u: 1}
+    for k, layer in _dense_layers(L, others, _arc_bits(L, u, others), inside=True):
+        if k == len(others):
+            paths.update(next(layer.values()))  # the one entry: every vertex but u
     return paths
 
 
@@ -551,33 +553,35 @@ class ReachTable:
     values of simple paths with vertex set exactly ``mask`` ending at ``e``.
     Missing entries mean no such path exists.
 
-    The table is kept as its dense layers, (local masks, values) per
-    popcount over the vertices of ``scope``; the ``table`` dict is built
-    from them on first access."""
+    The table is kept as the kernel's layer views, one per popcount over
+    the vertices of ``scope``; the ``table`` dict is built from them on
+    first access."""
 
     base: Labelling
     scope: int
-    layers: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    layers: list[_LayerView] = field(repr=False)
 
     @cached_property
     def table(self) -> dict[int, dict[int, int]]:
-        verts = subset_elements(self.scope)
         table: dict[int, dict[int, int]] = {}
-        for masks, values in self.layers:
-            for mask, row in zip(_global_masks(verts, masks), values.tolist()):
-                entry = {v: bits for v, bits in zip(verts, row) if bits}
+        for layer in self.layers:
+            for mask, entry in zip(layer, layer.values()):
+                entry = {v: bits for v, bits in entry.items() if bits}
                 if entry:
                     table[mask] = entry
         return table
 
     def aggregate(self, x: int) -> int:
-        """Union over submasks containing x; equals reach_set(base, scope, x)."""
+        """Union over submasks containing x; equals reach_set(base, scope, x).
+
+        Raises NotInScope for x outside 0..n-1; a vertex outside the scope gives 0."""
+        if not 0 <= x < self.base.n:
+            raise NotInScope(f"vertex {x} outside 0..{self.base.n - 1}")
         if not (self.scope >> x) & 1:
             return 0
-        j = subset_elements(self.scope).index(x)
         acc = 0
-        for _, values in self.layers:
-            acc |= int(np.bitwise_or.reduce(values[:, j]))
+        for layer in self.layers:
+            acc |= int(np.bitwise_or.reduce(layer.array[:, layer.verts.index(x)]))
         return acc
 
 
@@ -620,9 +624,7 @@ def reach_table(L: Labelling, X) -> ReachTable:
     mask = _scope(L, X, TABLE_RETENTION_CAP)
     verts = subset_elements(mask)
     ones = np.ones(len(verts), dtype=np.uint64)
-    layers = [(masks, values)
-              for _, masks, values in _dense_layers(L, verts, ones, inside=False)]
-    return ReachTable(L, mask, layers)
+    return ReachTable(L, mask, [layer for _, layer in _dense_layers(L, verts, ones, inside=False)])
 
 
 # -- path reconstruction -------------------------------------------------------
@@ -735,13 +737,20 @@ def _checked(L: Labelling, verts: tuple[int, ...]) -> CycleWitness:
     return witness
 
 
+def _close_cycle(L: Labelling, X, u: int, v: int) -> CycleWitness:
+    """The balanced cycle that a u-to-v path inside X of value label(v, u)^-1
+    (``find_path_with_value``) forms with the arc (v, u), checked on L."""
+    target = L.group.inv(L.label(v, u))
+    return _checked(L, tuple(find_path_with_value(L, X, u, v, target)))
+
+
 def find_balanced_cycle(L: Labelling) -> CycleWitness | None:
     """Exact search: a validated balanced cycle iff one exists, else None.
 
     Strategy: short-cycle scan first, then a start-anchored sweep of the
     dense kernel per minimum vertex (``_dense_sweep``), streamed one
-    popcount layer at a time, whose first hit ``find_path_with_value``
-    rebuilds into the witness.  The sweep covers every start with a larger
+    popcount layer at a time, whose first hit ``_close_cycle`` rebuilds
+    into the witness.  The sweep covers every start with a larger
     vertex, 2- and 3-cycles too.  After a scan miss the last two starts
     hold no cycle, so the witness is the same as with the scan's own;
     sweeping them keeps the DP independent of the lists.  Witnesses are
@@ -756,8 +765,8 @@ def find_balanced_cycle(L: Labelling) -> CycleWitness | None:
     for s in range(n - 1):
         closing = _dense_sweep(L, s)
         if closing is not None:
-            m, e, target = closing
-            return _checked(L, tuple(find_path_with_value(L, m, s, e, target)))
+            mask, e = closing
+            return _close_cycle(L, mask, s, e)
     return None
 
 
@@ -800,16 +809,16 @@ def _anchored_cycles(L: Labelling, s: int, rows, pres) -> Iterator[tuple[int, ..
                             stack.append((sub, p, prev, (p,) + tail))
 
 
-def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
+def _dense_sweep(L: Labelling, s: int) -> tuple[int, int] | None:
     """First closable path from ``s`` over the larger vertices, or None.
 
-    The result is (vertex mask, endpoint, value the path needs to close
-    into a balanced cycle), the first hit of ``_anchored_cycles``' order.
-    Masks are over the free vertices s+1..n-1 (local bit j is vertex
-    s+1+j); row i of layer k holds the value sets of the paths from ``s``
-    through exactly the i-th smallest k-subset, one uint64 per endpoint
-    column, zero where no path exists, so scanning hits in row-major order
-    visits (mask, endpoint) ascending.
+    The result is (vertex mask, endpoint) of the first hit of
+    ``_anchored_cycles``' order: a path from ``s`` whose value the arc back
+    to ``s`` closes into a balanced cycle.  Row i of layer k holds the
+    value sets of the paths from ``s`` through exactly the i-th smallest
+    k-subset of s+1..n-1, one uint64 per endpoint column, zero where no
+    path exists, so scanning hits in row-major order visits (mask,
+    endpoint) ascending.
     """
     free = list(range(s + 1, L.n))
     lab = L.labels
@@ -817,12 +826,11 @@ def _dense_sweep(L: Labelling, s: int) -> tuple[int, int, int] | None:
     close = np.where(L.present[free, s],
                      np.left_shift(np.uint64(1), inv[lab[free, s]].astype(np.uint64)),
                      np.uint64(0))
-    for _, masks, values in _dense_layers(L, free, _arc_bits(L, s, free), inside=False):
-        hits = (values & close) != 0
+    for _, layer in _dense_layers(L, free, _arc_bits(L, s, free), inside=False):
+        hits = (layer.array & close) != 0
         if hits.any():
             row, j = divmod(int(np.argmax(hits)), len(free))
-            e = s + 1 + j
-            return (int(masks[row]) << (s + 1)) | (1 << s), e, int(inv[lab[e, s]])
+            return layer.mask_at(row) | (1 << s), layer.verts[j]
     return None
 
 

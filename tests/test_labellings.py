@@ -117,6 +117,16 @@ def test_shift_family_matches_sequential_shifts():
         assert via_family == via_shifts
 
 
+@pytest.mark.parametrize("g", [-9, 9])
+def test_shift_family_rejects_a_non_element(g):
+    # over Z9, -9 would index the Cayley table as 0 and 9 past its end
+    L = random_labelling(cyclic_group(9), 4, 1)
+    with pytest.raises(ValueError, match=f"shift family holds {g}, not a group element 0..8"):
+        apply_shift_family(L, [0, g, 0, 0])
+    with pytest.raises(ValueError, match=f"shift family holds {g}"):
+        shift(L, 1, g)
+
+
 def test_shifts_preserve_balanced_cycle_set():
     rng = random.Random(3)
     g5 = cyclic_group(5)

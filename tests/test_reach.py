@@ -70,6 +70,14 @@ def test_reach_table_aggregates_to_reach_set():
             assert table.aggregate(x) == reach_set(L, range(5), x)
 
 
+@pytest.mark.parametrize("x", [-1, 5, 7])
+def test_reach_table_aggregate_rejects_a_vertex_outside_the_labelling(x):
+    table = reach_table(random_labelling(cyclic_group(7), 5, 1), range(4))
+    assert table.aggregate(4) == 0  # a vertex outside the scope
+    with pytest.raises(NotInScope, match=f"vertex {x} outside 0..4"):
+        table.aggregate(x)
+
+
 def test_start_anchored_table_against_oracle():
     from oracle import iter_simple_paths
     rng = random.Random(13)
@@ -336,9 +344,9 @@ def test_rotation_matches_the_byte_table_layer_by_layer(q, monkeypatch):
     for (seed, inside), want in zip(cases, rotated):
         got = list(reach._dense_layers(L, verts, seed, inside))
         assert len(got) == len(want)
-        for (k, _, values), (_, _, expected) in zip(got, want):
-            assert np.array_equal(values, expected), (q, inside, k)
-    assert any(values.any() for _, _, values in rotated[1][3:])
+        for (k, layer), (_, expected) in zip(got, want):
+            assert np.array_equal(layer.array, expected.array), (q, inside, k)
+    assert any(layer.array.any() for _, layer in rotated[1][3:])
 
 
 def _permuted_cyclic(q: int) -> list[list[int]]:
@@ -414,14 +422,14 @@ def test_the_kernel_hands_out_read_only_masks():
     L = extremal_cyclic(30, 17)
     for m in (5, reach._PLAN_CACHE_MAX_M + 1):  # cached, and built per run
         verts = list(range(1, m + 1))
-        for k, masks, _ in reach._dense_layers(L, verts, np.ones(m, dtype=np.uint64), True):
+        for k, layer in reach._dense_layers(L, verts, np.ones(m, dtype=np.uint64), True):
             with pytest.raises(ValueError, match="read-only"):
-                masks[0] = 0
+                layer.masks[0] = 0
             if k == 3:
                 break
-    for masks, _ in reach_table(L, range(6)).layers:
+    for layer in reach_table(L, range(6)).layers:
         with pytest.raises(ValueError, match="read-only"):
-            masks[0] = 0
+            layer.masks[0] = 0
     arrays = list(_cached_arrays())
     assert arrays
     for a in arrays:

@@ -120,8 +120,8 @@ def test_dense_and_dict_sweeps_agree_per_start(L):
         closing = reach._dense_sweep(L, s)
         dense = None
         if closing is not None:
-            mask, end, target = closing
-            dense = tuple(reach.find_path_with_value(L, mask, s, end, target))
+            mask, end = closing
+            dense = reach._close_cycle(L, mask, s, end).vertices
         assert dense == next(reach._anchored_cycles(L, s, rows, pres), None), s
 
 
