@@ -69,8 +69,6 @@ class FiniteGroup:
         self.order = int(mul.shape[0])
         self.table = mul
         inv = np.argmax(mul == 0, axis=1)
-        if not np.all(mul[inv, np.arange(self.order)] == 0):
-            raise NotAGroup("inverses are not two-sided")  # unreachable after validation
         inv.setflags(write=False)
         self.inverse_table = inv
         ref = np.arange(self.order)

@@ -11,7 +11,11 @@ at once (``reach._cycle_values``) over the labellings still alive, and a
 labelling dies at the first length with a balanced cycle.  That is the
 length of its first balanced cycle in (length, lexicographic) order, the
 witness length the reports count.  Most labellings die at length 2, so
-the longer, more numerous cycles only see the few survivors.
+the longer, more numerous cycles only see the few survivors, and once
+none is left the sieve reads no further length.  The lists are built per
+length as the sieve reads them (``reach._cycle_arcs``), so a longer list
+is only built for a block that has survivors: the trivial group's one
+labelling, at any n, reads the 2-cycle list alone.
 
 * ``verify_random`` draws a block of trials with ``rng.xoshiro_labels``
   and sieves lengths 2 and 3, the ``short_cycle_scan`` verdict.  Only the
@@ -73,7 +77,7 @@ from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group
 from .labellings import MAX_VERTICES, Labelling
 from .reach import (EXACT_CAP, _anchored_layers, _cycle_arcs, _cycle_values,
-                    _recheck_cycle_free, find_balanced_cycle, runs_exact, short_cycle_scan)
+                    _recheck_cycle_free, find_balanced_cycle, runs_exact)
 from .rng import _check_seed, trial_seeds, xoshiro_labels
 
 SEARCH_SPACE_CAP = 10 ** 8
@@ -138,7 +142,7 @@ def _sieve(table: np.ndarray, labels: np.ndarray, cycles) -> np.ndarray:
     ``labels`` is arc-major, (n*n, labellings): row u*n + v holds the label
     of arc (u, v) in every labelling.  ``cycles`` comes from ``_cycle_arcs``.
     A length is only evaluated on the labellings no shorter length has
-    settled.
+    settled, and once none is left no further length is read.
     """
     first = np.zeros(labels.shape[1], dtype=np.int64)
     alive = np.arange(labels.shape[1])
@@ -150,6 +154,8 @@ def _sieve(table: np.ndarray, labels: np.ndarray, cycles) -> np.ndarray:
             hit[lo:lo + step] = (value == 0).any(axis=0)
         first[alive[hit]] = length
         alive = alive[~hit]
+        if not alive.size:
+            break
         labels = labels[:, ~hit]
     return first
 
@@ -183,7 +189,6 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
     group = build_group(spec)
     order = group.order
     free = [u * n + v for u, v in _free_arcs(n, normalized)]
-    cycles = _cycle_arcs(n, n)
     block = max(1, BLOCK_ELEMS // (n * n))
     lengths: Counter[int] = Counter()
     counterexamples: list[list[list[int]]] = []
@@ -194,7 +199,7 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
             above = rest // order
             labels[arc] = rest - above * order
             rest = above
-        first = _sieve(group.table, labels, cycles)
+        first = _sieve(group.table, labels, _cycle_arcs(n, n))
         _count_lengths(lengths, first)
         counterexamples.extend(labels[:, first == 0].T.reshape(-1, n, n).tolist())
         _check_counterexamples(len(counterexamples))
@@ -209,7 +214,7 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     counterexample existence: every labelling is shifting-equivalent to such
     a normal form and equivalence preserves the set of balanced cycles.
     """
-    if n < 1:
+    if not 1 <= n <= MAX_VERTICES:
         raise BadSize(f"vertex count {n} outside 1..{MAX_VERTICES}")
     if workers < 1:
         raise BadSize(f"worker count {workers} is below 1")
@@ -217,19 +222,6 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     mode = "exhaustive_normalized" if normalized else "exhaustive"
     report = VerdictReport(group_name=group.name, group_spec=group.spec,
                            n=n, mode=mode, trials=0)
-    if group.order == 1:
-        # single labelling; every 2-cycle is balanced, so only n = 1 is free
-        report.trials = 1
-        L = Labelling(group, [[0] * n for _ in range(n)])
-        if n == 1:
-            report.counterexamples.append(L)
-        else:
-            witness = short_cycle_scan(L)
-            report.witness_lengths[len(witness.vertices)] = 1
-            report.witness_methods["scan"] = 1
-        report.elapsed = time.perf_counter() - started
-        return report
-
     free = _free_arcs(n, normalized)
     space = group.order ** len(free)
     if space > SEARCH_SPACE_CAP:
@@ -276,7 +268,8 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     trial the 2- and 3-cycle sieve misses escalates to the exact search
     when ``reach.runs_exact(n, max_dp_vertices)`` holds, and otherwise
     counts as unresolved (so ``max_dp_vertices=0`` runs the scan alone; a
-    negative one raises BadSize).  A trial the exact search finds
+    negative one raises BadSize).  An n outside 2..64 raises BadSize
+    whatever the trial count, 0 included.  A trial the exact search finds
     cycle-free is confirmed by ``reach._recheck_cycle_free`` before it is
     kept as a counterexample.
     """
@@ -284,14 +277,14 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     if trials < 0:
         raise BadSize(f"trial count {trials} is negative")
     _check_seed(seed)
-    if trials and not 2 <= n <= MAX_VERTICES:
+    if not 2 <= n <= MAX_VERTICES:
         raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
     exact = runs_exact(n, max_dp_vertices)
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
                            mode="randomized", trials=trials, seed=seed)
     lengths: Counter[int] = Counter()
     methods: Counter[str] = Counter()
-    block = max(1, BLOCK_ELEMS // (n * n or 1))
+    block = max(1, BLOCK_ELEMS // (n * n))
     for start in range(0, trials, block):
         labels = xoshiro_labels(group.order, n, trial_seeds(seed, min(block, trials - start), start))
         first = _sieve(group.table, np.ascontiguousarray(labels.reshape(len(labels), n * n).T),

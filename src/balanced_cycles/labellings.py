@@ -190,8 +190,12 @@ def apply_shift_family(L: Labelling, family: Sequence[int]) -> Labelling:
 
     Equivalent to applying the single shifts (v, g_v) in any order, since
     shifts at distinct vertices touch disjoint sides of each arc.  Raises
-    ValueError unless the family holds one group element per vertex.
+    ValueError unless the family holds one group element per vertex; a
+    member that is not an integer (a float or a bool) is not coerced.
     """
+    non_integers = [g for g in family if not is_json_int(g)]
+    if non_integers:
+        raise ValueError(f"shift family holds {non_integers[0]!r}, not an integer")
     fam = np.asarray(family, dtype=np.int64)
     if fam.shape != (L.n,):
         raise ValueError("family must assign one element per vertex")
@@ -245,8 +249,6 @@ def shifting_equivalent(L1: Labelling, L2: Labelling) -> tuple[int, ...] | None:
         raise IncompleteDigraph("equivalence decision needs complete digraphs")
     G = L1.group
     n = L1.n
-    if n == 1:
-        return (0,)
     norm1 = normalize(L1, 0)
     norm2 = normalize(L2, 0)
     table = G.table

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (BadSize, IncompleteDigraph, NotPrime, PreconditionViolated,
                      TheoremViolation, TrivialGroup)
-from .groups import grow_set, stabilizer, subset_elements
+from .groups import grow_set, is_json_int, stabilizer, subset_elements
 from .labellings import (CycleWitness, Labelling, apply_shift_family, cycle_value,
                          normalize, shifting_equivalent)
 from .reach import (_checked, _close_cycle, _scope, aggregated_reach_layers, reach_set,
@@ -307,7 +307,10 @@ def validate_tuple(L_base: Labelling, T: EfficientTuple) -> TupleReport:
         return report
 
     equivalent = True
-    if not all(0 <= g < G.order for g in T.shift_family):
+    if len(T.shift_family) != n:
+        report.failures.append(f"shift family has {len(T.shift_family)} members for {n} vertices")
+        equivalent = False
+    elif not all(is_json_int(g) and 0 <= g < G.order for g in T.shift_family):
         report.failures.append("shift family holds a non-element")
         equivalent = False
     elif apply_shift_family(L_base, T.shift_family) != T.gamma_prime:
@@ -370,15 +373,9 @@ def augment_tuple(L_base: Labelling, T: EfficientTuple, w1: int, w2: int) -> Eff
     if (T.X >> w1) & 1 or (T.X >> w2) & 1:
         raise PreconditionViolated("w1 and w2 must lie outside X")
 
-    fam = [0] * n
-    renorm = False
-    for w in range(n):
-        if not (T.X >> w) & 1:
-            lab = gp.label(w, T.u)
-            if lab != 0:
-                fam[w] = G.inv(lab)
-                renorm = True
-    delta = apply_shift_family(gp, fam) if renorm else gp
+    outside = [not (T.X >> w) & 1 for w in range(n)]
+    fam = np.where(outside, G.inverse_table[gp.labels[:, T.u]], 0).tolist()
+    delta = apply_shift_family(gp, fam)
 
     x = delta.label(w1, w2)
     if (stabilizer(G, T.R, "left") >> x) & 1:

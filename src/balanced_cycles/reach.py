@@ -98,9 +98,13 @@ calls the dense kernel, and the search never calls it.  The callers:
 * the path rows of ``harness.compute_n``, which OR each layer in by
   endpoint.
 
-The cycle lists, ``_cycle_arcs(n, max_len)``: every simple cycle of the
-complete digraph on n vertices up to a length, minimum vertex first, by
-length and then lexicographically, as arrays of flat arc indices.
+The cycle lists, one per length, built on demand: ``_cycle_list(n,
+length)`` holds every simple cycle of the complete digraph on n vertices
+of that length, minimum vertex first, lexicographically, as an array of
+flat arc indices, grown from the list one shorter and cached.
+``_cycle_arcs(n, max_len)`` is a generator of ``(length, list)`` for
+lengths 2..max_len that builds a list only when it is read, so a caller
+that stops early never builds the longer, more numerous ones.
 ``_cycle_values`` evaluates a list for one labelling or a block of them
 by Cayley-table gathers, with no DP at all.  The callers:
 
@@ -670,30 +674,35 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
 
 # -- cycle lists -----------------------------------------------------------------
 
-@lru_cache(maxsize=16)  # a campaign round reads ten lists; at most ~2 MB each (n = 64, 3)
-def _cycle_arcs(n: int, max_len: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Per length 2..max_len, every simple cycle of the complete digraph on n
-    vertices as a read-only (length, cycles) array of flat arc indices
+@lru_cache(maxsize=32)  # a campaign round reads a few lists; at most ~2 MB each (n = 64, 3)
+def _cycle_list(n: int, length: int) -> np.ndarray:
+    """Every simple cycle of the given length of the complete digraph on n
+    vertices, as a read-only (length, cycles) array of flat arc indices
     u*n + v, arc i of each cycle in row i.
 
-    Cycles start at their minimum vertex, so each is listed once; they are
-    grown from paths one vertex at a time, by a larger vertex not on the path.
+    Cycles start at their minimum vertex, so each is listed once, and come
+    in lexicographic order; they are grown from the cycles one shorter, read
+    as paths, by a larger vertex not on the path.
     """
-    out = []
     vertices = np.arange(n)
-    paths = vertices[:, None]
+    paths = vertices[:, None] if length == 2 else _cycle_list(n, length - 1).T // n
+    grow = (vertices > paths[:, :1]) & (vertices != paths[:, :, None]).all(axis=1)
+    row, vertex = np.nonzero(grow)
+    paths = np.column_stack([paths[row], vertex])
+    arcs = (paths * n + np.roll(paths, -1, axis=1)).T.copy()
+    arcs.setflags(write=False)
+    return arcs
+
+
+def _cycle_arcs(n: int, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(length, ``_cycle_list(n, length)``) for length 2..max_len, each list
+    built when the generator reaches it."""
     for length in range(2, min(max_len, n) + 1):
-        grow = (vertices > paths[:, :1]) & (vertices != paths[:, :, None]).all(axis=1)
-        row, vertex = np.nonzero(grow)
-        paths = np.column_stack([paths[row], vertex])
-        arcs = (paths * n + np.roll(paths, -1, axis=1)).T.copy()
-        arcs.setflags(write=False)
-        out.append((length, arcs))
-    return tuple(out)
+        yield length, _cycle_list(n, length)
 
 
 def _cycle_values(table: np.ndarray, labels: np.ndarray, arcs: np.ndarray) -> np.ndarray:
-    """Label product around each cycle of ``arcs`` (one array of ``_cycle_arcs``).
+    """Label product around each cycle of ``arcs`` (one ``_cycle_list``).
 
     ``labels`` is arc-major: entry u*n + v is the label of arc (u, v), for
     one labelling (1-D; one value per cycle) or one labelling per column

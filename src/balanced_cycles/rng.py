@@ -99,7 +99,7 @@ class Xoshiro256StarStar:
         k = (bound - 1).bit_length()
         while True:
             word = self.next()
-            candidate = word >> (64 - k) if k else 0
+            candidate = word >> (64 - k)
             if candidate < bound:
                 return candidate
 
@@ -146,8 +146,6 @@ def xoshiro_labels(order: int, n: int, seeds: Sequence[int]) -> np.ndarray:
     arcs = n * (n - 1)
     labels = np.zeros((len(seeds), n, n), dtype=np.int64)
     state = list(_splitmix_lanes(seeds))
-    if order == 1:  # k = 0: every draw is 0, whatever its word
-        return labels
     k = (order - 1).bit_length()
     accept = order / (1 << k)
     draws = np.empty((len(seeds), arcs), dtype=np.int64)

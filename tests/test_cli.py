@@ -140,6 +140,8 @@ def test_verify_too_large(capsys, tmp_path):
     (["--random", "--n", "4", "--trials", "3", "--seed", "-1"], "seed -1"),
     (["--random", "--n", "4", "--trials", "3", "--seed", str(2 ** 64)], "seed 1844"),
     (["--n", "0"], "vertex count 0"),
+    (["--random", "--n", "0", "--trials", "0"], "vertex count 0 outside 2..64"),
+    (["--random", "--n", "1", "--trials", "0"], "vertex count 1 outside 2..64"),
     (["--n", "2", "--workers", "0"], "worker count 0"),
     (["--random", "--n", "4", "--trials", "3", "--max-dp-vertices", "-1"], "max_dp_vertices -1"),
     (["--n", "2", "--max-dp-vertices", "-1"], "--max-dp-vertices does not apply"),
@@ -149,7 +151,8 @@ def test_verify_too_large(capsys, tmp_path):
     (["--random", "--n", "4", "--trials", "3", "--workers", "0"], "--workers does not apply"),
     (["--random", "--n", "4", "--trials", "3", "--mode", "exhaustive-normalized"],
      "--mode does not apply"),
-], ids=["negative_trials", "negative_seed", "seed_past_64_bits", "no_vertices", "no_workers",
+], ids=["negative_trials", "negative_seed", "seed_past_64_bits", "no_vertices",
+        "random_no_vertices_no_trials", "random_one_vertex_no_trials", "no_workers",
         "negative_dp_limit", "exhaustive_dp_limit", "exhaustive_negative_seed", "exhaustive_seed",
         "exhaustive_trials", "random_workers", "random_mode"])
 def test_verify_rejects_bad_campaign_arguments(capsys, z3_file, argv, message):

@@ -3,6 +3,7 @@
 from concurrent.futures import Future
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from balanced_cycles import harness, reach
@@ -57,6 +58,67 @@ def test_verify_all_trivial_group():
     report = verify_all(g1, 2)
     assert report.counterexample_count == 0
     assert report.witness_lengths == {2: 1}
+
+
+def test_verify_all_trivial_group_goes_through_the_sieve(monkeypatch):
+    # the one labelling dies at length 2 on the cycle lists at any n, so no
+    # longer list is built, even at n = 64
+    built = []
+    listed = reach._cycle_list
+
+    def spy(n, length):
+        built.append((n, length))
+        return listed(n, length)
+
+    monkeypatch.setattr(reach, "_cycle_list", spy)
+    g1 = cyclic_group(1)
+    for n in (2, 5, 64):
+        built.clear()
+        report = verify_all(g1, n)
+        assert report.trials == 1
+        assert report.counterexample_count == 0
+        assert report.witness_lengths == {2: 1}
+        assert report.witness_methods == {"cycle_list": 1}
+        assert built == [(n, 2)]
+    with pytest.raises(BadSize, match="vertex count 65 outside 1..64"):
+        verify_all(g1, 65)
+
+
+def test_verify_all_trivial_group_rechecks_its_counterexample(monkeypatch):
+    # one vertex has no cycle; the counterexample is re-checked like any other
+    rechecked = []
+    monkeypatch.setattr(harness, "_recheck_cycle_free", rechecked.append)
+    report = verify_all(cyclic_group(1), 1)
+    assert report.counterexamples == rechecked
+    assert [L.n for L in rechecked] == [1]
+    assert report.witness_methods == {}
+
+
+def test_sieve_stops_reading_lengths_once_nothing_is_alive():
+    read = []
+
+    def lists(n, max_len):
+        for length, arcs in reach._cycle_arcs(n, max_len):
+            read.append(length)
+            yield length, arcs
+
+    g = cyclic_group(3)
+    # every 2-cycle of the all-identity labelling is balanced
+    labels = np.zeros((16, 3), dtype=np.int64)
+    assert harness._sieve(g.table, labels, lists(4, 4)).tolist() == [2, 2, 2]
+    assert read == [2]
+    # with every label 1, a 2-cycle has value 2 and a 3-cycle value 0
+    read.clear()
+    labels = np.column_stack([np.zeros(16, dtype=np.int64), 1 - np.eye(4, dtype=np.int64).ravel()])
+    assert harness._sieve(g.table, labels, lists(4, 4)).tolist() == [2, 3]
+    assert read == [2, 3]
+
+
+def test_verify_random_checks_the_vertex_count_without_trials():
+    g = cyclic_group(3)
+    for n in (0, 1, 65):
+        with pytest.raises(BadSize, match=f"vertex count {n} outside 2..64"):
+            verify_random(g, n, 0, 0)
 
 
 def test_verify_all_parallel_matches_serial():

@@ -127,6 +127,24 @@ def test_shift_family_rejects_a_non_element(g):
         shift(L, 1, g)
 
 
+@pytest.mark.parametrize("g", [1.5, True, 1.0])
+def test_shift_family_rejects_a_non_integer(g):
+    # over Z9 each used to act as 1, coerced by numpy
+    L = random_labelling(cyclic_group(9), 4, 1)
+    with pytest.raises(ValueError, match=f"shift family holds {g!r}, not an integer"):
+        apply_shift_family(L, [0, g, 0, 0])
+    with pytest.raises(ValueError, match=f"shift family holds {g!r}, not an integer"):
+        shift(L, 1, g)
+
+
+def test_shift_family_accepts_numpy_integers():
+    L = random_labelling(cyclic_group(9), 4, 1)
+    want = apply_shift_family(L, [0, 1, 0, 0])
+    assert apply_shift_family(L, np.array([0, 1, 0, 0])) == want
+    assert apply_shift_family(L, [0, np.int64(1), 0, np.uint8(0)]) == want
+    assert shift(L, 1, np.int32(1)) == want
+
+
 def test_shifts_preserve_balanced_cycle_set():
     rng = random.Random(3)
     g5 = cyclic_group(5)

@@ -210,13 +210,20 @@ def test_validate_tuple_lists_a_vertex_outside_the_labelling():
     assert report.failures == ["vertex -1 is outside X"]
 
 
-@pytest.mark.parametrize("g", [-9, 9])
+@pytest.mark.parametrize("g", [-9, 9, 1.5, True])
 def test_validate_tuple_lists_a_non_element_in_the_shift_family(g):
     L, tup = build_synthetic_tuple()
     family = (0, g) + (0,) * (L.n - 2)
     report = validate_tuple(L, EfficientTuple(X=tup.X, u=tup.u, v=tup.v, gamma_prime=L,
                                               R=tup.R, shift_family=family, is_super=False))
     assert report.failures == ["shift family holds a non-element"]
+
+
+def test_validate_tuple_lists_a_shift_family_of_the_wrong_length():
+    L, tup = build_synthetic_tuple()
+    report = validate_tuple(L, EfficientTuple(X=tup.X, u=tup.u, v=tup.v, gamma_prime=L,
+                                              R=tup.R, shift_family=(0, 0, 0), is_super=False))
+    assert report.failures == ["shift family has 3 members for 10 vertices"]
 
 
 def test_validate_tuple_full_reach_extracts_witness():
