@@ -4,7 +4,7 @@ Subcommands
 -----------
 gen         emit a labelling (extremal, arc-critical, or random) as JSON
 check       exact-or-heuristic balanced-cycle verdict for a labelling file
-find-cycle  alias of check
+find-cycle  alias of check: the same subparser under a second name
 enumerate   list every balanced cycle of a labelling file
 key-lemma   run the dichotomy procedure, print cycle or certificate JSON
 prime-find  constructive witness over a prime-order group
@@ -24,11 +24,13 @@ instances get the short-cycle scan alone, so K = 0 means scan only.
 A value outside these ranges exits 2, and so does a ``verify`` flag its
 mode does not read: ``--trials``, ``--seed`` and ``--max-dp-vertices``
 without ``--random``, ``--mode`` and ``--workers`` with it.
+The parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -37,7 +39,7 @@ from .constructions import arc_critical_instance, extremal_cyclic, random_labell
 from .errors import BadSpec, BalancedCyclesError, SearchSpaceTooLarge, TooLarge
 from .groups import build_group
 from .harness import compute_n, verify_all, verify_random
-from .labellings import Labelling, labelling_from_json
+from .labellings import labelling_from_json
 from .proof_engine import key_lemma, prime_finder
 from .reach import (EXACT_CAP, enumerate_balanced_cycles, find_balanced_cycle, runs_exact,
                     short_cycle_scan)
@@ -64,14 +66,6 @@ def _load(path: str, build):
             raise BadSpec(f"{path}: input nested too deeply") from None
 
 
-def _load_labelling(path: str) -> Labelling:
-    return _load(path, labelling_from_json)
-
-
-def _load_group(path: str):
-    return _load(path, build_group)
-
-
 def _cmd_gen(args) -> int:
     if args.extremal:
         q, n = args.extremal
@@ -81,13 +75,13 @@ def _cmd_gen(args) -> int:
         L = arc_critical_instance(q, k)
     else:
         path, n, seed = args.random
-        L = random_labelling(_load_group(path), int(n), int(seed))
+        L = random_labelling(_load(path, build_group), int(n), int(seed))
     _emit(L.to_json())
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    L = _load_labelling(args.labelling)
+    L = _load(args.labelling, labelling_from_json)
     if runs_exact(L.n, args.max_dp_vertices):
         witness = find_balanced_cycle(L)
         mode = "exact"
@@ -101,20 +95,20 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    L = _load_labelling(args.labelling)
+    L = _load(args.labelling, labelling_from_json)
     cycles = enumerate_balanced_cycles(L)
     _emit({"balanced_cycles": [list(c.vertices) for c in cycles], "count": len(cycles)})
     return EXIT_OK if cycles else EXIT_NO_CYCLE
 
 
 def _cmd_key_lemma(args) -> int:
-    L = _load_labelling(args.labelling)
+    L = _load(args.labelling, labelling_from_json)
     _emit(key_lemma(L).to_json())
     return EXIT_OK
 
 
 def _cmd_prime_find(args) -> int:
-    L = _load_labelling(args.labelling)
+    L = _load(args.labelling, labelling_from_json)
     witness = prime_finder(L)
     _emit({"balanced_cycle": list(witness.vertices)})
     return EXIT_OK
@@ -133,7 +127,7 @@ def _cmd_verify(args) -> int:
     for name, default in read.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    group = _load_group(args.group)
+    group = _load(args.group, build_group)
     if args.random:
         if args.n is None or args.trials is None:
             raise BalancedCyclesError("--random needs --n and --trials")
@@ -149,13 +143,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compute_n(args) -> int:
-    group = _load_group(args.group)
+    group = _load(args.group, build_group)
     result = compute_n(group, max_n=args.max_n)
     _emit(result.to_json())
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(prog="balanced-cycles", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--random", nargs=3, metavar=("GROUP_JSON", "N", "SEED"))
     gen.set_defaults(func=_cmd_gen)
 
-    for name in ("check", "find-cycle"):
-        chk = sub.add_parser(name, help="balanced-cycle verdict for a labelling file")
-        chk.add_argument("labelling")
-        chk.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP,
-                         help=f"exact search up to this many vertices (at most {EXACT_CAP}), "
-                              "the short-cycle scan above; 0 = scan only")
-        chk.set_defaults(func=_cmd_check)
+    chk = sub.add_parser("check", aliases=["find-cycle"],
+                         help="balanced-cycle verdict for a labelling file")
+    chk.add_argument("labelling")
+    chk.add_argument("--max-dp-vertices", type=int, default=EXACT_CAP,
+                     help=f"exact search up to this many vertices (at most {EXACT_CAP}), "
+                          "the short-cycle scan above; 0 = scan only")
+    chk.set_defaults(func=_cmd_check)
 
     enum = sub.add_parser("enumerate", help="list every balanced cycle")
     enum.add_argument("labelling")
@@ -210,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SearchSpaceTooLarge as exc:

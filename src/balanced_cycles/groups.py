@@ -16,6 +16,14 @@ scalar ``subset_mul_elem`` / ``elem_mul_subset`` take element g's row of the
 table as lists the first time g is used and walk the bytes of S in Python.
 ``stabilizer`` and ``cosets`` gather the images of S under every element
 at once, and ``is_subgroup`` is "contains 1 and H*h = H for every h in H".
+``subgroup_closure`` grows {1} by every generator with ``grow_set`` until
+nothing changes; both reject a generator that is not an element.
+
+The constructors build each Cayley table as one numpy array, by
+broadcasting over the pair encoding (a*m + b for products, a*n + b for
+metacyclic groups).  ``_validate_table`` checks the range of the entries
+first, then associativity over all triples at once on a uint8 copy, which
+is exact because every entry is below the order, at most 64.
 """
 
 from __future__ import annotations
@@ -44,8 +52,10 @@ def _validate_table(mul: np.ndarray) -> None:
         raise NotAGroup("table is not a Latin square")
     if not (np.array_equal(mul[0], ref) and np.array_equal(mul[:, 0], ref)):
         raise NotAGroup("element 0 is not a two-sided identity")
-    # mul[mul[a,b],c] == mul[a,mul[b,c]], all triples at once
-    if not np.array_equal(mul[mul, :], mul[:, mul]):
+    # mul[mul[a,b],c] == mul[a,mul[b,c]], all triples at once; the entries
+    # were checked to lie in 0..order-1 <= 63, so a byte copy is exact
+    small = mul.astype(np.uint8)
+    if not np.array_equal(small[small, :], small[:, small]):
         raise NotAGroup("table is not associative")
 
 
@@ -75,8 +85,8 @@ class FiniteGroup:
         self.is_cyclic_numbering = bool(np.array_equal(mul, (ref[:, None] + ref) % self.order))
         self.name = name or f"table{self.order}"
         self.spec = spec if spec is not None else {"kind": "table", "mul": mul.tolist()}
-        self._rows = tuple(tuple(int(x) for x in row) for row in mul)
-        self._inv = tuple(int(x) for x in inv)
+        self._rows = tuple(map(tuple, mul.tolist()))
+        self._inv = tuple(inv.tolist())
         self._luts: dict[str, np.ndarray] = {}
         self._lut_rows: dict[str, dict[int, list[list[int]]]] = {"left": {}, "right": {}}
 
@@ -219,7 +229,10 @@ def grow_set(group: FiniteGroup, bits: int, x: int) -> int:
 
     When x is outside stab_l(S) and S is non-empty, the result gains at
     least |stab_r(S)| new elements and keeps every right stabilizer of S.
+    Raises ValueError when x is not an element (an integer in 0..order-1).
     """
+    if not (is_json_int(x) and 0 <= x < group.order):
+        raise ValueError(f"{x!r} is not a group element 0..{group.order - 1}")
     return bits | group.elem_mul_subset(x, bits)
 
 
@@ -229,19 +242,19 @@ def is_subgroup(group: FiniteGroup, bits: int) -> bool:
 
 
 def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> int:
-    """Smallest subgroup containing the generators (identity if none)."""
-    elems = {0} | set(gens)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (group.mul(a, b), group.mul(b, a)):
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return subset_of(elems)
+    """Smallest subgroup containing the generators (identity if none).
+
+    Grows {1} by every generator until nothing changes: the fixed point is
+    the set of products of generators, which in a finite group is the
+    subgroup they generate.  ``grow_set`` rejects a non-element.
+    """
+    gens = list(gens)
+    closure, grown = 0, 1
+    while grown != closure:
+        closure = grown
+        for g in gens:
+            grown = grow_set(group, grown, g)
+    return closure
 
 
 def cosets(group: FiniteGroup, subgroup_bits: int, side: str) -> list[int]:
@@ -261,23 +274,18 @@ def cyclic_group(q: int) -> FiniteGroup:
         raise BadSpec(f"cyclic group needs q >= 1, got {q}")
     if q > MAX_ORDER:
         raise BadSpec(f"cyclic group order {q} exceeds the cap of {MAX_ORDER}")
-    table = [[(a + b) % q for b in range(q)] for a in range(q)]
-    return FiniteGroup(table, name=f"Z{q}", spec={"kind": "cyclic", "q": q})
+    ref = np.arange(q)
+    return FiniteGroup((ref[:, None] + ref) % q, name=f"Z{q}", spec={"kind": "cyclic", "q": q})
 
 
 def product_group(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:
     order = left.order * right.order
     if order > MAX_ORDER:
         raise BadSpec(f"product order {order} exceeds the cap of {MAX_ORDER}")
+    # axes (a1, b1, a2, b2) of (a1, b1) * (a2, b2) = (a1 a2, b1 b2); pair (a, b) is a * m + b
     m = right.order
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(left.order):
-        for b1 in range(m):
-            i = a1 * m + b1
-            for a2 in range(left.order):
-                for b2 in range(m):
-                    table[i][a2 * m + b2] = left.mul(a1, a2) * m + right.mul(b1, b2)
-    return FiniteGroup(table, name=f"{left.name}x{right.name}",
+    table = left.table[:, None, :, None] * m + right.table[None, :, None, :]
+    return FiniteGroup(table.reshape(order, order), name=f"{left.name}x{right.name}",
                        spec={"kind": "product", "left": left.spec, "right": right.spec})
 
 
@@ -294,15 +302,10 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
     order = m * n
     if order > MAX_ORDER:
         raise BadSpec(f"metacyclic order {order} exceeds the cap of {MAX_ORDER}")
-    rpow = [pow(r, b, m) for b in range(n)]
-    table = [[0] * order for _ in range(order)]
-    for a in range(m):
-        for b in range(n):
-            i = a * n + b
-            for c in range(m):
-                for d in range(n):
-                    table[i][c * n + d] = ((a + rpow[b] * c) % m) * n + (b + d) % n
-    return FiniteGroup(table, name=f"M({m},{n},{r})",
+    rpow = np.array([pow(r, b, m) for b in range(n)])
+    a, b, c, d = np.ix_(range(m), range(n), range(m), range(n))
+    table = (a + rpow[b] * c) % m * n + (b + d) % n
+    return FiniteGroup(table.reshape(order, order), name=f"M({m},{n},{r})",
                        spec={"kind": "metacyclic", "m": m, "n": n, "r": r})
 
 

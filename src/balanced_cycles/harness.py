@@ -196,6 +196,8 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
         labels = np.zeros((n * n, min(block, hi - start)), dtype=np.int64)
         rest = np.arange(start, start + labels.shape[1], dtype=np.int64)
         for arc in reversed(free):  # least significant digit first
+            if rest[-1] == 0:  # rest ascends, so every index is out of digits
+                break
             above = rest // order
             labels[arc] = rest - above * order
             rest = above

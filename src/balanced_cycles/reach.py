@@ -168,7 +168,7 @@ available and a miss is inconclusive.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -176,7 +176,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadSize, NotInScope, TooLarge
-from .groups import subset_elements
+from .groups import is_json_int, subset_elements
 from .labellings import CycleWitness, Labelling, cycle_value
 
 EXACT_CAP = 24
@@ -193,26 +193,30 @@ def _scope(L: Labelling, X, cap: int, *vertices: int | None) -> int:
 
     Raises NotInScope for a vertex outside 0..n-1 and for a named vertex
     outside the scope; a named None is a start the route takes from the
-    scope itself, so the scope must not be empty.  Raises TooLarge when the
-    scope has more than ``cap`` vertices.
+    scope itself, so the scope must not be empty.  Masks and vertices are
+    integers by the ``is_json_int`` rule (numpy integers pass; a bool or a
+    float is NotInScope, never coerced).  Raises TooLarge when the scope
+    has more than ``cap`` vertices.
     """
     n = L.n
-    if isinstance(X, int):
-        mask = X
-    else:
+    if is_json_int(X):
+        mask = int(X)
+    elif isinstance(X, Iterable):
         mask = 0
         for v in X:
-            if not 0 <= v < n:
-                raise NotInScope(f"vertex {v} outside 0..{n - 1}")
-            mask |= 1 << v
+            if not (is_json_int(v) and 0 <= v < n):
+                raise NotInScope(f"vertex {v!r} outside 0..{n - 1}")
+            mask |= 1 << int(v)
+    else:
+        raise NotInScope(f"scope {X!r} is neither a vertex mask nor vertices")
     if not 0 <= mask < 1 << n:
         raise NotInScope(f"scope {mask} has a vertex outside 0..{n - 1}")
     for w in vertices:
         if w is None:
             if not mask:
                 raise NotInScope("empty scope: there is no start")
-        elif not (0 <= w < n and (mask >> w) & 1):
-            raise NotInScope(f"vertex {w} not in the scope")
+        elif not (is_json_int(w) and 0 <= w < n and (mask >> int(w)) & 1):
+            raise NotInScope(f"vertex {w!r} not in the scope")
     if mask.bit_count() > cap:
         raise TooLarge(f"scope of {mask.bit_count()} vertices exceeds the cap of {cap}")
     return mask
@@ -519,7 +523,7 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     For u == v only the length-0 path qualifies (simple paths cannot
     return), so the result is the singleton identity.
     """
-    return _paths_from(L, _scope(L, X, EXACT_CAP, u, v), u)[v]
+    return _paths_from(L, _scope(L, X, EXACT_CAP, u, v), int(u))[v]
 
 
 def _anchored_layers(start: int, verts, rows, pres,
@@ -641,19 +645,20 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
     u-to-p path inside them has value val * label(p, e)^-1, read from one
     ``_paths_from`` run per step.  The runs shrink by a vertex each, so the
     walk costs about one kernel run over X.  Raises ValueError when
-    ``value`` is not a group element or no such path exists.
+    ``value`` is not a group element (an integer in 0..order-1, numpy
+    integers included) or no such path exists.
     """
     mask = _scope(L, X, EXACT_CAP, u, v)
-    if not 0 <= value < L.group.order:
-        raise ValueError(f"value {value} is not a group element 0..{L.group.order - 1}")
+    if not (is_json_int(value) and 0 <= value < L.group.order):
+        raise ValueError(f"value {value!r} is not a group element 0..{L.group.order - 1}")
     if u == v and value != 0:
         raise ValueError(f"the only path from {u} to itself has the identity value")
     rows = L.rows()
     pres = L.present_rows()
     inv = L.group._inv
     mul_rows = L.group._rows
-    path = [v]
-    e, val = v, value
+    u, e, val = int(u), int(v), int(value)  # numpy integers pass the checks above
+    path = [e]
     while e != u:
         mask ^= 1 << e
         paths = _paths_from(L, mask, u)

@@ -70,6 +70,28 @@ def test_check_verdicts(capsys, labelling_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("q, n, code", [(3, 3, 3), (3, 4, 0)], ids=["cycle_free", "cycle"])
+def test_find_cycle_is_check(capsys, labelling_file, q, n, code):
+    path = labelling_file(extremal_cyclic(q, n))
+    outcomes = []
+    for name in ("check", "find-cycle"):
+        outcomes.append((main([name, path]), capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+
+
+def test_main_builds_the_parser_once(capsys, labelling_file):
+    cli.build_parser.cache_clear()
+    path = labelling_file(extremal_cyclic(3, 4))
+    assert run_cli(capsys, "check", path)[0] == 0
+    assert run_cli(capsys, "find-cycle", path)[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "check (find-cycle)" in capsys.readouterr().out
+
+
 def test_check_max_dp_vertices_zero_is_scan_only(capsys, labelling_file):
     two_cycle = Labelling(cyclic_group(3), [[0, 1], [2, 0]])
     code, data = run_cli(capsys, "check", labelling_file(two_cycle), "--max-dp-vertices", "0")

@@ -1,7 +1,9 @@
 """Group construction, validation, and subset algebra."""
 
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,55 @@ def test_not_a_group():
         table_group([[1, 0], [0, 1]])  # identity not at index 0
     with pytest.raises(NotAGroup):
         table_group(NON_ASSOCIATIVE_LOOP)
+    # Z2 once 256 wraps to 0: the entry check runs before the byte copy
+    with pytest.raises(NotAGroup, match="element indices"):
+        table_group([[0, 1], [1, 256]])
+    # the loop times Z12, pair (a, b) encoded 12a + b: entries up to 59 in the byte copy
+    with pytest.raises(NotAGroup, match="not associative"):
+        table_group([[NON_ASSOCIATIVE_LOOP[a1][a2] * 12 + (b1 + b2) % 12
+                      for a2 in range(5) for b2 in range(12)]
+                     for a1 in range(5) for b1 in range(12)])
+
+
+def pairwise_table(spec: dict) -> list[list[int]]:
+    """The Cayley table of a constructor spec, one pair at a time."""
+    if spec["kind"] == "cyclic":
+        q = spec["q"]
+        return [[(a + b) % q for b in range(q)] for a in range(q)]
+    if spec["kind"] == "product":
+        left, right = pairwise_table(spec["left"]), pairwise_table(spec["right"])
+        k, m = len(left), len(right)
+        table = [[0] * (k * m) for _ in range(k * m)]
+        for a1 in range(k):
+            for b1 in range(m):
+                for a2 in range(k):
+                    for b2 in range(m):
+                        table[a1 * m + b1][a2 * m + b2] = left[a1][a2] * m + right[b1][b2]
+        return table
+    m, n, r = spec["m"], spec["n"], spec["r"]
+    table = [[0] * (m * n) for _ in range(m * n)]
+    for a in range(m):
+        for b in range(n):
+            for c in range(m):
+                for d in range(n):
+                    table[a * n + b][c * n + d] = (a + r ** b * c) % m * n + (b + d) % n
+    return table
+
+
+Z2 = cyclic_group(2)
+# catalog() holds M(3,2,2) and F21 = M(7,3,2) besides its cyclic groups and products
+CONSTRUCTED = {**catalog(), "Z8xZ8": product_group(cyclic_group(8), cyclic_group(8)),
+               "Z2xZ2xZ2": product_group(product_group(Z2, Z2), Z2),
+               "M(5,2,4)": metacyclic_group(5, 2, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_constructor_table_is_its_pairwise_definition(name):
+    g = CONSTRUCTED[name]
+    want = pairwise_table(g.spec)
+    assert g.table.tolist() == want
+    assert [[g.mul(a, b) for b in g.elements()] for a in g.elements()] == want
+    assert [want[a].index(0) for a in g.elements()] == [g.inv(a) for a in g.elements()]
 
 
 def test_group_json_round_trip(groups):
@@ -193,6 +244,36 @@ def test_subgroup_closure():
     assert subset_elements(subgroup_closure(f21, [3])) == [0, 3, 6, 9, 12, 15, 18]
 
 
+def naive_closure(group, gens) -> int:
+    elems = {0, *gens}
+    while True:
+        grown = elems | {group.mul(a, b) for a in elems for b in elems}
+        if grown == elems:
+            return subset_of(elems)
+        elems = grown
+
+
+def test_subgroup_closure_matches_naive_closure():
+    rng = random.Random(5)
+    for g in TABLE_GROUPS.values():
+        for count in (1, 1, 2, 3):
+            gens = [rng.randrange(g.order) for _ in range(count)]
+            assert subgroup_closure(g, gens) == naive_closure(g, gens)
+    assert subgroup_closure(cyclic_group(9), iter([np.int64(3)])) == subset_of([0, 3, 6])
+
+
+@pytest.mark.parametrize("gen", [9, -1, 1.5, True, np.float64(2.0), "1"],
+                         ids=["order", "negative", "float", "bool", "numpy_float", "string"])
+def test_grow_set_and_closure_reject_a_non_element(gen):
+    # 9 read the all-zero row of the byte table, True closed to the whole group
+    g9 = cyclic_group(9)
+    message = re.escape(f"{gen!r} is not a group element 0..8")
+    with pytest.raises(ValueError, match=message):
+        grow_set(g9, subset_of([0, 3]), gen)
+    with pytest.raises(ValueError, match=message):
+        subgroup_closure(g9, [3, gen])
+
+
 def test_cosets():
     g9 = cyclic_group(9)
     assert cosets(g9, g9.full_subset(), "left") == [g9.full_subset()]
@@ -221,7 +302,6 @@ def test_cosets_partition(groups):
                 assert h in blocks
 
 
-Z2 = cyclic_group(2)
 TABLE_GROUPS = {**catalog(), "Z1": cyclic_group(1), "Z64": cyclic_group(64),
                 "Z2xZ2xZ2": product_group(product_group(Z2, Z2), Z2)}
 

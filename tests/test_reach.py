@@ -285,16 +285,41 @@ def test_empty_scope_has_no_start():
     lambda L: start_anchored_table(L, [0, 9], 0),
     lambda L: reach_set_between(L, range(5), 0, 9),
     lambda L: find_path_with_value(L, range(5), -1, 2, 0),
-], ids=["list", "negative", "mask", "table", "anchored", "between", "path"])
+    # a bool or float is not coerced to a vertex or a mask
+    lambda L: reach_set_between(L, 15, True, 3),
+    lambda L: reach_set_between(L, 15, 1.5, 3),
+    lambda L: reach_set(L, True, 0),
+    lambda L: reach_set(L, 15.0, 0),
+    lambda L: reach_set(L, [0, 1.0, 2], 0),
+    lambda L: reach_set(L, [0, True, 2], 0),
+    lambda L: reach_table(L, np.float64(15)),
+    lambda L: start_anchored_table(L, 15, True),
+    lambda L: find_path_with_value(L, 15, 0, 3.0, 0),
+], ids=["list", "negative", "mask", "table", "anchored", "between", "path",
+        "bool_vertex", "float_vertex", "bool_scope", "float_scope", "float_in_list",
+        "bool_in_list", "numpy_float_scope", "bool_start", "float_target"])
 def test_scope_vertex_outside_the_labelling(call):
     with pytest.raises(NotInScope):
         call(extremal_cyclic(5, 5))
 
 
-@pytest.mark.parametrize("value", [7, 5, -1])
+@pytest.mark.parametrize("value", [7, 5, -1, True, 1.5, 1.0])
 def test_find_path_with_value_rejects_a_non_element(value):
     with pytest.raises(ValueError, match=f"value {value} is not a group element"):
         find_path_with_value(extremal_cyclic(5, 5), [0, 1, 2], 0, 2, value)
+
+
+def test_scope_accepts_numpy_integers():
+    L = random_labelling(cyclic_group(5), 5, 3)
+    mask, u, v = np.int64(0b11011), np.int32(1), np.uint8(4)
+    assert reach_set(L, mask, v) == reach_set(L, 0b11011, 4)
+    assert reach_set(L, np.array([0, 1, 3, 4]), u) == reach_set(L, [0, 1, 3, 4], 1)
+    assert reach_set_between(L, mask, u, v) == reach_set_between(L, 0b11011, 1, 4)
+    assert reach_table(L, np.uint64(0b11011)).table == reach_table(L, 0b11011).table
+    value = subset_elements(reach_set_between(L, 0b11011, 1, 4))[-1]
+    path = find_path_with_value(L, mask, u, v, np.int64(value))
+    assert path == find_path_with_value(L, 0b11011, 1, 4, value)
+    assert all(type(w) is int for w in path)
 
 
 def test_aggregated_layers_check_the_cap_before_any_layer(monkeypatch):
