@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadIndex, BadSize
-from .groups import FiniteGroup, cyclic_group
+from .groups import FiniteGroup, cyclic_group, is_json_int
 from .labellings import MAX_VERTICES, Labelling
 from .rng import Xoshiro256StarStar
 
@@ -19,9 +19,9 @@ def extremal_cyclic(q: int, n: int) -> Labelling:
     zero; on q+1 vertices exactly one cycle is balanced, the increasing
     Hamiltonian cycle closed by its single decreasing arc.
     """
-    if q < 2:
-        raise BadSize(f"extremal construction needs q >= 2, got {q}")
-    if not 2 <= n <= MAX_VERTICES:
+    if not (is_json_int(q) and q >= 2):
+        raise BadSize(f"extremal construction needs an integer q >= 2, got {q}")
+    if not (is_json_int(n, MAX_VERTICES + 1) and n >= 2):
         raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
     labels = np.zeros((n, n), dtype=np.int64)
     labels[np.triu_indices(n, k=1)] = 1
@@ -35,9 +35,9 @@ def arc_critical_instance(q: int, deleted_arc_index: int) -> Labelling:
     (k, k+1) for k < q and arc q is the closing arc (q, 0).  Deleting any
     one of them leaves no balanced cycle at all.
     """
-    if q < 2:
-        raise BadSize(f"arc-critical instance needs q >= 2, got {q}")
-    if not 0 <= deleted_arc_index <= q:
+    if not (is_json_int(q) and q >= 2):
+        raise BadSize(f"arc-critical instance needs an integer q >= 2, got {q}")
+    if not is_json_int(deleted_arc_index, q + 1):
         raise BadIndex(f"arc index {deleted_arc_index} outside 0..{q}")
     base = extremal_cyclic(q, q + 1)
     if deleted_arc_index < q:
@@ -58,7 +58,7 @@ def random_labelling(group: FiniteGroup, n: int, seed: int) -> Labelling:
     Identical (group, n, seed) give identical labellings on every platform.
     ``rng.xoshiro_labels`` draws the same labels for many seeds at once.
     """
-    if not 2 <= n <= MAX_VERTICES:
+    if not (is_json_int(n, MAX_VERTICES + 1) and n >= 2):
         raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
     rng = Xoshiro256StarStar(seed)
     order = group.order

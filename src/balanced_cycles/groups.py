@@ -17,7 +17,17 @@ table as lists the first time g is used and walk the bytes of S in Python.
 ``stabilizer`` and ``cosets`` gather the images of S under every element
 at once, and ``is_subgroup`` is "contains 1 and H*h = H for every h in H".
 ``subgroup_closure`` grows {1} by every generator with ``grow_set`` until
-nothing changes; both reject a generator that is not an element.
+nothing changes.
+
+One integer rule covers every integer argument of the package, here and in
+the other modules: ``is_json_int(value, size)`` accepts an int or a numpy
+integer, never a bool or a float, and with ``size`` only one in
+0..size-1.  Nothing is coerced: an element g of the subset actions, ``grow_set`` and
+``subgroup_closure`` passes ``is_json_int(g, order)``, an element set of
+``stabilizer``, ``cosets`` and ``is_subgroup`` ``is_json_int(S, 2^order)``,
+and a set ``subset_elements`` lists must be a non-negative integer;
+anything else is a ValueError.  The constructors' ``q``, ``m``, ``n`` and
+``r`` are integers by the same rule (BadSpec otherwise).
 
 The constructors build each Cayley table as one numpy array, by
 broadcasting over the pair encoding (a*m + b for products, a*n + b for
@@ -122,20 +132,29 @@ class FiniteGroup:
         return lut
 
     def _action_row(self, side: str, g: int) -> list[list[int]]:
-        """Element g's row of one side's byte table, as lists for scalar lookups."""
+        """Element g's row of one side's byte table, as lists for scalar lookups.
+
+        The actions read a cached row themselves when g is a plain int, so
+        only a first use, a numpy integer or a non-element comes here; a
+        bool or a float equal to a cached element must not read its row.
+        """
+        if not is_json_int(g, self.order):
+            raise ValueError(f"{g!r} is not a group element 0..{self.order - 1}")
         rows = self._lut_rows[side]
         row = rows.get(g)
         if row is None:
-            row = rows[g] = self._action_lut(side)[g].tolist()
+            row = rows[int(g)] = self._action_lut(side)[g].tolist()
         return row
 
     def subset_mul_elem(self, bits: int, g: int) -> int:
-        """S*g as a bitmask."""
-        return _apply_chunks(self._action_row("right", g), bits)
+        """S*g as a bitmask; ValueError unless g is an element."""
+        row = self._lut_rows["right"].get(g) if type(g) is int else None
+        return _apply_chunks(row or self._action_row("right", g), bits)
 
     def elem_mul_subset(self, g: int, bits: int) -> int:
-        """g*S as a bitmask."""
-        return _apply_chunks(self._action_row("left", g), bits)
+        """g*S as a bitmask; ValueError unless g is an element."""
+        row = self._lut_rows["left"].get(g) if type(g) is int else None
+        return _apply_chunks(row or self._action_row("left", g), bits)
 
     def right_mul_lut(self) -> np.ndarray:
         """All of ``subset_mul_elem`` as one read-only uint64 array.
@@ -197,6 +216,11 @@ def subset_of(elems: Iterable[int]) -> int:
 
 
 def subset_elements(bits: int) -> list[int]:
+    """The members of a set, ascending; ValueError unless it is a
+    non-negative integer (a negative one would have infinitely many)."""
+    if not (is_json_int(bits) and bits >= 0):
+        raise ValueError(f"set {bits!r} is not a non-negative integer")
+    bits = int(bits)
     out = []
     while bits:
         low = bits & -bits
@@ -206,9 +230,13 @@ def subset_elements(bits: int) -> list[int]:
 
 
 def _images(group: FiniteGroup, bits: int, side: str) -> np.ndarray:
-    """S*g (side "right") or g*S (side "left") for every element g, by one gather."""
+    """S*g (side "right") or g*S (side "left") for every element g, by one gather.
+
+    ValueError unless S is an element set, an integer in 0..2^order-1."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if not is_json_int(bits, 1 << group.order):
+        raise ValueError(f"element set {bits!r} outside 0..2^{group.order}-1")
     lut = group._action_lut(side)
     chunks = lut.shape[1]
     digits = np.array([bits], dtype="<u8").view(np.uint8)[:chunks]
@@ -229,16 +257,15 @@ def grow_set(group: FiniteGroup, bits: int, x: int) -> int:
 
     When x is outside stab_l(S) and S is non-empty, the result gains at
     least |stab_r(S)| new elements and keeps every right stabilizer of S.
-    Raises ValueError when x is not an element (an integer in 0..order-1).
+    Raises ValueError when x is not an element (``elem_mul_subset``).
     """
-    if not (is_json_int(x) and 0 <= x < group.order):
-        raise ValueError(f"{x!r} is not a group element 0..{group.order - 1}")
     return bits | group.elem_mul_subset(x, bits)
 
 
 def is_subgroup(group: FiniteGroup, bits: int) -> bool:
     """Contains the identity and is closed under products: H*h = H for every h in H."""
-    return bool(bits & 1) and bits & ~stabilizer(group, bits, "right") == 0
+    # the stabilizer first: it rejects a set that is not an integer in range
+    return bits & ~stabilizer(group, bits, "right") == 0 and bool(bits & 1)
 
 
 def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> int:
@@ -270,10 +297,11 @@ def cosets(group: FiniteGroup, subgroup_bits: int, side: str) -> list[int]:
 # -- constructions ----------------------------------------------------------
 
 def cyclic_group(q: int) -> FiniteGroup:
-    if q < 1:
-        raise BadSpec(f"cyclic group needs q >= 1, got {q}")
+    if not (is_json_int(q) and q >= 1):
+        raise BadSpec(f"cyclic group needs an integer q >= 1, got {q}")
     if q > MAX_ORDER:
         raise BadSpec(f"cyclic group order {q} exceeds the cap of {MAX_ORDER}")
+    q = int(q)
     ref = np.arange(q)
     return FiniteGroup((ref[:, None] + ref) % q, name=f"Z{q}", spec={"kind": "cyclic", "q": q})
 
@@ -295,8 +323,10 @@ def metacyclic_group(m: int, n: int, r: int) -> FiniteGroup:
     Pairs (a, b) are encoded as index a*n + b, so the identity (0, 0) sits
     at index 0.  Products follow (a,b)*(c,d) = (a + r^b * c mod m, b + d mod n).
     """
-    if m < 1 or n < 1:
-        raise BadSpec("metacyclic parameters must be positive")
+    if not (all(map(is_json_int, (m, n, r))) and m >= 1 and n >= 1):
+        raise BadSpec(f"metacyclic parameters must be integers, m and n positive; "
+                      f"got {m!r}, {n!r}, {r!r}")
+    m, n, r = int(m), int(n), int(r)
     if pow(r, n, m) != 1 % m:
         raise BadSpec(f"metacyclic needs r^n = 1 (mod m); got {r}^{n} != 1 (mod {m})")
     order = m * n
@@ -313,9 +343,12 @@ def table_group(mul, name: str = "") -> FiniteGroup:
     return FiniteGroup(mul, name=name)
 
 
-def is_json_int(value) -> bool:
-    """True for an integer, false for a bool (a Python int, but not a JSON number)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def is_json_int(value, size: int | None = None) -> bool:
+    """The package's one integer rule: true for an int or a numpy integer,
+    never for a bool (a Python int, but not a JSON number) or a float, and,
+    when ``size`` is given, only for one in 0..size-1."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and (size is None or 0 <= value < size))
 
 
 def is_json_matrix(rows, is_entry) -> bool:

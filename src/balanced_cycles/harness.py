@@ -74,7 +74,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, build_group, is_json_int
 from .labellings import MAX_VERTICES, Labelling
 from .reach import (EXACT_CAP, _anchored_layers, _cycle_arcs, _cycle_values,
                     _recheck_cycle_free, find_balanced_cycle, runs_exact)
@@ -216,10 +216,10 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     counterexample existence: every labelling is shifting-equivalent to such
     a normal form and equivalence preserves the set of balanced cycles.
     """
-    if not 1 <= n <= MAX_VERTICES:
+    if not (is_json_int(n, MAX_VERTICES + 1) and n >= 1):
         raise BadSize(f"vertex count {n} outside 1..{MAX_VERTICES}")
-    if workers < 1:
-        raise BadSize(f"worker count {workers} is below 1")
+    if not (is_json_int(workers) and workers >= 1):
+        raise BadSize(f"worker count {workers} is below 1 or not an integer")
     started = time.perf_counter()
     mode = "exhaustive_normalized" if normalized else "exhaustive"
     report = VerdictReport(group_name=group.name, group_spec=group.spec,
@@ -249,7 +249,7 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
         report.trials += trials
         lengths.update(chunk_lengths)
         for raw in raw_counterexamples:
-            L = Labelling(group, raw)
+            L = Labelling(group, np.array(raw, dtype=np.int64))
             _recheck_cycle_free(L)
             report.counterexamples.append(L)
     report.witness_lengths = dict(sorted(lengths.items()))
@@ -276,10 +276,10 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     kept as a counterexample.
     """
     started = time.perf_counter()
-    if trials < 0:
-        raise BadSize(f"trial count {trials} is negative")
+    if not (is_json_int(trials) and trials >= 0):
+        raise BadSize(f"trial count {trials} is negative or not an integer")
     _check_seed(seed)
-    if not 2 <= n <= MAX_VERTICES:
+    if not (is_json_int(n, MAX_VERTICES + 1) and n >= 2):
         raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
     exact = runs_exact(n, max_dp_vertices)
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
@@ -417,7 +417,7 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
         return place_x(0, [1] + [full] * (k - 1))
 
     if extend(1):
-        L = Labelling(group, labels)
+        L = Labelling(group, np.array(labels, dtype=np.int64))
         # the CSP built its path rows on the dict layers, which the search never runs
         _reverify_cycle_free(L)
         return L
@@ -437,8 +437,10 @@ def compute_n(group: FiniteGroup, max_n: int | None = None,
     SearchSpaceTooLarge carries the best lower bound and its witness.
     """
     limit = max_n if max_n is not None else group.order + 2
-    if limit < 1:
-        raise BadSize(f"max_n {limit} is below 1")
+    if not (is_json_int(limit) and limit >= 1):
+        raise BadSize(f"max_n {limit} is below 1 or not an integer")
+    if not is_json_int(node_budget):
+        raise BadSize(f"node_budget {node_budget} is not an integer")
     budget = _Budget(node_budget)
     witness: Labelling | None = None
     for n in range(1, limit + 1):

@@ -48,12 +48,17 @@ class Labelling:
     zeros), ``present`` the boolean arc mask (diagonal always False).
     Labels of absent arcs are canonicalized to 0 so that value equality is
     meaningful.  Instances are immutable; every operation returns a new one.
+
+    Nothing is coerced: labels must be integers by ``is_json_int`` and mask
+    entries booleans, else ValueError.  An integer (for the mask, boolean)
+    numpy array passes on its dtype alone, which is what every internal
+    caller hands over; any other input is checked entry by entry.
     """
 
     __slots__ = ("group", "n", "labels", "present")
 
     def __init__(self, group: FiniteGroup, labels, present=None):
-        lab = np.array(labels, dtype=np.int64)
+        lab = _matrix(labels, "iu", is_json_int, "labels must be rows of integers").astype(np.int64)
         if lab.ndim != 2 or lab.shape[0] != lab.shape[1]:
             raise BadSize("labels must be a square matrix")
         n = int(lab.shape[0])
@@ -62,7 +67,7 @@ class Labelling:
         if present is None:
             pres = ~np.eye(n, dtype=bool)
         else:
-            pres = np.array(present, dtype=bool)
+            pres = _matrix(present, "b", _is_bool, "mask must be rows of booleans").astype(bool)
             if pres.shape != (n, n):
                 raise BadSize("mask shape must match labels")
             np.fill_diagonal(pres, False)
@@ -111,19 +116,34 @@ class Labelling:
         return out
 
 
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
+def _matrix(values, kinds: str, is_entry, message: str) -> np.ndarray:
+    """``values`` as an array: a numpy array of a dtype kind in ``kinds`` as
+    it is, anything else as an object array whose every entry passes
+    ``is_entry`` (ValueError with ``message`` if one does not)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        return values
+    entries = np.array(values, dtype=object)
+    if not all(map(is_entry, entries.flat)):
+        raise ValueError(message)
+    return entries
+
+
 def labelling_from_json(obj: dict) -> Labelling:
     """Build a labelling from its JSON object (README, "File formats").
 
-    Types are checked here, where outside input arrives, and not in
-    Labelling, which hot loops construct: labels and ``n`` must be JSON
-    integers, labels group elements, and mask entries booleans.  Nothing is
-    coerced.
+    Labels and ``n`` must be JSON integers, labels group elements, and mask
+    entries booleans (BadSpec otherwise).  Nothing is coerced.  The checked
+    labels go to Labelling as an integer array, which it takes on its dtype.
     """
     if not isinstance(obj, dict):
         raise BadSpec(f"a labelling must be a JSON object, got {type(obj).__name__}")
     group = build_group(json_field(obj, "group", "labelling"))
     labels = json_field(obj, "labels", "labelling")
-    if not is_json_matrix(labels, lambda x: is_json_int(x) and 0 <= x < group.order):
+    if not is_json_matrix(labels, lambda x: is_json_int(x, group.order)):
         raise BadSpec(f"labels must be rows of integers in 0..{group.order - 1}")
     n = obj.get("n", len(labels))
     if not is_json_int(n):
@@ -131,9 +151,9 @@ def labelling_from_json(obj: dict) -> Labelling:
     if len(labels) != n:
         raise BadSize("n does not match the label matrix")
     mask = obj.get("mask")
-    if mask is not None and not is_json_matrix(mask, lambda x: isinstance(x, bool)):
+    if mask is not None and not is_json_matrix(mask, _is_bool):
         raise BadSpec("mask must be rows of booleans")
-    return Labelling(group, labels, mask)
+    return Labelling(group, np.array(labels, dtype=np.int64), mask)
 
 
 # -- path and cycle evaluation ----------------------------------------------
@@ -143,7 +163,7 @@ def path_value(L: Labelling, path) -> int:
     verts = _vertex_seq(path)
     if len(set(verts)) != len(verts):
         raise ValueError(f"not a simple path: {verts}")
-    if any(not 0 <= v < L.n for v in verts):
+    if not all(is_json_int(v, L.n) for v in verts):
         raise ValueError(f"vertex out of range in {verts}")
     rows = L.group._rows
     value = 0
@@ -178,7 +198,7 @@ def is_balanced(L: Labelling, cycle) -> bool:
 
 def shift(L: Labelling, v: int, g: int) -> Labelling:
     """Shift by g at v: in-arc labels pick up g^-1 on the right, out-arc labels g on the left."""
-    if not 0 <= v < L.n:
+    if not is_json_int(v, L.n):
         raise ValueError(f"vertex {v} out of range")
     family = [0] * L.n
     family[v] = g
@@ -193,16 +213,13 @@ def apply_shift_family(L: Labelling, family: Sequence[int]) -> Labelling:
     ValueError unless the family holds one group element per vertex; a
     member that is not an integer (a float or a bool) is not coerced.
     """
-    non_integers = [g for g in family if not is_json_int(g)]
-    if non_integers:
-        raise ValueError(f"shift family holds {non_integers[0]!r}, not an integer")
+    for g in family:
+        if not is_json_int(g, L.group.order):
+            raise ValueError(f"shift family holds {g}, not a group element 0..{L.group.order - 1}"
+                             if is_json_int(g) else f"shift family holds {g!r}, not an integer")
     fam = np.asarray(family, dtype=np.int64)
     if fam.shape != (L.n,):
         raise ValueError("family must assign one element per vertex")
-    outside = fam[(fam < 0) | (fam >= L.group.order)]
-    if outside.size:
-        raise ValueError(f"shift family holds {outside[0]}, not a group element "
-                         f"0..{L.group.order - 1}")
     table = L.group.table
     inv_fam = L.group.inverse_table[fam]
     step = table[fam[:, None], L.labels]
@@ -227,7 +244,7 @@ def normalize(L: Labelling, v0: int) -> Labelling:
     """
     if not L.is_complete():
         raise IncompleteDigraph("normalization needs a complete digraph")
-    if not 0 <= v0 < L.n:
+    if not is_json_int(v0, L.n):
         raise ValueError(f"vertex {v0} out of range")
     family = L.labels[v0].copy()
     family[v0] = 0
@@ -263,7 +280,8 @@ def shifting_equivalent(L1: Labelling, L2: Labelling) -> tuple[int, ...] | None:
         if np.array_equal(conj, norm2.labels):
             # undo L2's normalization after conjugating L1's: g_w = b_w^-1 * h * a_w
             fam = tuple(int(table[table[inv_b[w], h], a[w]]) for w in range(n))
-            assert apply_shift_family(L1, fam) == L2
+            if apply_shift_family(L1, fam) != L2:
+                raise AssertionError("shift witness does not reproduce the second labelling")
             return fam
     return None
 

@@ -38,10 +38,10 @@ class StabilizerCertificate:
     def validate(self, L: Labelling) -> list[str]:
         """Recompute everything the certificate claims; empty list means valid."""
         failures = []
-        if not 0 <= self.X < 1 << L.n:
+        if not is_json_int(self.X, 1 << L.n):
             failures.append(f"X holds a vertex outside 0..{L.n - 1}")
             return failures
-        if not (0 <= self.x < L.n and (self.X >> self.x) & 1):
+        if not (is_json_int(self.x, L.n) and (self.X >> self.x) & 1):
             failures.append("x is not a member of X")
             return failures
         recomputed = reach_set(L, self.X, self.x)
@@ -177,7 +177,8 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
         sub = U ^ (1 << u)
         entry = below[sub]
         outs = [v for v in subset_elements(sub) if entry[v].bit_count() >= k - 1]
-        assert outs, "minimality of U guarantees out-degree >= 1 in F"
+        if not outs:
+            raise AssertionError("minimality of U guarantees out-degree >= 1 in F")
         succ[u] = outs[0]
 
     walk = [uverts[0]]
@@ -196,8 +197,10 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
     for i in range(ell):
         shifted = G.subset_mul_elem(r_sets[(i + 1) % ell], rows[cyc[(i + 1) % ell]][cyc[i]])
         full = top[U][cyc[i]]
-        assert (r_sets[i] | shifted) & ~full == 0, "reach propagation containment failed"
-        assert r_sets[i] == shifted, "reach propagation equality failed"
+        if (r_sets[i] | shifted) & ~full:
+            raise AssertionError("reach propagation containment failed")
+        if r_sets[i] != shifted:
+            raise AssertionError("reach propagation equality failed")
 
     dcycle = [cyc[0]] + cyc[:0:-1]  # the D-cycle v0, v_{l-1}, ..., v1
     p = cycle_value(L, dcycle)
@@ -208,7 +211,8 @@ def _key_lemma_scoped(L: Labelling, scope: int) -> Dichotomy:
     X = U ^ (1 << cyc[-1])
     R = r_sets[0]
     stab = stabilizer(G, R, "right")
-    assert (stab >> p) & 1, "the unbalanced cycle value must right-stabilize R_0"
+    if not (stab >> p) & 1:
+        raise AssertionError("the unbalanced cycle value must right-stabilize R_0")
     cert = StabilizerCertificate(X=X, x=cyc[0], R=R, right_stab=stab)
     return Dichotomy(certificate=cert, within_hypothesis=within)
 
@@ -295,13 +299,13 @@ def validate_tuple(L_base: Labelling, T: EfficientTuple) -> TupleReport:
     if L_base.group != G or L_base.n != n:
         report.failures.append("tuple labelling does not match the base labelling")
         return report
-    if not 0 <= T.X < 1 << n:
+    if not is_json_int(T.X, 1 << n):
         report.failures.append(f"X holds a vertex outside 0..{n - 1}")
         return report
     if T.u == T.v:
         report.failures.append("u and v must be distinct")
     for w in (T.u, T.v):
-        if not (0 <= w < n and (T.X >> w) & 1):
+        if not (is_json_int(w, n) and (T.X >> w) & 1):
             report.failures.append(f"vertex {w} is outside X")
     if report.failures:
         return report
@@ -310,7 +314,7 @@ def validate_tuple(L_base: Labelling, T: EfficientTuple) -> TupleReport:
     if len(T.shift_family) != n:
         report.failures.append(f"shift family has {len(T.shift_family)} members for {n} vertices")
         equivalent = False
-    elif not all(is_json_int(g) and 0 <= g < G.order for g in T.shift_family):
+    elif not all(is_json_int(g, G.order) for g in T.shift_family):
         report.failures.append("shift family holds a non-element")
         equivalent = False
     elif apply_shift_family(L_base, T.shift_family) != T.gamma_prime:
@@ -368,7 +372,7 @@ def augment_tuple(L_base: Labelling, T: EfficientTuple, w1: int, w2: int) -> Eff
     n = gp.n
     if not gp.is_complete():
         raise PreconditionViolated("augmentation needs a complete tuple labelling")
-    if w1 == w2 or not (0 <= w1 < n and 0 <= w2 < n):
+    if w1 == w2 or not (is_json_int(w1, n) and is_json_int(w2, n)):
         raise PreconditionViolated("w1 and w2 must be distinct in-range vertices")
     if (T.X >> w1) & 1 or (T.X >> w2) & 1:
         raise PreconditionViolated("w1 and w2 must lie outside X")
@@ -385,9 +389,10 @@ def augment_tuple(L_base: Labelling, T: EfficientTuple, w1: int, w2: int) -> Eff
     grown = grow_set(G, T.R, x)
     stab_before = stabilizer(G, T.R, "right")
     stab_after = stabilizer(G, grown, "right")
-    assert stab_before & ~stab_after == 0, "right stabilizer must be preserved"
-    assert grown.bit_count() >= T.R.bit_count() + stab_before.bit_count(), \
-        "growth lower bound violated"
+    if stab_before & ~stab_after:
+        raise AssertionError("right stabilizer must be preserved")
+    if grown.bit_count() < T.R.bit_count() + stab_before.bit_count():
+        raise AssertionError("growth lower bound violated")
 
     combined = tuple(G.mul(fam[z], T.shift_family[z]) for z in range(n))
     new_x = T.X | (1 << w1) | (1 << w2)

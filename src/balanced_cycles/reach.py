@@ -204,18 +204,18 @@ def _scope(L: Labelling, X, cap: int, *vertices: int | None) -> int:
     elif isinstance(X, Iterable):
         mask = 0
         for v in X:
-            if not (is_json_int(v) and 0 <= v < n):
+            if not is_json_int(v, n):
                 raise NotInScope(f"vertex {v!r} outside 0..{n - 1}")
             mask |= 1 << int(v)
     else:
         raise NotInScope(f"scope {X!r} is neither a vertex mask nor vertices")
-    if not 0 <= mask < 1 << n:
+    if not is_json_int(mask, 1 << n):
         raise NotInScope(f"scope {mask} has a vertex outside 0..{n - 1}")
     for w in vertices:
         if w is None:
             if not mask:
                 raise NotInScope("empty scope: there is no start")
-        elif not (is_json_int(w) and 0 <= w < n and (mask >> int(w)) & 1):
+        elif not (is_json_int(w, n) and (mask >> int(w)) & 1):
             raise NotInScope(f"vertex {w!r} not in the scope")
     if mask.bit_count() > cap:
         raise TooLarge(f"scope of {mask.bit_count()} vertices exceeds the cap of {cap}")
@@ -226,8 +226,8 @@ def runs_exact(n: int, max_dp_vertices: int) -> bool:
     """Whether an n-vertex instance gets the exact search rather than the
     short-cycle scan alone: ``max_dp_vertices`` (at least 0) can only lower
     EXACT_CAP, and 0 means the scan alone."""
-    if max_dp_vertices < 0:
-        raise BadSize(f"max_dp_vertices {max_dp_vertices} is negative")
+    if not (is_json_int(max_dp_vertices) and max_dp_vertices >= 0):
+        raise BadSize(f"max_dp_vertices {max_dp_vertices} is negative or not an integer")
     return n <= min(max_dp_vertices, EXACT_CAP)
 
 
@@ -583,7 +583,7 @@ class ReachTable:
         """Union over submasks containing x; equals reach_set(base, scope, x).
 
         Raises NotInScope for x outside 0..n-1; a vertex outside the scope gives 0."""
-        if not 0 <= x < self.base.n:
+        if not is_json_int(x, self.base.n):
             raise NotInScope(f"vertex {x} outside 0..{self.base.n - 1}")
         if not (self.scope >> x) & 1:
             return 0
@@ -649,7 +649,7 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
     integers included) or no such path exists.
     """
     mask = _scope(L, X, EXACT_CAP, u, v)
-    if not (is_json_int(value) and 0 <= value < L.group.order):
+    if not is_json_int(value, L.group.order):
         raise ValueError(f"value {value!r} is not a group element 0..{L.group.order - 1}")
     if u == v and value != 0:
         raise ValueError(f"the only path from {u} to itself has the identity value")

@@ -11,8 +11,9 @@ delegating to ``random`` or numpy:
 * bounded draws: masked rejection on the top bits of the next word.
 
 Identical seeds give identical streams everywhere, forever.  Seeds are
-integers in 0..2^64-1; anything else raises ``BadSeed`` rather than being
-reduced modulo 2^64, so two different seeds never name one stream.
+integers in 0..2^64-1 by the package's integer rule (``is_json_int``: a
+bool or a float is no seed); anything else raises ``BadSeed`` rather than
+being reduced or truncated, so two different seeds never name one stream.
 
 Two implementations produce the same labels.  ``Xoshiro256StarStar`` is
 the scalar generator behind ``random_labelling``: one labelling is a single
@@ -32,12 +33,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadSeed
+from .groups import is_json_int
 
 _MASK64 = (1 << 64) - 1
 
 
 def _check_seed(seed: int) -> int:
-    if not 0 <= seed <= _MASK64:
+    if not is_json_int(seed, 1 << 64):
         raise BadSeed(f"seed {seed} outside 0..2^64-1")
     return seed
 

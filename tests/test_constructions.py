@@ -1,5 +1,6 @@
 """Extremal instances and the pinned random generator."""
 
+import numpy as np
 import pytest
 
 from balanced_cycles import (BadIndex, BadSize, arc_critical_instance,
@@ -59,6 +60,29 @@ def test_size_errors():
         arc_critical_instance(3, -1)
     with pytest.raises(BadSize):
         random_labelling(cyclic_group(3), 1, 0)
+
+
+@pytest.mark.parametrize("k", [True, 1.5, np.float64(1.0)], ids=["bool", "float", "numpy_float"])
+def test_arc_index_is_an_integer(k):
+    # True used to index the mask as a boolean and delete every arc out of vertex 2
+    with pytest.raises(BadIndex, match=f"arc index {k} outside 0..3"):
+        arc_critical_instance(3, k)
+
+
+def test_construction_sizes_are_integers():
+    # each used to reach numpy with a float shape or build the group "Z3.0"
+    for n in (3.0, np.float64(3.0)):
+        with pytest.raises(BadSize, match="vertex count"):
+            extremal_cyclic(3, n)
+        with pytest.raises(BadSize, match="vertex count"):
+            random_labelling(cyclic_group(3), n, 0)
+    for q in (3.0, np.float64(3.0)):
+        with pytest.raises(BadSize, match="needs an integer q"):
+            extremal_cyclic(q, 3)
+        with pytest.raises(BadSize, match="needs an integer q"):
+            arc_critical_instance(q, 1)
+    assert extremal_cyclic(np.int64(3), np.int64(4)) == extremal_cyclic(3, 4)
+    assert arc_critical_instance(np.int64(3), np.int64(1)) == arc_critical_instance(3, 1)
 
 
 def test_random_labelling_deterministic():

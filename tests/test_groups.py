@@ -274,6 +274,81 @@ def test_grow_set_and_closure_reject_a_non_element(gen):
         subgroup_closure(g9, [3, gen])
 
 
+@pytest.mark.parametrize("g", [9, -1, 1.5, True, np.float64(1.0)],
+                         ids=["order", "negative", "float", "bool", "numpy_float"])
+def test_subset_actions_reject_a_non_element(g):
+    # 9 and -1 read the byte table's all-zero "no arc" row, and True cached a
+    # malformed row under the key 1
+    g9 = cyclic_group(9)
+    message = re.escape(f"{g!r} is not a group element 0..8")
+    for first_use in (True, False):  # the row of 1 not yet cached, then cached
+        with pytest.raises(ValueError, match=message):
+            g9.subset_mul_elem(subset_of([0, 3]), g)
+        with pytest.raises(ValueError, match=message):
+            g9.elem_mul_subset(g, subset_of([0, 3]))
+        assert g9.subset_mul_elem(subset_of([0, 3]), 1) == subset_of([1, 4])
+        assert g9.elem_mul_subset(1, subset_of([0, 3])) == subset_of([1, 4])
+
+
+def test_subset_actions_accept_numpy_integers():
+    g9 = cyclic_group(9)
+    for g in (np.int64(2), np.uint8(2), 2):
+        assert g9.subset_mul_elem(subset_of([0, 3]), g) == subset_of([2, 5])
+        assert g9.elem_mul_subset(g, subset_of([0, 3])) == subset_of([2, 5])
+
+
+@pytest.mark.parametrize("bits", [-1, 8, True, 1.5, np.float64(1.0)],
+                         ids=["negative", "above", "bool", "float", "numpy_float"])
+def test_element_set_outside_the_group_is_rejected(bits):
+    # over Z3, 8 = {3} used to give the empty stabilizer and -1 an OverflowError
+    g3 = cyclic_group(3)
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match=re.escape(f"element set {bits!r} outside 0..2^3-1")):
+            stabilizer(g3, bits, side)
+        with pytest.raises(ValueError, match="element set"):
+            cosets(g3, bits, side)
+    with pytest.raises(ValueError, match="element set"):
+        is_subgroup(g3, bits)
+
+
+@pytest.mark.parametrize("bits", [-1, True, 1.5, np.float64(1.0)],
+                         ids=["negative", "bool", "float", "numpy_float"])
+def test_subset_elements_rejects_a_non_set(bits):
+    # -1 used to loop forever, True to list [0]
+    with pytest.raises(ValueError, match=re.escape(f"set {bits!r} is not a non-negative integer")):
+        subset_elements(bits)
+
+
+def test_element_sets_accept_numpy_integers():
+    g9 = cyclic_group(9)
+    sub = subset_of([0, 3, 6])
+    assert stabilizer(g9, np.int64(sub), "left") == stabilizer(g9, sub, "left")
+    assert cosets(g9, np.int64(sub), "right") == cosets(g9, sub, "right")
+    assert is_subgroup(g9, np.int64(sub))
+    assert subset_elements(np.int64(sub)) == [0, 3, 6]
+    full = cyclic_group(64).full_subset()
+    assert stabilizer(cyclic_group(64), np.uint64(full), "right") == full
+
+
+@pytest.mark.parametrize("q", [True, 4.0, np.float64(4.0)], ids=["bool", "float", "numpy_float"])
+def test_group_parameters_are_integers(q):
+    # cyclic_group(4.0) used to build Z4 with the spec {"q": 4.0}, and True Z1 named ZTrue
+    with pytest.raises(BadSpec, match="integer"):
+        cyclic_group(q)
+    with pytest.raises(BadSpec, match="integers"):
+        metacyclic_group(q, 2, 1)
+    with pytest.raises(BadSpec, match="integers"):
+        metacyclic_group(3, 2, q)
+
+
+def test_group_parameters_accept_numpy_integers():
+    assert cyclic_group(np.int64(4)) == cyclic_group(4)
+    assert cyclic_group(np.int64(4)).spec == {"kind": "cyclic", "q": 4}
+    s3 = metacyclic_group(np.int64(3), np.int64(2), np.int64(2))
+    assert s3 == metacyclic_group(3, 2, 2) and s3.name == "M(3,2,2)"
+    assert build_group(s3.spec) == s3  # the spec holds plain ints
+
+
 def test_cosets():
     g9 = cyclic_group(9)
     assert cosets(g9, g9.full_subset(), "left") == [g9.full_subset()]

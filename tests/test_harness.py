@@ -205,7 +205,8 @@ def test_campaign_arguments_are_checked():
     g = cyclic_group(3)
     with pytest.raises(BadSize, match="trial count"):
         verify_random(g, 4, -3, 0)
-    for seed in (-1, 2 ** 64):
+    # a bool or a float is no seed: 1.5 used to draw seed 1's stream and report 1.5
+    for seed in (-1, 2 ** 64, True, 1.5, np.float64(1.0)):
         with pytest.raises(BadSeed):
             verify_random(g, 4, 5, seed)
         with pytest.raises(BadSeed):
@@ -220,6 +221,36 @@ def test_campaign_arguments_are_checked():
             verify_all(g, 2, workers=workers)
     with pytest.raises(BadSize, match="max_dp_vertices -1"):
         verify_random(g, 4, 3, 0, max_dp_vertices=-1)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, np.float64(1.0)],
+                         ids=["bool", "float", "numpy_float"])
+def test_counts_are_integers(value):
+    # verify_random(g, 4, True, 0) used to run one trial and report "trials": true
+    g = cyclic_group(3)
+    with pytest.raises(BadSize, match=f"trial count {value} is negative or not an integer"):
+        verify_random(g, 4, value, 0)
+    with pytest.raises(BadSize, match=f"vertex count {value} outside 1..64"):
+        verify_all(g, value)
+    with pytest.raises(BadSize, match=f"worker count {value} is below 1 or not an integer"):
+        verify_all(g, 2, workers=value)
+    with pytest.raises(BadSize, match=f"max_n {value} is below 1 or not an integer"):
+        compute_n(g, max_n=value)
+    with pytest.raises(BadSize, match=f"node_budget {value} is not an integer"):
+        compute_n(g, node_budget=value)
+    with pytest.raises(BadSize, match=f"max_dp_vertices {value} is negative or not an integer"):
+        verify_random(g, 4, 3, 0, max_dp_vertices=value)
+
+
+def test_campaign_arguments_accept_numpy_integers():
+    g = cyclic_group(3)
+    four, five = np.int64(4), np.int64(5)
+    assert (strip_elapsed(verify_random(g, four, five, np.uint64(7), max_dp_vertices=four))
+            == strip_elapsed(verify_random(g, 4, 5, 7, max_dp_vertices=4)))
+    assert (strip_elapsed(verify_all(g, np.int64(3), workers=np.int64(1)))
+            == strip_elapsed(verify_all(g, 3)))
+    assert compute_n(g, max_n=five).value == compute_n(g, max_n=5).value == 4
+    assert random_labelling(g, four, np.int64(7)) == random_labelling(g, 4, 7)
 
 
 def test_verify_random_derives_seeds_block_by_block(monkeypatch):

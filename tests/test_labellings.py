@@ -1,6 +1,7 @@
 """Labelled digraphs: evaluation, shifting, inversion, normal forms."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,62 @@ def test_path_rejects_bad_vertices():
         path_value(L, [-1, 0])
     with pytest.raises(ValueError):
         cycle_value(L, [0, 3])
+
+
+@pytest.mark.parametrize("v", [True, 1.5, np.float64(1.0)], ids=["bool", "float", "numpy_float"])
+def test_vertex_arguments_are_integers(v):
+    # True acted as vertex 1; 1.5 and 1.0 crashed inside numpy
+    L = extremal_cyclic(3, 3)
+    with pytest.raises(ValueError, match="vertex out of range"):
+        path_value(L, [0, v])
+    with pytest.raises(ValueError, match="vertex out of range"):
+        cycle_value(L, [2, v])
+    with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+        shift(L, v, 2)
+    with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+        normalize(L, v)
+
+
+def test_vertex_arguments_accept_numpy_integers():
+    L = random_labelling(cyclic_group(5), 4, 3)
+    one = np.int64(1)
+    assert path_value(L, [0, one, np.uint8(2)]) == path_value(L, [0, 1, 2])
+    assert cycle_value(L, [0, one]) == cycle_value(L, [0, 1])
+    assert shift(L, one, 2) == shift(L, 1, 2)
+    assert normalize(L, one) == normalize(L, 1)
+
+
+@pytest.mark.parametrize("labels", [
+    [[0, True], [1, 0]],
+    [[0, 1.5], [1, 0]],
+    [[0, np.float64(1.0)], [1, 0]],
+    np.array([[0, 2.9], [1.2, 0]]),
+    np.array([[False, True], [True, False]]),
+    [[0, 1], [1]],
+], ids=["bool", "float", "numpy_float", "float_array", "bool_array", "ragged"])
+def test_labelling_rejects_labels_that_are_not_integers(labels):
+    # each used to be cut down to an integer label
+    with pytest.raises(ValueError, match="labels must be rows of integers"):
+        Labelling(cyclic_group(3), labels)
+
+
+@pytest.mark.parametrize("entry", [1, 0.5, np.float64(1.0), np.int64(1)],
+                         ids=["int", "float", "numpy_float", "numpy_int"])
+def test_labelling_rejects_a_mask_that_is_not_boolean(entry):
+    with pytest.raises(ValueError, match="mask must be rows of booleans"):
+        Labelling(cyclic_group(3), [[0, 1], [2, 0]], [[False, entry], [True, False]])
+    with pytest.raises(ValueError, match="mask must be rows of booleans"):
+        Labelling(cyclic_group(3), [[0, 1], [2, 0]], np.array([[0, entry], [1, 0]]))
+
+
+def test_labelling_accepts_numpy_integers_and_booleans():
+    g3 = cyclic_group(3)
+    want = Labelling(g3, [[0, 1], [2, 0]], [[False, True], [False, False]])
+    for labels in ([[0, np.int64(1)], [np.uint8(2), 0]],
+                   np.array([[0, 1], [2, 0]], dtype=np.uint8)):
+        for mask in ([[np.False_, np.True_], [False, False]],
+                     np.array([[False, True], [False, False]])):
+            assert Labelling(g3, labels, mask) == want
 
 
 def test_cycle_value_examples():
@@ -127,13 +184,13 @@ def test_shift_family_rejects_a_non_element(g):
         shift(L, 1, g)
 
 
-@pytest.mark.parametrize("g", [1.5, True, 1.0])
+@pytest.mark.parametrize("g", [1.5, True, 1.0, pytest.param(np.float64(1.0), id="numpy_float")])
 def test_shift_family_rejects_a_non_integer(g):
     # over Z9 each used to act as 1, coerced by numpy
     L = random_labelling(cyclic_group(9), 4, 1)
-    with pytest.raises(ValueError, match=f"shift family holds {g!r}, not an integer"):
+    with pytest.raises(ValueError, match=re.escape(f"shift family holds {g!r}, not an integer")):
         apply_shift_family(L, [0, g, 0, 0])
-    with pytest.raises(ValueError, match=f"shift family holds {g!r}, not an integer"):
+    with pytest.raises(ValueError, match=re.escape(f"shift family holds {g!r}, not an integer")):
         shift(L, 1, g)
 
 
@@ -230,6 +287,22 @@ def test_shifting_equivalent():
         shifting_equivalent(Lid, random_labelling(g5, 3, 1))
     with pytest.raises(Mismatch):
         shifting_equivalent(Lid, random_labelling(g3, 4, 1))
+
+
+def test_shifting_equivalent_self_check_fires(monkeypatch):
+    from balanced_cycles import labellings
+    real = labellings.apply_shift_family
+
+    def corrupted(L, family):
+        # the normalizations pass arrays; only the witness check passes a tuple
+        out = real(L, family)
+        return real(out, [1] + [0] * (L.n - 1)) if isinstance(family, tuple) else out
+
+    L = random_labelling(cyclic_group(5), 4, 1)
+    assert shifting_equivalent(L, shift(L, 2, 3)) is not None
+    monkeypatch.setattr(labellings, "apply_shift_family", corrupted)
+    with pytest.raises(AssertionError, match="shift witness"):
+        shifting_equivalent(L, shift(L, 2, 3))
 
 
 def test_shifting_equivalence_invariant_under_inversion():

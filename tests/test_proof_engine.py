@@ -13,6 +13,7 @@ from balanced_cycles import (BadSize, EfficientTuple, Labelling, NotInScope, Not
                              make_efficient_tuple, normalize, prime_finder,
                              random_labelling, stabilizer, subgroup_closure,
                              subset_elements, subset_of, validate_tuple)
+from balanced_cycles import FiniteGroup, proof_engine, reach
 from oracle import brute_has_balanced_cycle, brute_reach_set
 
 Z9 = cyclic_group(9)
@@ -135,10 +136,12 @@ def test_make_efficient_tuple_rejects_a_vertex_outside_the_labelling(v0):
 
 def test_certificate_lists_a_vertex_outside_the_labelling():
     L = extremal_cyclic(5, 5)
-    for X, x in [((1 << 9) | 1, 0), (-1, 0)]:
+    # True and the floats are listed, not coerced: True used to reach
+    # reach_set and raise there
+    for X, x in [((1 << 9) | 1, 0), (-1, 0), (True, 0), (1.5, 0), (np.float64(1.0), 0)]:
         cert = StabilizerCertificate(X=X, x=x, R=1, right_stab=1)
         assert cert.validate(L) == ["X holds a vertex outside 0..4"]
-    for x in (9, -1):
+    for x in (9, -1, True, 1.5, np.float64(1.0)):
         cert = StabilizerCertificate(X=0b11, x=x, R=1, right_stab=1)
         assert cert.validate(L) == ["x is not a member of X"]
 
@@ -208,9 +211,16 @@ def test_validate_tuple_lists_a_vertex_outside_the_labelling():
     fields.update(u=-1)
     report = validate_tuple(L, EfficientTuple(X=tup.X, **fields))
     assert report.failures == ["vertex -1 is outside X"]
+    for bad in (True, 1.5, np.float64(1.0)):  # True used to pass as vertex 1 and crash later
+        fields.update(u=bad)
+        report = validate_tuple(L, EfficientTuple(X=tup.X, **fields))
+        assert report.failures == [f"vertex {bad} is outside X"]
+        fields.update(u=tup.u)
+        report = validate_tuple(L, EfficientTuple(X=bad, **fields))
+        assert report.failures == [f"X holds a vertex outside 0..{L.n - 1}"]
 
 
-@pytest.mark.parametrize("g", [-9, 9, 1.5, True])
+@pytest.mark.parametrize("g", [-9, 9, 1.5, True, pytest.param(np.float64(1.0), id="numpy_float")])
 def test_validate_tuple_lists_a_non_element_in_the_shift_family(g):
     L, tup = build_synthetic_tuple()
     family = (0, g) + (0,) * (L.n - 2)
@@ -284,6 +294,57 @@ def test_augment_tuple_guards():
         augment_tuple(L, tup, 4, 4)
     with pytest.raises(PreconditionViolated):
         augment_tuple(L, tup, 5, 4)  # label(5,4) = 0 stabilizes R on the left
+
+
+@pytest.mark.parametrize("w", [True, 1.5, np.float64(1.0)], ids=["bool", "float", "numpy_float"])
+def test_augment_tuple_vertices_are_integers(w):
+    # True used to pass the range test as vertex 1 and 1.5 to crash on a shift
+    L, tup = build_synthetic_tuple()
+    for w1, w2 in ((w, 5), (4, w)):
+        with pytest.raises(PreconditionViolated, match="distinct in-range vertices"):
+            augment_tuple(L, tup, w1, w2)
+
+
+def test_augment_tuple_accepts_numpy_integers():
+    L, tup = build_synthetic_tuple()
+    assert augment_tuple(L, tup, np.int64(4), np.uint8(5)) == augment_tuple(L, tup, 4, 5)
+
+
+# -- self-checks: each raises AssertionError itself, so ``python -O`` keeps it --
+
+KEY_LEMMA_FAULTS = {
+    # every layer entry read back empty: no vertex of U has an F-successor
+    "out_degree": (reach._LayerView, "__getitem__", lambda view, mask: dict.fromkeys(range(4), 0),
+                   "out-degree"),
+    # an image with a bit beyond the group, which no reach set holds
+    "containment": (FiniteGroup, "subset_mul_elem", lambda group, bits, g: 1 << group.order,
+                    "containment"),
+    "equality": (FiniteGroup, "subset_mul_elem", lambda group, bits, g: 0, "equality"),
+    "stabilizer": (proof_engine, "stabilizer", lambda group, bits, side: 1, "R_0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(KEY_LEMMA_FAULTS))
+def test_key_lemma_self_check_fires(monkeypatch, fault):
+    owner, attr, broken, message = KEY_LEMMA_FAULTS[fault]
+    # over Z3 on 4 vertices this labelling has a small-reach set U whose
+    # F-cycle has the value 2, so every check of the F-walk runs
+    L = random_labelling(cyclic_group(3), 4, 2)
+    assert key_lemma(L).certificate is not None
+    monkeypatch.setattr(owner, attr, broken)
+    with pytest.raises(AssertionError, match=message):
+        key_lemma(L)
+
+
+@pytest.mark.parametrize("grown, message", [
+    (lambda group, bits, x: bits, "growth lower bound"),
+    (lambda group, bits, x: bits | 0b10, "right stabilizer must be preserved"),
+], ids=["no_growth", "stabilizer_lost"])
+def test_augment_tuple_self_check_fires(monkeypatch, grown, message):
+    L, tup = build_synthetic_tuple()
+    monkeypatch.setattr(proof_engine, "grow_set", grown)
+    with pytest.raises(AssertionError, match=message):
+        augment_tuple(L, tup, 4, 5)
 
 
 def random_synthetic_tuple(rng, group):

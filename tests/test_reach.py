@@ -1,6 +1,7 @@
 """Reach sets and balanced-cycle detection against the brute-force oracle."""
 
 import random
+import re
 
 import pytest
 
@@ -70,8 +71,10 @@ def test_reach_table_aggregates_to_reach_set():
             assert table.aggregate(x) == reach_set(L, range(5), x)
 
 
-@pytest.mark.parametrize("x", [-1, 5, 7])
+@pytest.mark.parametrize("x", [-1, 5, 7, True, 1.5,
+                               pytest.param(np.float64(1.0), id="numpy_float")])
 def test_reach_table_aggregate_rejects_a_vertex_outside_the_labelling(x):
+    # True used to answer for vertex 1, and 1.5 to crash on a shift
     table = reach_table(random_labelling(cyclic_group(7), 5, 1), range(4))
     assert table.aggregate(4) == 0  # a vertex outside the scope
     with pytest.raises(NotInScope, match=f"vertex {x} outside 0..4"):
@@ -303,9 +306,10 @@ def test_scope_vertex_outside_the_labelling(call):
         call(extremal_cyclic(5, 5))
 
 
-@pytest.mark.parametrize("value", [7, 5, -1, True, 1.5, 1.0])
+@pytest.mark.parametrize("value", [7, 5, -1, True, 1.5, 1.0,
+                                   pytest.param(np.float64(1.0), id="numpy_float")])
 def test_find_path_with_value_rejects_a_non_element(value):
-    with pytest.raises(ValueError, match=f"value {value} is not a group element"):
+    with pytest.raises(ValueError, match=re.escape(f"value {value!r} is not a group element")):
         find_path_with_value(extremal_cyclic(5, 5), [0, 1, 2], 0, 2, value)
 
 
@@ -316,6 +320,7 @@ def test_scope_accepts_numpy_integers():
     assert reach_set(L, np.array([0, 1, 3, 4]), u) == reach_set(L, [0, 1, 3, 4], 1)
     assert reach_set_between(L, mask, u, v) == reach_set_between(L, 0b11011, 1, 4)
     assert reach_table(L, np.uint64(0b11011)).table == reach_table(L, 0b11011).table
+    assert reach_table(L, mask).aggregate(v) == reach_table(L, 0b11011).aggregate(4)
     value = subset_elements(reach_set_between(L, 0b11011, 1, 4))[-1]
     path = find_path_with_value(L, mask, u, v, np.int64(value))
     assert path == find_path_with_value(L, 0b11011, 1, 4, value)
@@ -340,6 +345,15 @@ def test_runs_exact():
     assert not reach.runs_exact(2, 0)  # 0 is the scan alone
     with pytest.raises(BadSize, match="max_dp_vertices -1"):
         reach.runs_exact(2, -1)
+    assert reach.runs_exact(12, np.int64(12)) and not reach.runs_exact(13, np.int64(12))
+
+
+@pytest.mark.parametrize("limit", [True, 1.5, np.float64(1.0)],
+                         ids=["bool", "float", "numpy_float"])
+def test_runs_exact_limit_is_an_integer(limit):
+    # True used to be read as a limit of one vertex
+    with pytest.raises(BadSize, match=f"max_dp_vertices {limit} is negative or not an integer"):
+        reach.runs_exact(1, limit)
 
 
 # -- the dense kernel's two right actions --------------------------------------------
