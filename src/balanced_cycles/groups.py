@@ -25,9 +25,11 @@ integer, never a bool or a float, and with ``size`` only one in
 0..size-1.  Nothing is coerced: an element g of the subset actions, ``grow_set`` and
 ``subgroup_closure`` passes ``is_json_int(g, order)``, an element set of
 ``stabilizer``, ``cosets`` and ``is_subgroup`` ``is_json_int(S, 2^order)``,
-and a set ``subset_elements`` lists must be a non-negative integer;
-anything else is a ValueError.  The constructors' ``q``, ``m``, ``n`` and
-``r`` are integers by the same rule (BadSpec otherwise).
+and a set ``subset_elements`` lists, like every element ``subset_of``
+takes, must be a non-negative integer; anything else is a ValueError.  The
+constructors' ``q``, ``m``, ``n`` and ``r``, and every entry of a table
+``FiniteGroup`` takes, are integers by the same rule (BadSpec otherwise;
+an integer numpy table passes on its dtype, ``checked_matrix``).
 
 The constructors build each Cayley table as one numpy array, by
 broadcasting over the pair encoding (a*m + b for products, a*n + b for
@@ -83,7 +85,8 @@ class FiniteGroup:
                  "_rows", "_inv", "_luts", "_lut_rows")
 
     def __init__(self, table, name: str = "", spec: dict | None = None):
-        mul = np.array(table, dtype=np.int64)
+        mul = checked_matrix(table, "iu", is_json_int, "table spec 'mul' must be rows of integers",
+                             BadSpec).astype(np.int64)
         _validate_table(mul)
         mul.setflags(write=False)
         self.order = int(mul.shape[0])
@@ -209,9 +212,13 @@ def _apply_chunks(chunks, bits: int) -> int:
 # -- subsets ----------------------------------------------------------------
 
 def subset_of(elems: Iterable[int]) -> int:
+    """The set of ``elems`` as a bitmask; ValueError naming an element that
+    is not a non-negative integer."""
     bits = 0
     for e in elems:
-        bits |= 1 << e
+        if not (is_json_int(e) and e >= 0):
+            raise ValueError(f"element {e!r} is not a non-negative integer")
+        bits |= 1 << int(e)
     return bits
 
 
@@ -357,6 +364,19 @@ def is_json_matrix(rows, is_entry) -> bool:
         isinstance(row, list) and all(map(is_entry, row)) for row in rows)
 
 
+def checked_matrix(values, kinds: str, is_entry, message: str,
+                   error: type[Exception] = ValueError) -> np.ndarray:
+    """``values`` as an array: a numpy array of a dtype kind in ``kinds`` as
+    it is, anything else as an object array whose every entry passes
+    ``is_entry`` (``error`` with ``message`` if one does not)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        return values
+    entries = np.array(values, dtype=object)
+    if not all(map(is_entry, entries.flat)):
+        raise error(message)
+    return entries
+
+
 def json_field(obj: dict, key: str, what: str):
     """obj[key], or BadSpec naming the missing field of ``what``."""
     try:
@@ -393,10 +413,7 @@ def build_group(spec: dict) -> FiniteGroup:
     if kind == "metacyclic":
         return metacyclic_group(*_spec_ints(spec, "m", "n", "r"))
     if kind == "table":
-        mul = json_field(spec, "mul", "group spec")
-        if not is_json_matrix(mul, is_json_int):
-            raise BadSpec("table spec 'mul' must be rows of integers")
-        return table_group(mul)
+        return table_group(json_field(spec, "mul", "group spec"))
     raise BadSpec(f"unknown group spec kind {kind!r}")
 
 

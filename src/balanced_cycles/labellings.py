@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (AsymmetricMask, BadSize, BadSpec, IncompleteDigraph,
                      MissingArc, Mismatch)
-from .groups import FiniteGroup, build_group, is_json_int, is_json_matrix, json_field
+from .groups import (FiniteGroup, build_group, checked_matrix, is_json_int, is_json_matrix,
+                     json_field)
 
 MAX_VERTICES = 64
 
@@ -58,7 +59,8 @@ class Labelling:
     __slots__ = ("group", "n", "labels", "present")
 
     def __init__(self, group: FiniteGroup, labels, present=None):
-        lab = _matrix(labels, "iu", is_json_int, "labels must be rows of integers").astype(np.int64)
+        lab = checked_matrix(labels, "iu", is_json_int, "labels must be rows of integers")
+        lab = lab.astype(np.int64)
         if lab.ndim != 2 or lab.shape[0] != lab.shape[1]:
             raise BadSize("labels must be a square matrix")
         n = int(lab.shape[0])
@@ -67,7 +69,8 @@ class Labelling:
         if present is None:
             pres = ~np.eye(n, dtype=bool)
         else:
-            pres = _matrix(present, "b", _is_bool, "mask must be rows of booleans").astype(bool)
+            pres = checked_matrix(present, "b", _is_bool, "mask must be rows of booleans")
+            pres = pres.astype(bool)
             if pres.shape != (n, n):
                 raise BadSize("mask shape must match labels")
             np.fill_diagonal(pres, False)
@@ -118,18 +121,6 @@ class Labelling:
 
 def _is_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
-
-
-def _matrix(values, kinds: str, is_entry, message: str) -> np.ndarray:
-    """``values`` as an array: a numpy array of a dtype kind in ``kinds`` as
-    it is, anything else as an object array whose every entry passes
-    ``is_entry`` (ValueError with ``message`` if one does not)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
-        return values
-    entries = np.array(values, dtype=object)
-    if not all(map(is_entry, entries.flat)):
-        raise ValueError(message)
-    return entries
 
 
 def labelling_from_json(obj: dict) -> Labelling:

@@ -22,14 +22,15 @@ vertices of ``verts`` (local mask bit i = vertex verts[i], in ascending
 order) layer k is a (C(m, k), m) uint64 array: row r for the r-th smallest
 k-subset, column j for endpoint verts[j], zero where no path exists (group
 order <= 64, so one word is one value set).  Layer 1 is diag(seed).  A
-layer is extended per target vertex j, a block of source rows at a time,
-by the right action S*label(p, j) and an OR over the source endpoints p.
-Each layer leaves the kernel as a ``_LayerView``, a read-only mapping
-{vertex mask: {endpoint: value bits}} over the layer's array; the view is
-the only code that turns local masks and columns into vertices, and every
-caller reads a layer through it.  The action is one of two, chosen from
-the group's Cayley table (``FiniteGroup.is_cyclic_numbering``, checked
-once per group):
+layer is extended by the right action S*label(p, j) and an OR over the
+source endpoints p, a block of target vertices j at a time
+(``_plan_blocks``): one numpy pass per block of at most _DENSE_BLOCK
+operand entries, not one per target.  Each layer leaves the kernel as a
+``_LayerView``, a read-only mapping {vertex mask: {endpoint: value bits}}
+over the layer's array; the view is the only code that turns local masks
+and columns into vertices, and every caller reads a layer through it.
+The action is one of two, chosen from the group's Cayley table
+(``FiniteGroup.is_cyclic_numbering``, checked once per group):
 
 * when the table is exactly (a + b) mod q, the rotation
   ((S << g) | (S >> (q - g))) & full on the words themselves, an absent
@@ -51,15 +52,18 @@ to (``_extend_rows``, from ``_layer_masks(m)``: the masks by popcount and
 each one's rank).  They depend on m and k alone, so up to
 _PLAN_CACHE_MAX_M = 15 vertices they are built once per process, by the
 first run of that size, and kept read-only as uint16 (every mask and row
-index fits below 2^16 there): ``_MASK_CACHE`` keyed by m,
-``_PLAN_CACHE`` keyed by (m, k) with every target's rows built at once.
-Filled for every m <= 15 they take 2,096,668 bytes, within
-_PLAN_CACHE_BYTES (2 MiB); a search on up to 16 vertices then reuses them
-across starts and calls.  Above the bound nothing is cached, and each
-target's rows are built as the loop reaches it, so only one target's are
-alive: m = 16 alone would take 2.4 MB and m = 23 about 0.8 GB as int32,
-and all of one layer's targets at once would hold m times one target's
-rows.  The callers:
+index fits below 2^16 there): ``_MASK_CACHE`` keyed by m, and
+``_PLAN_CACHE`` keyed by (m, k), each plan one (m, 2, rows) array with
+plan[j] = (src, dst).  Filled for every m <= 15 they take 2,096,668
+bytes, within _PLAN_CACHE_BYTES (2 MiB); a search on up to 16 vertices
+then reuses them across starts and calls.  A cached plan is extended as
+blocks of as many whole targets as fit a block, so a layer of a few
+hundred rows takes a few numpy passes; a target whose rows alone exceed
+the block goes alone, its rows split.  Above the bound nothing is cached,
+and each target's rows are built as the loop reaches it and extended
+alone, split the same way, so only one target's are alive: m = 16 alone
+would take 2.4 MB and m = 23 about 0.8 GB as int32, and all of one
+layer's targets at once would hold m times one target's rows.  The callers:
 
 * ``find_balanced_cycle``'s sweep from every start s: verts = s+1..n-1,
   seed the arcs out of s, not inside; hits are scanned per layer in
@@ -146,7 +150,8 @@ aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
 250 MB.  A retained table takes about 2^m * m * 8 bytes, 168 MB at its cap
 of 20.  The plan cache adds at most 2 MiB for the life of the process;
 above its bound a run holds its mask table (2^m * 8 bytes, 128 MiB at 24)
-and one target's rows.
+and one target's rows.  A block's temporaries hold at most _DENSE_BLOCK
+operand entries each, about 1 MB in all.
 
 Scope and size, one rule.  Every exact route hands its scope, the
 vertices it names and its cap to ``_scope`` before it allocates anything.
@@ -262,7 +267,7 @@ def _extend_rows(masks: np.ndarray, rank: np.ndarray, targets) -> tuple[np.ndarr
 _PLAN_CACHE_MAX_M = 15
 _PLAN_CACHE_BYTES = 1 << 21  # every m <= 15, filled: 2,096,668 bytes
 _MASK_CACHE: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
-_PLAN_CACHE: dict[tuple[int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+_PLAN_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _compact(a: np.ndarray) -> np.ndarray:
@@ -286,17 +291,17 @@ def _extend_plan(m: int, k: int, masks: np.ndarray, rank: np.ndarray):
     """Per target j, the (src, dst) rows of ``_extend_rows`` for layer k of
     ``_dense_masks(m)``.
 
-    Up to _PLAN_CACHE_MAX_M the plan is built for every target at once on
-    first use and cached as uint16; above it each target's rows are built
-    as the loop reaches them, so only one target's are alive.
+    Up to _PLAN_CACHE_MAX_M the plan is one read-only (m, 2, rows) uint16
+    array, plan[j] = (src, dst), built for every target at once on first
+    use and cached; above it each target's rows are built as the loop
+    reaches them, so only one target's are alive.
     """
     if m > _PLAN_CACHE_MAX_M:
         return ((src[0], dst[0]) for src, dst in (_extend_rows(masks, rank, [j])
                                                    for j in range(m)))
     plan = _PLAN_CACHE.get((m, k))
     if plan is None:
-        src, dst = _extend_rows(masks, rank, range(m))
-        plan = _PLAN_CACHE[m, k] = tuple(zip(_compact(src), _compact(dst)))
+        plan = _PLAN_CACHE[m, k] = _compact(np.stack(_extend_rows(masks, rank, range(m)), axis=1))
     return plan
 
 
@@ -396,8 +401,10 @@ def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
 
 # The two right actions S -> S*label(p, j) of the kernel.  Each returns
 # (operand, act): operand(values) is a layer as the action reads it, one
-# row per mask, and act(j, rows) is, for a block of those rows, the OR
-# over p of values[r, p] * label(p, j).
+# row per mask, and act(data, src, targets), for the (t, rows) block ``src``
+# of operand rows, row i of it for target j = targets.start + i (``targets``
+# a slice of t targets), is the (t, rows) array of the ORs over p of
+# values[r, p] * label(p, j).
 
 def _byte_action(L: Labelling, verts: list[int]):
     """S*g through the group's byte table (``FiniteGroup.right_mul_lut``), for any group.
@@ -405,8 +412,8 @@ def _byte_action(L: Labelling, verts: list[int]):
     The operand is a layer's values as bytes, the first ``chunks`` of each
     word, over one flat axis: entry (r, p*chunks + c).  offsets[j] holds,
     per flat column, the start of the table for chunk c of S*label(p, j),
-    or of the all-zero row when the arc p -> j is absent, so one add forms
-    the lookup index of a whole block.
+    or of the all-zero row when the arc p -> j is absent, so one add of
+    offsets[targets] forms the lookup index of a whole block.
     """
     G = L.group
     lut = G.right_mul_lut()
@@ -423,9 +430,9 @@ def _byte_action(L: Labelling, verts: list[int]):
         digits = values.view(np.uint8).reshape(rows, m, 8)[:, :, :chunks]
         return np.ascontiguousarray(digits).reshape(rows, m * chunks)
 
-    def act(j: int, digits: np.ndarray) -> np.ndarray:
-        idx = np.add(digits, offsets[j], dtype=np.intp)
-        return np.bitwise_or.reduce(flat.take(idx), axis=1)
+    def act(digits: np.ndarray, src: np.ndarray, targets: slice) -> np.ndarray:
+        idx = np.add(digits.take(src, axis=0), offsets[targets, None, :], dtype=np.intp)
+        return np.bitwise_or.reduce(flat.take(idx), axis=2)
 
     return operand, act
 
@@ -436,21 +443,21 @@ def _rotate_action(L: Labelling, verts: list[int]):
     There S*g = ((S << g) | (S >> (q - g))) & full: the members of S move
     up by g and wrap around.  An absent arc shifts by 64 both ways, which
     numpy defines as 0.  The operand is a layer's values as they are; a
-    block is transposed, one row per source endpoint, so that every shift
-    runs along the block with a single shift count.
+    block's rows are gathered with the source endpoint axis first, so that
+    every shift runs along a target's rows with a single shift count.
     """
     q = L.group.order
     full = np.uint64(L.group.full_subset())
     sub = np.ix_(verts, verts)
-    present = L.present[sub].T[:, :, None]
-    label = L.labels[sub].T[:, :, None].astype(np.uint64)  # label[j, p] = label(p, j)
+    present = L.present[sub][:, :, None]
+    label = L.labels[sub][:, :, None].astype(np.uint64)  # label[p, j] = label(p, j)
     left = np.where(present, label, np.uint64(64))
     right = np.where(present, np.uint64(q) - label, np.uint64(64))  # q - 0 = q: nothing wraps
 
-    def act(j: int, values: np.ndarray) -> np.ndarray:
-        block = np.ascontiguousarray(values.T)
-        moved = np.left_shift(block, left[j])
-        block >>= right[j]
+    def act(values: np.ndarray, src: np.ndarray, targets: slice) -> np.ndarray:
+        block = np.moveaxis(values.take(src, axis=0), 2, 0).copy()
+        moved = np.left_shift(block, left[:, targets])
+        block >>= right[:, targets]
         moved |= block
         acc = np.bitwise_or.reduce(moved, axis=0)
         acc &= full
@@ -462,21 +469,41 @@ def _rotate_action(L: Labelling, verts: list[int]):
 _DENSE_BLOCK = 1 << 16  # operand entries per block: keeps the temporaries in cache
 
 
+def _plan_blocks(plan, step: int):
+    """(j0, src, dst) blocks of ``plan`` (``_extend_plan``), at most ``step``
+    source rows each: src and dst are (t, rows) for targets j0..j0+t-1.
+
+    A cached plan whose targets fit goes as blocks of whole targets; a
+    larger one, and every plan above the cache bound, goes one target at a
+    time, its rows split into blocks of ``step``.
+    """
+    if isinstance(plan, np.ndarray) and plan.shape[2] <= step:
+        per = step // plan.shape[2]
+        for j in range(0, len(plan), per):
+            yield j, plan[j:j + per, 0], plan[j:j + per, 1]
+        return
+    for j, (src, dst) in enumerate(plan):
+        for lo in range(0, src.size, step):
+            yield j, src[None, lo:lo + step], dst[None, lo:lo + step]
+
+
 def _dense_extend(values: np.ndarray, plan, size: int, operand, act,
                   seed: np.ndarray | None) -> np.ndarray:
     """Next dense layer, of ``size`` rows: out[dst, j] = OR_p values[src, p] *
     label(p, j) for the j-th (src, dst) of ``plan``, with seed[j] ORed in
-    unless ``seed`` is None.  ``operand`` and ``act`` are one action's."""
+    unless ``seed`` is None.  ``operand`` and ``act`` are one action's; each
+    call of ``act`` extends a block of targets together (``_plan_blocks``),
+    at most _DENSE_BLOCK operand entries."""
     m = values.shape[1]
     data = operand(values)
     out = np.zeros((size, m), dtype="<u8")
-    step = max(1, _DENSE_BLOCK // data.shape[1])
-    for j, (src, dst) in enumerate(plan):
-        for lo in range(0, src.size, step):
-            acc = act(j, data[src[lo:lo + step]])
-            if seed is not None:
-                acc |= seed[j]
-            out[dst[lo:lo + step], j] = acc
+    columns = np.arange(m)[:, None]
+    for j, src, dst in _plan_blocks(plan, max(1, _DENSE_BLOCK // data.shape[1])):
+        targets = slice(j, j + len(src))
+        acc = act(data, src, targets)
+        if seed is not None:
+            acc |= seed[targets, None]
+        out[dst, columns[targets]] = acc
     return out
 
 

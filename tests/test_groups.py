@@ -119,6 +119,36 @@ def test_not_a_group():
                      for a1 in range(5) for b1 in range(12)])
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1.0], [1.0, 0]],
+    [[0, np.float64(1.0)], [np.float64(1.0), 0]],
+    [[False, True], [True, False]],
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[False, True], [True, False]]),
+    [[0, "1"], ["1", 0]],
+    [[0, None], [None, 0]],
+    [[0, 1], [1]],
+], ids=["float", "numpy-float", "bool", "float-array", "bool-array", "string", "none", "ragged"])
+def test_a_table_of_non_integers_is_rejected(table):
+    # the first six were cut down to Z2, and the last two raised numpy's TypeError and ValueError
+    message = "table spec 'mul' must be rows of integers"
+    with pytest.raises(BadSpec, match=message):
+        table_group(table)
+    if isinstance(table, list):
+        with pytest.raises(BadSpec, match=message):
+            build_group({"kind": "table", "mul": table})
+
+
+def test_a_table_of_integers_passes_in_any_form():
+    z2 = cyclic_group(2)
+    for table in ([[0, 1], [1, 0]], ((0, 1), (1, 0)), [[np.int64(0), np.uint8(1)], [1, 0]],
+                  np.array([[0, 1], [1, 0]], dtype=np.uint8)):
+        assert table_group(table) == z2
+    given = np.array([[0, 1], [1, 0]])
+    assert not table_group(given).table.flags.writeable
+    given[0, 0] = 0  # the caller's array is copied, not frozen
+
+
 def pairwise_table(spec: dict) -> list[list[int]]:
     """The Cayley table of a constructor spec, one pair at a time."""
     if spec["kind"] == "cyclic":
@@ -288,6 +318,20 @@ def test_subset_actions_reject_a_non_element(g):
             g9.elem_mul_subset(g, subset_of([0, 3]))
         assert g9.subset_mul_elem(subset_of([0, 3]), 1) == subset_of([1, 4])
         assert g9.elem_mul_subset(1, subset_of([0, 3])) == subset_of([1, 4])
+
+
+@pytest.mark.parametrize("elem", [True, 1.0, np.float64(2.0), -1, "1"],
+                         ids=["bool", "float", "numpy_float", "negative", "string"])
+def test_subset_of_rejects_a_non_element(elem):
+    # True was the set {1}, and -1 raised "negative shift count"
+    with pytest.raises(ValueError, match=re.escape(f"element {elem!r} is not a non-negative")):
+        subset_of([0, elem])
+
+
+def test_subset_of_takes_numpy_integers():
+    assert subset_of([np.int64(3), np.uint8(0), 6]) == subset_of([0, 3, 6]) == 0b1001001
+    assert subset_of(np.array([0, 3, 6])) == 0b1001001
+    assert subset_of([]) == 0
 
 
 def test_subset_actions_accept_numpy_integers():

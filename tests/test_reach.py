@@ -388,6 +388,53 @@ def test_rotation_matches_the_byte_table_layer_by_layer(q, monkeypatch):
     assert any(layer.array.any() for _, layer in rotated[1][3:])
 
 
+@pytest.mark.parametrize("block", [1, 37])
+@pytest.mark.parametrize("action", ["rotation", "byte"])
+def test_every_block_size_gives_the_same_layers(action, block, monkeypatch):
+    # over 7 free vertices the default block holds every target of a layer
+    # at once; a block of 37 operand entries holds whole targets of the
+    # smallest layers and splits the rows of the others (rotation: 5 rows of
+    # 7 words; byte table over Z11: 2 rows of 7 * 2 bytes); a block of 1
+    # splits every target's rows into single rows
+    group = cyclic_group(11)
+    rng = random.Random(block)
+    n = 8
+    labels = [[rng.randrange(11) for _ in range(n)] for _ in range(n)]
+    present = [[u != v and rng.random() < 0.7 for v in range(n)] for u in range(n)]
+    L = Labelling(group, labels, present)
+    verts = list(range(1, n))
+    seeds = [reach._arc_bits(L, 0, verts), np.ones(len(verts), dtype=np.uint64),
+             np.array([rng.getrandbits(11) for _ in verts], dtype=np.uint64)]
+    cases = [(seed, inside) for seed in seeds for inside in (False, True)]
+    if action == "byte":
+        monkeypatch.setattr(reach, "_rotate_action", reach._byte_action)
+    want = [list(reach._dense_layers(L, verts, seed, inside)) for seed, inside in cases]
+    shapes = []
+    blocks = reach._plan_blocks
+
+    def spy(plan, step):
+        for j, src, dst in blocks(plan, step):
+            shapes.append((*src.shape, plan.shape[2]))  # every plan of 7 vertices is cached
+            yield j, src, dst
+
+    monkeypatch.setattr(reach, "_plan_blocks", spy)
+    monkeypatch.setattr(reach, "_DENSE_BLOCK", block)
+    for (seed, inside), expected in zip(cases, want):
+        got = list(reach._dense_layers(L, verts, seed, inside))
+        assert [k for k, _ in got] == [k for k, _ in expected]
+        for (k, layer), (_, layer_want) in zip(got, expected):
+            assert np.array_equal(layer.array, layer_want.array), (inside, k)
+    for x in range(n):
+        assert set(subset_elements(reach_set(L, range(n), x))) == \
+            brute_reach_set(L, list(range(n)), x)
+    assert any(layer.array.any() for _, layer in want[0][4:])
+    if block == 1:
+        assert {(t, rows) for t, rows, _ in shapes} == {(1, 1)}
+    else:  # blocks of several whole targets, and single targets cut short
+        assert any(t > 1 and rows == full for t, rows, full in shapes)
+        assert any(t == 1 and rows < full for t, rows, full in shapes)
+
+
 def _permuted_cyclic(q: int) -> list[list[int]]:
     """Z_q's table with elements 1 and 2 swapped: a cyclic group, not numbered a + b."""
     swap = list(range(q))
