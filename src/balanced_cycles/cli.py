@@ -9,7 +9,8 @@ enumerate   list every balanced cycle of a labelling file
 key-lemma   run the dichotomy procedure, print cycle or certificate JSON
 prime-find  constructive witness over a prime-order group
 verify      exhaustive or randomized campaign, JSON report
-compute-n   exact n(G) by vertex-extension search; search_nodes counts label trials
+compute-n   exact n(G) by vertex-extension search, at most --node-budget label
+            trials; search_nodes counts the trials spent
 
 Exit codes: 0 success / cycle found; 1 campaign found a counterexample;
 2 usage or input error; 3 exactly no balanced cycle exists; 4 heuristic
@@ -21,6 +22,8 @@ most N processes, and never more than the machine has cores.
 ``--max-dp-vertices K`` (K >= 0; ``check``, ``verify --random``) runs the
 exact search only up to K vertices, and never above the cap of 24; larger
 instances get the short-cycle scan alone, so K = 0 means scan only.
+``compute-n --node-budget N`` (N >= 0, default 2,000,000) bounds the
+label trials over all n; past it the command exits 5 with a lower bound.
 A value outside these ranges exits 2, and so does a ``verify`` flag its
 mode does not read: ``--trials``, ``--seed`` and ``--max-dp-vertices``
 without ``--random``, ``--mode`` and ``--workers`` with it.
@@ -38,7 +41,7 @@ import traceback
 from .constructions import arc_critical_instance, extremal_cyclic, random_labelling
 from .errors import BadSpec, BalancedCyclesError, SearchSpaceTooLarge, TooLarge
 from .groups import build_group
-from .harness import compute_n, verify_all, verify_random
+from .harness import DEFAULT_NODE_BUDGET, compute_n, verify_all, verify_random
 from .labellings import labelling_from_json
 from .proof_engine import key_lemma, prime_finder
 from .reach import (EXACT_CAP, enumerate_balanced_cycles, find_balanced_cycle, runs_exact,
@@ -144,7 +147,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compute_n(args) -> int:
     group = _load(args.group, build_group)
-    result = compute_n(group, max_n=args.max_n)
+    result = compute_n(group, max_n=args.max_n, node_budget=args.node_budget)
     _emit(result.to_json())
     return EXIT_OK
 
@@ -200,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     cn = sub.add_parser("compute-n", help="exact n(G) with a witness below")
     cn.add_argument("--group", required=True)
     cn.add_argument("--max-n", type=int, default=None)
+    cn.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                    help="label trials over all n (default 2,000,000, at least 0); "
+                         "past it the command exits 5 with a lower bound")
     cn.set_defaults(func=_cmd_compute_n)
 
     return parser

@@ -29,7 +29,8 @@ and a set ``subset_elements`` lists, like every element ``subset_of``
 takes, must be a non-negative integer; anything else is a ValueError.  The
 constructors' ``q``, ``m``, ``n`` and ``r``, and every entry of a table
 ``FiniteGroup`` takes, are integers by the same rule (BadSpec otherwise;
-an integer numpy table passes on its dtype, ``checked_matrix``).
+an integer numpy table passes on its dtype, ``checked_matrix``, and any
+other entry must fit in an int64 before the table is cast to one).
 
 The constructors build each Cayley table as one numpy array, by
 broadcasting over the pair encoding (a*m + b for products, a*n + b for
@@ -47,6 +48,7 @@ import numpy as np
 from .errors import BadSpec, NotAGroup, NotASubgroup
 
 MAX_ORDER = 64
+_INT64 = np.iinfo(np.int64)
 
 
 def _validate_table(mul: np.ndarray) -> None:
@@ -85,7 +87,8 @@ class FiniteGroup:
                  "_rows", "_inv", "_luts", "_lut_rows")
 
     def __init__(self, table, name: str = "", spec: dict | None = None):
-        mul = checked_matrix(table, "iu", is_json_int, "table spec 'mul' must be rows of integers",
+        mul = checked_matrix(table, "iu", is_json_int,
+                             "table spec 'mul' must be rows of integers in the int64 range",
                              BadSpec).astype(np.int64)
         _validate_table(mul)
         mul.setflags(write=False)
@@ -368,11 +371,12 @@ def checked_matrix(values, kinds: str, is_entry, message: str,
                    error: type[Exception] = ValueError) -> np.ndarray:
     """``values`` as an array: a numpy array of a dtype kind in ``kinds`` as
     it is, anything else as an object array whose every entry passes
-    ``is_entry`` (``error`` with ``message`` if one does not)."""
+    ``is_entry`` and fits in an int64, the callers' cast (``error`` with
+    ``message`` if one does not)."""
     if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
         return values
     entries = np.array(values, dtype=object)
-    if not all(map(is_entry, entries.flat)):
+    if not all(is_entry(x) and _INT64.min <= x <= _INT64.max for x in entries.flat):
         raise error(message)
     return entries
 

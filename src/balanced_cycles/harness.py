@@ -46,9 +46,22 @@ MiB for any trial count and any n <= 64.
 ``compute_n`` finds n(G) by extending a cycle-free labelling one vertex at
 a time, with the arcs out of vertex 0 pinned to the identity (every
 labelling is shifting-equivalent to one so pinned, so this is sound for
-existence).  In a cycle-free prefix on vertices 0..k-1, every new simple
-cycle through k is k -> a ~> b -> k.  With the path table ``P[a][b]``, the
-values of the simple paths a ~> b inside the prefix as a group bitmask
+existence), and with the in-labels of vertex 0 sorted: ``l(k, 0)`` is
+nondecreasing in k, so at k >= 2 the search tries no ``l(k, 0)`` below
+``l(k-1, 0)``.  This too is sound for existence.  A permutation s of the
+vertices that fixes 0 turns a labelling l into ``l'(u, v) =
+l(s(u), s(v))``; it maps simple cycles to simple cycles with the same
+values, so l' is cycle-free when l is, and pinned when l is, since
+``l'(0, v) = l(0, s(v))`` is the identity.  Taking for s a permutation
+of 1..n-1 that sorts ``l(., 0)`` makes l' sorted, and the prefixes of a
+sorted labelling are sorted, so the vertex-by-vertex search reaches it.
+(This symmetry cut is a lex-leader predicate in the sense of Crawford,
+Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
+problems", KR 1996.)
+
+In a cycle-free prefix on vertices 0..k-1, every new simple cycle through
+k is k -> a ~> b -> k.  With the path table ``P[a][b]``, the values of
+the simple paths a ~> b inside the prefix as a group bitmask
 (``P[a][a]`` = {identity}, for the 2-cycles), the labels of k form a
 bipartite CSP: out-labels ``x_a = l(k, a)`` against in-labels
 ``y_b = l(b, k)``, with ``y_0`` the pinned identity.  The pair is forbidden
@@ -393,6 +406,8 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
                 paths = _path_row(labels, k, a, pres, smul)
                 cuts.append([list(map(times, paths)) for times in left_mul])
             for g, cut in enumerate(cuts[a]):
+                if a == 0 and k >= 2 and g < labels[k - 1][0]:
+                    continue  # the sorting rule: l(k, 0) is nondecreasing in k
                 budget.spend()
                 left_over = [d & ~c for d, c in zip(domains, cut)]
                 if all(left_over):
@@ -430,17 +445,18 @@ def compute_n(group: FiniteGroup, max_n: int | None = None,
 
     Searches n = 1, 2, ... up to ``max_n`` (default |G| + 2) with the
     vertex-extension search of the module docstring, under one budget of
-    ``node_budget`` (variable, value) trials shared by every n; ``nodes`` in
-    the result, ``search_nodes`` in its JSON, is the number spent.  The
-    witness is the cycle-free labelling found one vertex below, normalized
-    at vertex 0 and re-verified.  On budget exhaustion the raised
+    ``node_budget`` (variable, value) trials shared by every n, an integer
+    >= 0 (BadSize otherwise); ``nodes`` in the result, ``search_nodes`` in
+    its JSON, is the number spent.  The witness is the cycle-free
+    labelling found one vertex below, normalized at vertex 0 and
+    re-verified.  On budget exhaustion the raised
     SearchSpaceTooLarge carries the best lower bound and its witness.
     """
     limit = max_n if max_n is not None else group.order + 2
     if not (is_json_int(limit) and limit >= 1):
         raise BadSize(f"max_n {limit} is below 1 or not an integer")
-    if not is_json_int(node_budget):
-        raise BadSize(f"node_budget {node_budget} is not an integer")
+    if not (is_json_int(node_budget) and node_budget >= 0):
+        raise BadSize(f"node_budget {node_budget} is not an integer >= 0")
     budget = _Budget(node_budget)
     witness: Labelling | None = None
     for n in range(1, limit + 1):

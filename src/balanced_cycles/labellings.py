@@ -59,7 +59,8 @@ class Labelling:
     __slots__ = ("group", "n", "labels", "present")
 
     def __init__(self, group: FiniteGroup, labels, present=None):
-        lab = checked_matrix(labels, "iu", is_json_int, "labels must be rows of integers")
+        lab = checked_matrix(labels, "iu", is_json_int,
+                             "labels must be rows of integers in the int64 range")
         lab = lab.astype(np.int64)
         if lab.ndim != 2 or lab.shape[0] != lab.shape[1]:
             raise BadSize("labels must be a square matrix")

@@ -248,6 +248,39 @@ def test_compute_n(capsys, z3_file):
     assert data["witness"]["n"] == 3
 
 
+def test_compute_n_node_budget(capsys, z3_file):
+    # Z3 takes 88 label trials in all, 82 of them refuting n = 4
+    code, data = run_cli(capsys, "compute-n", "--group", z3_file, "--node-budget", "88")
+    assert code == 0
+    assert data["n"] == 4 and data["search_nodes"] == 88
+    code, data = run_cli(capsys, "compute-n", "--group", z3_file, "--node-budget", "20")
+    assert code == 5
+    assert data["error"] == "search_space_too_large" and data["lower_bound"] == 4
+    assert data["witness"]["n"] == 3
+
+
+def test_compute_n_rejects_a_negative_node_budget(capsys, z3_file):
+    assert main(["compute-n", "--group", z3_file, "--node-budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node_budget -1 is not an integer >= 0" in captured.err
+
+
+@pytest.mark.parametrize("entry", [2 ** 70, -2 ** 70], ids=["above", "below"])
+def test_a_table_entry_beyond_int64_is_a_usage_error(capsys, tmp_path, entry):
+    # it used to exit 6 with numpy's OverflowError
+    group = {"kind": "table", "mul": [[0, entry], [entry, 0]]}
+    group_file = tmp_path / "group.json"
+    group_file.write_text(json.dumps(group))
+    labelling_file = tmp_path / "labelling.json"
+    labelling_file.write_text(json.dumps({"group": group, "n": 2, "labels": [[0, 1], [1, 0]]}))
+    assert main(["compute-n", "--group", str(group_file)]) == 2
+    assert main(["check", str(labelling_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table spec 'mul' must be rows of integers in the int64 range\n" * 2
+
+
 @pytest.mark.parametrize("max_n", ["0", "-2"])
 def test_compute_n_rejects_max_n_below_one(capsys, z3_file, max_n):
     assert main(["compute-n", "--group", z3_file, "--max-n", max_n]) == 2

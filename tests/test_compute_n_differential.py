@@ -46,5 +46,6 @@ def test_existence_matches_reference(name, n):
 def test_compute_n_decides_z5():
     result = compute_n(cyclic_group(5))
     assert result.value == 6
-    assert result.nodes <= DEFAULT_NODE_BUDGET
+    # pinned: the sorting rule cut it from 1,455,541
+    assert result.nodes == 278_650 <= DEFAULT_NODE_BUDGET
     assert_normalized_cycle_free(result.witness, 5)

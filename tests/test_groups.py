@@ -139,6 +139,17 @@ def test_a_table_of_non_integers_is_rejected(table):
             build_group({"kind": "table", "mul": table})
 
 
+@pytest.mark.parametrize("entry", [2 ** 70, -2 ** 70], ids=["above", "below"])
+def test_a_table_entry_beyond_int64_is_rejected(entry):
+    # the cast to int64 used to raise OverflowError, an internal error
+    table = [[0, entry], [entry, 0]]
+    message = "table spec 'mul' must be rows of integers in the int64 range"
+    with pytest.raises(BadSpec, match=message):
+        table_group(table)
+    with pytest.raises(BadSpec, match=message):
+        build_group({"kind": "table", "mul": table})
+
+
 def test_a_table_of_integers_passes_in_any_form():
     z2 = cyclic_group(2)
     for table in ([[0, 1], [1, 0]], ((0, 1), (1, 0)), [[np.int64(0), np.uint8(1)], [1, 0]],

@@ -276,10 +276,14 @@ def test_verify_random_derives_seeds_block_by_block(monkeypatch):
 
 
 def test_compute_n_values():
-    assert compute_n(cyclic_group(1)).value == 2
-    assert compute_n(cyclic_group(2)).value == 3
+    # the trial counts are pinned, so any change to the search's order or
+    # to its sorting rule shows
+    result = compute_n(cyclic_group(1))
+    assert (result.value, result.nodes) == (2, 1)
+    result = compute_n(cyclic_group(2))
+    assert (result.value, result.nodes) == (3, 7)
     result = compute_n(cyclic_group(3))
-    assert result.value == 4
+    assert (result.value, result.nodes) == (4, 88)
     witness = result.witness
     assert witness.n == 3
     assert enumerate_balanced_cycles(witness) == []
@@ -296,13 +300,16 @@ def test_compute_n_bounds_when_capped():
 
 
 def test_compute_n_order_four_groups():
-    # both even-order groups of order 4 resolve inside the default budget
-    assert compute_n(cyclic_group(4)).value == 5
-    assert compute_n(product_group(cyclic_group(2), cyclic_group(2))).value == 5
+    # both even-order groups of order 4 resolve inside the default budget;
+    # without the sorting rule they took 16,136 and 15,435 trials
+    result = compute_n(cyclic_group(4))
+    assert (result.value, result.nodes) == (5, 4064)
+    result = compute_n(product_group(cyclic_group(2), cyclic_group(2)))
+    assert (result.value, result.nodes) == (5, 3075)
 
 
 def test_compute_n_budget_reports_bounds():
-    # n <= 3 spend 7 nodes on Z3 and refuting n = 4 needs 139, so 20 run out at n = 4
+    # n <= 3 spend 6 nodes on Z3 and refuting n = 4 needs 82, so 20 run out at n = 4
     with pytest.raises(SearchSpaceTooLarge) as info:
         compute_n(cyclic_group(3), node_budget=20)
     assert info.value.lower_bound == 4
@@ -310,6 +317,20 @@ def test_compute_n_budget_reports_bounds():
     assert witness.n == 3
     assert enumerate_balanced_cycles(witness) == []
     assert find_balanced_cycle(witness) is None
+
+
+def test_compute_n_budget_is_exact():
+    # the pinned count suffices, one trial less does not
+    assert compute_n(cyclic_group(3), node_budget=88).value == 4
+    with pytest.raises(SearchSpaceTooLarge) as info:
+        compute_n(cyclic_group(3), node_budget=87)
+    assert info.value.lower_bound == 4
+
+
+def test_compute_n_rejects_a_negative_budget():
+    # -1 used to run out at once and report the lower bound 1
+    with pytest.raises(BadSize, match="node_budget -1 is not an integer >= 0"):
+        compute_n(cyclic_group(3), node_budget=-1)
 
 
 def test_compute_n_catches_a_broken_dict_route(monkeypatch):

@@ -84,6 +84,13 @@ def test_labelling_rejects_labels_that_are_not_integers(labels):
         Labelling(cyclic_group(3), labels)
 
 
+@pytest.mark.parametrize("label", [2 ** 70, -2 ** 70], ids=["above", "below"])
+def test_labelling_rejects_a_label_beyond_int64(label):
+    # the cast to int64 used to raise OverflowError, an internal error
+    with pytest.raises(ValueError, match="labels must be rows of integers in the int64 range"):
+        Labelling(cyclic_group(3), [[0, label], [1, 0]])
+
+
 @pytest.mark.parametrize("entry", [1, 0.5, np.float64(1.0), np.int64(1)],
                          ids=["int", "float", "numpy_float", "numpy_int"])
 def test_labelling_rejects_a_mask_that_is_not_boolean(entry):
