@@ -23,7 +23,11 @@ labelling, at any n, reads the 2-cycle list alone.
   exact escalation.
 * ``verify_all`` turns a block of odometer indices into their base-|G|
   digits over the free arcs and sieves every length up to n.  The
-  survivors are the counterexamples, in index order.
+  survivors are the counterexamples, in index order, kept as one
+  (count, n, n) int64 array (``_enumerate_chunk``'s result, which also
+  crosses the process boundary with ``workers`` > 1).  They are
+  re-checked as stacks of at most ``BLOCK_ELEMS // n**2`` labellings and
+  become ``Labelling`` objects afterwards.
 
 Both campaigns keep, re-verify and report every counterexample, so past
 COUNTEREXAMPLE_CAP of them, checked after every block, a campaign stops
@@ -31,15 +35,18 @@ with ``SearchSpaceTooLarge``.
 
 What re-checks what is one rule, kept in ``reach``'s module docstring: a
 cycle-free verdict is confirmed by a route that did not produce it.  An
-escalated trial's None from ``find_balanced_cycle`` (the dense kernel) and
-the sieve's counterexamples (the cycle lists) are confirmed on the dict
-layers by ``reach._recheck_cycle_free``; ``compute_n``'s witness, whose
+escalated trial's None from ``find_balanced_cycle`` (the dense kernel),
+as a stack of one, and the sieve's counterexamples (the cycle lists), a
+stack at a time, are confirmed on the dict layers by
+``reach._recheck_cycle_free``: the same route and the same recurrence
+for one labelling or a stack; ``compute_n``'s witness, whose
 CSP built its path rows on the dict layers, by ``find_balanced_cycle``
 finding nothing (``_reverify_cycle_free``).
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
-and a sieve step at most that many cycle values (one labelling at a time
-when a length has more cycles than that), and a round of the random
+and so does a stack of re-checked counterexamples, and a sieve step at
+most that many cycle values (one labelling at a time when a length has
+more cycles than that), and a round of the random
 generator makes at most ``rng.ROUND_WORDS`` words, so memory stays a few
 MiB for any trial count and any n <= 64.
 
@@ -88,7 +95,7 @@ import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group, is_json_int
-from .labellings import MAX_VERTICES, Labelling
+from .labellings import MAX_VERTICES, Labelling, complete_mask
 from .reach import (EXACT_CAP, _anchored_layers, _cycle_arcs, _cycle_values,
                     _recheck_cycle_free, find_balanced_cycle, runs_exact)
 from .rng import _check_seed, trial_seeds, xoshiro_labels
@@ -193,18 +200,21 @@ def _check_counterexamples(count: int) -> None:
 
 
 def _enumerate_chunk(spec: dict, n: int, normalized: bool,
-                     lo: int, hi: int) -> tuple[int, list[list[list[int]]], dict[int, int]]:
+                     lo: int, hi: int) -> tuple[int, np.ndarray, dict[int, int]]:
     """Check the labellings with odometer indices [lo, hi); pure, mergeable.
 
     Index i labels the free arcs (row-major) with its base-|G| digits, most
-    significant first; pinned arcs and the diagonal are the identity.
+    significant first; pinned arcs and the diagonal are the identity.  The
+    counterexamples come back in index order as one (count, n, n) int64
+    array.
     """
     group = build_group(spec)
     order = group.order
     free = [u * n + v for u, v in _free_arcs(n, normalized)]
     block = max(1, BLOCK_ELEMS // (n * n))
     lengths: Counter[int] = Counter()
-    counterexamples: list[list[list[int]]] = []
+    counterexamples = [np.zeros((0, n, n), dtype=np.int64)]
+    kept = 0
     for start in range(lo, hi, block):
         labels = np.zeros((n * n, min(block, hi - start)), dtype=np.int64)
         rest = np.arange(start, start + labels.shape[1], dtype=np.int64)
@@ -216,9 +226,10 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
             rest = above
         first = _sieve(group.table, labels, _cycle_arcs(n, n))
         _count_lengths(lengths, first)
-        counterexamples.extend(labels[:, first == 0].T.reshape(-1, n, n).tolist())
-        _check_counterexamples(len(counterexamples))
-    return hi - lo, counterexamples, dict(lengths)
+        counterexamples.append(labels[:, first == 0].T.reshape(-1, n, n))
+        kept += len(counterexamples[-1])
+        _check_counterexamples(kept)
+    return hi - lo, np.concatenate(counterexamples), dict(lengths)
 
 
 def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
@@ -256,15 +267,16 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
                        for lo, hi in ranges]
             chunks = [f.result() for f in futures]
 
-    _check_counterexamples(sum(len(chunk[1]) for chunk in chunks))
+    found = np.concatenate([chunk[1] for chunk in chunks])
+    _check_counterexamples(len(found))
     lengths: Counter[int] = Counter()
-    for trials, raw_counterexamples, chunk_lengths in chunks:
+    for trials, _, chunk_lengths in chunks:
         report.trials += trials
         lengths.update(chunk_lengths)
-        for raw in raw_counterexamples:
-            L = Labelling(group, np.array(raw, dtype=np.int64))
-            _recheck_cycle_free(L)
-            report.counterexamples.append(L)
+    stack = max(1, BLOCK_ELEMS // (n * n))
+    for lo in range(0, len(found), stack):
+        _recheck_cycle_free(group, found[lo:lo + stack], complete_mask(n))
+    report.counterexamples = [Labelling(group, labels) for labels in found]
     report.witness_lengths = dict(sorted(lengths.items()))
     if report.trials != len(report.counterexamples):
         report.witness_methods["cycle_list"] = report.trials - len(report.counterexamples)
@@ -316,7 +328,7 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
                     methods["dp"] += 1
                     lengths[len(witness.vertices)] += 1
                 else:
-                    _recheck_cycle_free(L)
+                    _recheck_cycle_free(group, L.labels[None], L.present)
                     report.counterexamples.append(L)
             else:
                 report.unresolved += 1
@@ -381,8 +393,9 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
     may empty.
     """
     inv = group._inv
+    order = group.order
     smul = group.subset_mul_elem
-    left_mul = [partial(group.elem_mul_subset, g) for g in range(group.order)]
+    left_mul = [partial(group.elem_mul_subset, g) for g in range(order)]
     # every arc of the complete digraph is present
     pres = [[True] * n] * n
     full = group.full_subset()
@@ -391,8 +404,9 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
     def extend(k: int) -> bool:
         if k == n:
             return True
-        # cuts[a][g][b]: the z_b that x_a = g rules out, built when x_a is first tried
-        cuts: list[list[list[int]]] = []
+        # cuts[a] = (row a of the path table, built when x_a is first tried;
+        # per g, the z_b that x_a = g rules out, built when g is first tried)
+        cuts: list[tuple[list[int], list[list[int] | None]]] = []
         outs = labels[k]
 
         def place_x(a: int, domains: list[int]) -> bool:
@@ -403,11 +417,13 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
                     return True
                 return place_y(1, domains)
             if a == len(cuts):
-                paths = _path_row(labels, k, a, pres, smul)
-                cuts.append([list(map(times, paths)) for times in left_mul])
-            for g, cut in enumerate(cuts[a]):
-                if a == 0 and k >= 2 and g < labels[k - 1][0]:
-                    continue  # the sorting rule: l(k, 0) is nondecreasing in k
+                cuts.append((_path_row(labels, k, a, pres, smul), [None] * order))
+            paths, by_g = cuts[a]
+            # the sorting rule: l(k, 0) is nondecreasing in k (l(0, 0) = 0 at k = 1)
+            for g in range(labels[k - 1][0] if a == 0 else 0, order):
+                cut = by_g[g]
+                if cut is None:
+                    cut = by_g[g] = list(map(left_mul[g], paths))
                 budget.spend()
                 left_over = [d & ~c for d, c in zip(domains, cut)]
                 if all(left_over):

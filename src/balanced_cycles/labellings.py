@@ -10,6 +10,7 @@ makes normal forms and the equivalence decision below possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,14 @@ def _vertex_seq(path) -> tuple[int, ...]:
     return tuple(path)
 
 
+@lru_cache(maxsize=MAX_VERTICES)
+def complete_mask(n: int) -> np.ndarray:
+    """The read-only arc mask of the complete digraph on n vertices."""
+    pres = ~np.eye(n, dtype=bool)
+    pres.setflags(write=False)
+    return pres
+
+
 class Labelling:
     """Arc labels over a finite group, with an optional presence mask.
 
@@ -61,25 +70,25 @@ class Labelling:
     def __init__(self, group: FiniteGroup, labels, present=None):
         lab = checked_matrix(labels, "iu", is_json_int,
                              "labels must be rows of integers in the int64 range")
-        lab = lab.astype(np.int64)
         if lab.ndim != 2 or lab.shape[0] != lab.shape[1]:
             raise BadSize("labels must be a square matrix")
         n = int(lab.shape[0])
         if n < 1 or n > MAX_VERTICES:
             raise BadSize(f"vertex count {n} outside 1..{MAX_VERTICES}")
         if present is None:
-            pres = ~np.eye(n, dtype=bool)
+            pres = complete_mask(n)
         else:
             pres = checked_matrix(present, "b", _is_bool, "mask must be rows of booleans")
             pres = pres.astype(bool)
             if pres.shape != (n, n):
                 raise BadSize("mask shape must match labels")
             np.fill_diagonal(pres, False)
-        if np.any(((lab < 0) | (lab >= group.order)) & pres):
+            pres.setflags(write=False)
+        # absent arcs are zeroed first, so the range check reads present arcs alone
+        lab = np.where(pres, lab, 0).astype(np.int64, copy=False)
+        if lab.min() < 0 or lab.max() >= group.order:
             raise ValueError("present arc with label outside the group")
-        lab = np.where(pres, lab, 0)
         lab.setflags(write=False)
-        pres.setflags(write=False)
         self.group = group
         self.n = n
         self.labels = lab
@@ -92,7 +101,7 @@ class Labelling:
         return bool(self.present[u, v])
 
     def is_complete(self) -> bool:
-        return bool(np.all(self.present | np.eye(self.n, dtype=bool)))
+        return np.array_equal(self.present, complete_mask(self.n))
 
     def rows(self) -> list[list[int]]:
         """Labels as nested lists, for hot scalar loops."""

@@ -96,8 +96,13 @@ calls the dense kernel, and the search never calls it.  The callers:
   (length, mask, closing vertex) order, each rebuilt from the layers it
   keeps.  These layers are small, so keeping them all is cheap, and the
   rebuild is a walk over them with no rerun of anything.
-  ``_recheck_cycle_free`` takes the first cycle of every start, and
   ``enumerate_balanced_cycles`` takes them all;
+* ``_recheck_cycle_free``, which runs every start once for a stack of
+  labellings that share one arc mask and only asks whether a layer
+  closes a cycle.  For a stack of one a value set is a Python int and the
+  action ``subset_mul_elem``; for a larger stack it is a uint64 array with
+  one lane per labelling, and the action a gather from the group's right
+  byte table per lane, so one pass re-checks a whole stack;
 * ``start_anchored_table``, which merges the layers;
 * the path rows of ``harness.compute_n``, which OR each layer in by
   endpoint.
@@ -126,10 +131,12 @@ produced.
 producer of the verdict                confirming route
 =====================================  ==========================================
 ``find_balanced_cycle`` returns None:  ``_recheck_cycle_free``: the dict layers
-the cycle lists, then the dense        from every start.  Up to DICT_SWEEP_CAP
-kernel (``harness.verify_random``)     vertices; above, nothing re-checks.
-the sieve's counterexamples: the       ``_recheck_cycle_free``, as above
-cycle lists (``harness.verify_all``)
+the cycle lists, then the dense        from every start, a stack of one.  Up
+kernel (``harness.verify_random``)     to DICT_SWEEP_CAP vertices; above,
+                                       nothing re-checks.
+the sieve's counterexamples: the       ``_recheck_cycle_free``, as above, in
+cycle lists (``harness.verify_all``)   stacks of BLOCK_ELEMS // n^2: the same
+                                       route and the same recurrence
 the CSP's witness, whose path rows     ``find_balanced_cycle`` finds nothing
 are the dict layers                    (``harness._reverify_cycle_free``)
 (``harness.compute_n``)
@@ -142,7 +149,9 @@ layers act through ``FiniteGroup.subset_mul_elem``, which reads the
 group's right byte table.  For a cyclic numbering the dense kernel
 rotates bits instead, so there the dense route and the dict route share
 no action; for every other group both read the byte table, which
-``tests/test_groups.py`` checks against the Cayley table.
+``tests/test_groups.py`` checks against the Cayley table.  A stacked
+re-check reads the same table through ``FiniteGroup.right_mul_lut``, so
+on a cyclic numbering it too shares no action with the dense kernel.
 
 Memory, with two layers alive while one is extended: the largest
 aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
@@ -151,7 +160,13 @@ aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
 of 20.  The plan cache adds at most 2 MiB for the life of the process;
 above its bound a run holds its mask table (2^m * 8 bytes, 128 MiB at 24)
 and one target's rows.  A block's temporaries hold at most _DENSE_BLOCK
-operand entries each, about 1 MB in all.
+operand entries each, about 1 MB in all.  A stacked re-check holds two
+dict layers of one word per entry and lane, and its arc offsets, one
+word per arc, lane and byte chunk: for ``verify_all``'s stacks of
+BLOCK_ELEMS // n^2 lanes at most 4 MiB of offsets, and layers under
+1 MB at n <= 6 (its search-space cap admits no larger n for a group of
+order 2 or more, and the trivial group has no counterexample above one
+vertex).
 
 Scope and size, one rule.  Every exact route hands its scope, the
 vertices it names and its cap to ``_scope`` before it allocates anything.
@@ -181,7 +196,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadSize, NotInScope, TooLarge
-from .groups import is_json_int, subset_elements
+from .groups import FiniteGroup, is_json_int, subset_elements
 from .labellings import CycleWitness, Labelling, cycle_value
 
 EXACT_CAP = 24
@@ -875,19 +890,56 @@ def _dense_sweep(L: Labelling, s: int) -> tuple[int, int] | None:
     return None
 
 
-def _recheck_cycle_free(L: Labelling) -> None:
-    """Confirm a cycle-free verdict of the dense kernel or the cycle lists on
+def _recheck_cycle_free(group: FiniteGroup, labels: np.ndarray, present: np.ndarray) -> None:
+    """Confirm cycle-free verdicts of the dense kernel or the cycle lists on
     the dict layers, which neither uses.
 
-    Raises AssertionError if a balanced cycle turns up: every start reruns
-    on ``_anchored_cycles``.  Above DICT_SWEEP_CAP vertices nothing is
-    re-checked.
+    ``labels`` is a stack of labellings over ``group`` that share the arc
+    mask ``present``, as a (count, n, n) integer array; labels of absent
+    arcs must still be group elements, though no path uses them.  Every start runs
+    ``_anchored_layers`` once for the whole stack, and a layer closes a
+    cycle when some entry (mask, e) holds the inverse of label(e, start).
+    Raises AssertionError if any labelling of the stack has a balanced
+    cycle.  Above DICT_SWEEP_CAP vertices nothing is re-checked.
+
+    A stack of one runs on Python-int value sets and
+    ``FiniteGroup.subset_mul_elem``.  A larger one keeps each value set as
+    a uint64 array with one lane per labelling, and acts by gathers from
+    ``FiniteGroup.right_mul_lut``, ORed over the bytes of the set: the same
+    route and the same recurrence, one pass instead of one per labelling.
     """
-    if L.n > DICT_SWEEP_CAP:
+    count, n = labels.shape[:2]
+    if n > DICT_SWEEP_CAP:
         return
-    rows, pres = L.rows(), L.present_rows()
-    if any(next(_anchored_cycles(L, s, rows, pres), None) for s in range(L.n - 1)):
-        raise AssertionError("cycle-free verdict failed re-verification (dict layers)")
+    pres = present.tolist()
+    inv = group.inverse_table[labels]
+    if count == 1:
+        rows, inv, smul, closes = labels[0].tolist(), inv[0].tolist(), group.subset_mul_elem, bool
+    else:
+        lut = group.right_mul_lut()
+        chunks = lut.shape[1]
+        flat = lut.reshape(-1)
+        shifts = np.arange(0, 8 * chunks, 8, dtype=np.uint64)
+        # rows[e][w][i, c]: where chunk c of S*label(e, w) starts in ``flat``, lane i
+        rows = ((labels.transpose(1, 2, 0)[..., None] * chunks + np.arange(chunks)) * 256)
+        inv = inv.transpose(1, 2, 0).astype(np.uint64)
+        closes = np.any
+
+        def smul(bits, offsets: np.ndarray) -> np.ndarray:
+            digits = (np.asarray(bits, dtype=np.uint64)[..., None] >> shifts) & np.uint64(0xFF)
+            return np.bitwise_or.reduce(flat.take(offsets + digits.astype(np.intp)), axis=-1)
+
+    for s in range(n - 1):
+        others = range(s + 1, n)
+        close = {e: inv[e][s] for e in others if pres[e][s]}
+        for layer in _anchored_layers(s, others, rows, pres, smul):
+            hit = 0
+            for entry in layer.values():
+                for e, bits in entry.items():
+                    if e in close:
+                        hit |= (bits >> close[e]) & 1
+            if closes(hit):
+                raise AssertionError("cycle-free verdict failed re-verification (dict layers)")
 
 
 def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:

@@ -355,7 +355,7 @@ def reference_verify_random(group, n: int, trials: int, seed: int,
                 methods["dp"] += 1
                 lengths[len(witness.vertices)] += 1
             else:
-                _recheck_cycle_free(L)
+                _recheck_cycle_free(group, L.labels[None], L.present)
                 report.counterexamples.append(L)
         else:
             report.unresolved += 1

@@ -93,5 +93,7 @@ def test_enumerate_chunk_matches_reference(spec, n, normalized, data, block):
     hi = data.draw(st.integers(lo + 1, min(space, lo + 3000)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "BLOCK_ELEMS", block * n * n)
-        got = harness._enumerate_chunk(spec, n, normalized, lo, hi)
+        trials, counterexamples, lengths = harness._enumerate_chunk(spec, n, normalized, lo, hi)
+    assert counterexamples.dtype == np.int64 and counterexamples.shape[1:] == (n, n)
+    got = trials, counterexamples.tolist(), lengths
     assert got == reference_enumerate_chunk(spec, n, normalized, lo, hi)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from balanced_cycles import harness, reach
-from balanced_cycles import (BadSeed, BadSize, SearchSpaceTooLarge, compute_n,
+from balanced_cycles import (BadSeed, BadSize, Labelling, SearchSpaceTooLarge, compute_n,
                              cyclic_group, enumerate_balanced_cycles, extremal_cyclic,
                              find_balanced_cycle, metacyclic_group,
                              product_group, random_labelling,
@@ -87,11 +87,31 @@ def test_verify_all_trivial_group_goes_through_the_sieve(monkeypatch):
 def test_verify_all_trivial_group_rechecks_its_counterexample(monkeypatch):
     # one vertex has no cycle; the counterexample is re-checked like any other
     rechecked = []
-    monkeypatch.setattr(harness, "_recheck_cycle_free", rechecked.append)
+
+    def recheck(group, labels, present):
+        rechecked.extend(Labelling(group, lab, present) for lab in labels)
+
+    monkeypatch.setattr(harness, "_recheck_cycle_free", recheck)
     report = verify_all(cyclic_group(1), 1)
     assert report.counterexamples == rechecked
     assert [L.n for L in rechecked] == [1]
     assert report.witness_methods == {}
+
+
+def test_verify_all_rechecks_every_counterexample_in_stacks_of_a_block(monkeypatch):
+    # Z3 on 3 vertices, normalized, keeps 10 counterexamples; with a block of
+    # 4 labellings they are re-checked as stacks of 4, 4 and 2, in index order
+    stacks = []
+
+    def recheck(group, labels, present):
+        assert np.array_equal(present, ~np.eye(3, dtype=bool))
+        stacks.append(labels.copy())
+
+    monkeypatch.setattr(harness, "BLOCK_ELEMS", 4 * 3 * 3)
+    monkeypatch.setattr(harness, "_recheck_cycle_free", recheck)
+    report = verify_all(cyclic_group(3), 3, normalized=True)
+    assert [len(stack) for stack in stacks] == [4, 4, 2]
+    assert np.concatenate(stacks).tolist() == [L.labels.tolist() for L in report.counterexamples]
 
 
 def test_sieve_stops_reading_lengths_once_nothing_is_alive():

@@ -110,6 +110,29 @@ def test_labelling_accepts_numpy_integers_and_booleans():
             assert Labelling(g3, labels, mask) == want
 
 
+@pytest.mark.parametrize("label", [-1, 3, 2 ** 63 - 1], ids=["negative", "order", "int64_max"])
+def test_labelling_checks_the_range_of_present_arcs_alone(label):
+    # out of range on a present arc is an error, on an absent arc (and on
+    # the diagonal) it is zeroed, from a list or an int64 array alike
+    g3 = cyclic_group(3)
+    for labels in ([[label, 1], [label, 0]], np.array([[label, 1], [label, 0]], dtype=np.int64)):
+        with pytest.raises(ValueError, match="present arc with label outside the group"):
+            Labelling(g3, labels)
+        L = Labelling(g3, labels, [[False, True], [False, False]])
+        assert L.labels.tolist() == [[0, 1], [0, 0]]
+        assert L.labels.dtype == np.int64 and not L.labels.flags.writeable
+
+
+def test_labellings_share_one_read_only_complete_mask():
+    g3 = cyclic_group(3)
+    first, second = Labelling(g3, [[0, 1], [2, 0]]), Labelling(g3, [[0, 2], [1, 0]])
+    assert first.present is second.present
+    assert first.present.tolist() == [[False, True], [True, False]]
+    assert not first.present.flags.writeable
+    assert first.is_complete()
+    assert not Labelling(g3, [[0, 1], [2, 0]], [[False, True], [False, False]]).is_complete()
+
+
 def test_cycle_value_examples():
     g3 = cyclic_group(3)
     Lid = Labelling(g3, [[0] * 3] * 3)

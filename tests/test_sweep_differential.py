@@ -19,6 +19,7 @@ search and the re-check together must still find the cycle.
 
 import random
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -165,11 +166,16 @@ def test_late_cycle_rows():
 
 # -- the re-check of cycle-free verdicts ---------------------------------------------
 
+def _recheck(L: Labelling) -> None:
+    """The re-check of L alone, a stack of one."""
+    reach._recheck_cycle_free(L.group, L.labels[None], L.present)
+
+
 def _confirmed_witness(L: Labelling):
     """The search's witness, a None confirmed by the re-check, as campaigns do."""
     found = _witness(L)
     if found is None:
-        reach._recheck_cycle_free(L)
+        _recheck(L)
     return found
 
 
@@ -224,9 +230,9 @@ def test_recheck_raises_exactly_on_a_balanced_cycle(L):
         has_cycle = reference_find_balanced_cycle(L) is not None
     if has_cycle:
         with pytest.raises(AssertionError, match="re-verification"):
-            reach._recheck_cycle_free(L)
+            _recheck(L)
     else:
-        reach._recheck_cycle_free(L)
+        _recheck(L)
 
 
 def test_recheck_needs_neither_the_dense_kernel_nor_the_cycle_lists(monkeypatch):
@@ -242,6 +248,84 @@ def test_recheck_needs_neither_the_dense_kernel_nor_the_cycle_lists(monkeypatch)
     for L, cycle in zip(cases, has_cycle):
         if cycle:
             with pytest.raises(AssertionError, match="re-verification"):
-                reach._recheck_cycle_free(L)
+                _recheck(L)
         else:
-            reach._recheck_cycle_free(L)
+            _recheck(L)
+
+
+# -- the re-check of a stack of labellings ---------------------------------------------
+
+def _stack_raises(group, labels, present) -> bool:
+    try:
+        reach._recheck_cycle_free(group, np.asarray(labels, dtype=np.int64), present)
+    except AssertionError as exc:
+        assert "re-verification" in str(exc)
+        return True
+    return False
+
+
+def _element_order(group, g: int) -> int:
+    k, power = 1, g
+    while power:
+        k, power = k + 1, group.mul(power, g)
+    return k
+
+
+def _planted_stacks(name: str, count: int = 9):
+    """A stack of ``count`` cycle-free labellings over one group, each a random
+    shift of g on the ascending arcs and the identity on the descending ones
+    (g of the largest order k, n = min(k, 7): a cycle's value is g^a with
+    0 < a < k), and a copy of one of them with a random cycle made balanced
+    by relabelling its closing arc."""
+    group = SCAN_GROUPS[name]
+    rng = random.Random(name)
+    g = max(group.elements(), key=lambda x: _element_order(group, x))
+    n = min(_element_order(group, g), 7)
+    base = Labelling(group, [[g if u < v else 0 for v in range(n)] for u in range(n)])
+    stack = np.array([apply_shift_family(base, [rng.randrange(group.order) for _ in range(n)]).labels
+                      for _ in range(count)])
+    cycle = rng.sample(range(n), rng.randint(2, n))
+    planted = stack[rng.randrange(count)].copy()
+    value = 0
+    for u, v in zip(cycle, cycle[1:]):
+        value = group.mul(value, int(planted[u, v]))
+    planted[cycle[-1], cycle[0]] = group.inv(value)
+    return group, n, stack, planted
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_GROUPS))
+def test_stacked_recheck_finds_a_planted_cycle_anywhere(monkeypatch, name):
+    # the stack decides alone: neither the dense kernel nor the cycle lists run
+    monkeypatch.setattr(reach, "_dense_layers", _broken)
+    monkeypatch.setattr(reach, "_cycle_values", _broken)
+    group, n, stack, planted = _planted_stacks(name)
+    present = ~np.eye(n, dtype=bool)
+    assert brute_has_balanced_cycle(Labelling(group, planted))
+    assert _stack_raises(group, planted[None], present)
+    for labels in stack:
+        assert not brute_has_balanced_cycle(Labelling(group, labels))
+        assert not _stack_raises(group, labels[None], present)
+    assert not _stack_raises(group, stack, present)
+    for at in (0, len(stack) // 2, len(stack) - 1):
+        planted_stack = stack.copy()
+        planted_stack[at] = planted
+        assert _stack_raises(group, planted_stack, present), at
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(SCAN_GROUPS)), n=st.integers(2, 7),
+       density=st.sampled_from([0.3, 0.5, 0.8, 1.0]), count=st.integers(2, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_recheck_raises_exactly_when_a_labelling_has_a_cycle(name, n, density, count, seed):
+    # random labels on one shared arc mask: the stack raises exactly when
+    # one of its labellings has a balanced cycle, each checked alone as a
+    # stack of one and by brute force
+    group = SCAN_GROUPS[name]
+    rng = random.Random(seed)
+    present = np.array(_mask(rng, n, density))
+    stack = np.array([[[rng.randrange(group.order) if present[u, v] else 0 for v in range(n)]
+                       for u in range(n)] for _ in range(count)])
+    alone = [_stack_raises(group, labels[None], present) for labels in stack]
+    assert alone == [brute_has_balanced_cycle(Labelling(group, labels, present))
+                     for labels in stack]
+    assert _stack_raises(group, stack, present) == any(alone)
