@@ -57,8 +57,8 @@ EXIT_INTERNAL = 6
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # json.dumps with no indent takes the C encoder; json.dump to a stream never does
+    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 def _load(path: str, build):

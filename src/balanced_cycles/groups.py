@@ -108,11 +108,18 @@ class FiniteGroup:
 
     identity = 0
 
+    def _element(self, g) -> int:
+        """``g`` itself if it is an element by ``is_json_int``, else ValueError;
+        never a bool, a float or a negative index that would wrap."""
+        if not is_json_int(g, self.order):
+            raise ValueError(f"{g!r} is not a group element 0..{self.order - 1}")
+        return g
+
     def mul(self, g: int, h: int) -> int:
-        return self._rows[g][h]
+        return self._rows[self._element(g)][self._element(h)]
 
     def inv(self, g: int) -> int:
-        return self._inv[g]
+        return self._inv[self._element(g)]
 
     def elements(self) -> range:
         return range(self.order)
@@ -126,7 +133,8 @@ class FiniteGroup:
     def conjugate(self, g: int, h: int) -> int:
         """h * g * h^-1."""
         rows = self._rows
-        return rows[rows[h][g]][self._inv[h]]
+        h = self._element(h)
+        return rows[rows[h][self._element(g)]][self._inv[h]]
 
     # -- permutation actions on subsets, via 8-bit chunk lookup tables --
 
@@ -144,8 +152,7 @@ class FiniteGroup:
         only a first use, a numpy integer or a non-element comes here; a
         bool or a float equal to a cached element must not read its row.
         """
-        if not is_json_int(g, self.order):
-            raise ValueError(f"{g!r} is not a group element 0..{self.order - 1}")
+        self._element(g)
         rows = self._lut_rows[side]
         row = rows.get(g)
         if row is None:
@@ -357,7 +364,8 @@ def is_json_int(value, size: int | None = None) -> bool:
     """The package's one integer rule: true for an int or a numpy integer,
     never for a bool (a Python int, but not a JSON number) or a float, and,
     when ``size`` is given, only for one in 0..size-1."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    kind = type(value)  # a plain int first: the scalar accessors call this per lookup
+    return ((kind is int or kind is not bool and isinstance(value, (int, np.integer)))
             and (size is None or 0 <= value < size))
 
 

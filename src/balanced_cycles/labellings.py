@@ -94,11 +94,19 @@ class Labelling:
         self.labels = lab
         self.present = pres
 
+    def _arc(self, u, v) -> tuple[int, int]:
+        """(u, v) if both are vertices by ``is_json_int``, else ValueError;
+        never a bool, a float or a negative index that would wrap."""
+        for w in (u, v):
+            if not is_json_int(w, self.n):
+                raise ValueError(f"{w!r} is not a vertex 0..{self.n - 1}")
+        return u, v
+
     def label(self, u: int, v: int) -> int:
-        return int(self.labels[u, v])
+        return int(self.labels[self._arc(u, v)])
 
     def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.present[u, v])
+        return bool(self.present[self._arc(u, v)])
 
     def is_complete(self) -> bool:
         return np.array_equal(self.present, complete_mask(self.n))

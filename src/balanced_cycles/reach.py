@@ -19,32 +19,41 @@ and the cycle lists.
 
 The dense kernel, ``_dense_layers(L, verts, seed, inside)``.  Over the m
 vertices of ``verts`` (local mask bit i = vertex verts[i], in ascending
-order) layer k is a (C(m, k), m) uint64 array: row r for the r-th smallest
-k-subset, column j for endpoint verts[j], zero where no path exists (group
-order <= 64, so one word is one value set).  Layer 1 is diag(seed).  A
-layer is extended by the right action S*label(p, j) and an OR over the
-source endpoints p, a block of target vertices j at a time
-(``_plan_blocks``): one numpy pass per block of at most _DENSE_BLOCK
-operand entries, not one per target.  Each layer leaves the kernel as a
-``_LayerView``, a read-only mapping {vertex mask: {endpoint: value bits}}
-over the layer's array; the view is the only code that turns local masks
-and columns into vertices, and every caller reads a layer through it.
-The action is one of two, chosen from the group's Cayley table
-(``FiniteGroup.is_cyclic_numbering``, checked once per group):
+order) layer k holds, for the r-th smallest k-subset and endpoint
+verts[j], one uint64 value set (group order <= 64), zero where no path
+exists.  The kernel stores it endpoint-major, as a C-contiguous
+(m, C(m, k)) array, so that a block of source rows gathers straight into
+the (source endpoint, target, mask) order that the OR over the source
+endpoints reduces; callers see it through ``_LayerView.array``, the
+transposed view, as the (C(m, k), m) array of row r, column j.  Layer 1
+is diag(seed).  A layer is extended by the right action S*label(p, j)
+and an OR over the source endpoints p, a block of target vertices j at a
+time (``_plan_blocks``): one numpy pass per block of at most
+_DENSE_BLOCK operand entries, not one per target.  Each layer leaves the
+kernel as a ``_LayerView``, a read-only mapping {vertex mask: {endpoint:
+value bits}} over the layer's array; the view is the only code that
+turns local masks and columns into vertices, and every caller reads a
+layer through it.  The action is one of two, chosen from the group's
+Cayley table (``FiniteGroup.is_cyclic_numbering``, checked once per
+group):
 
-* when the table is exactly (a + b) mod q, the rotation
-  ((S << g) | (S >> (q - g))) & full on the words themselves, an absent
-  arc shifting its image out (``_rotate_action``);
+* when the table is exactly (a + b) mod q, a rotation on the words
+  themselves (``_rotate_action``), an absent arc shifting its image out.
+  For q <= 32 each word of the source layer is doubled in place to
+  D = S | S << q while the next layer is built, and S*g = (D >> (q - g))
+  & full, one shift per source and target; for q = 33..64 it is
+  ((S << g) | (S >> (q - g))) & full, two shifts and an OR;
 * for every other group, the byte lookup table
   (``FiniteGroup.right_mul_lut``): one add of per-arc offsets to the
-  layer's bytes, laid out over one flat (rows, m * chunks) axis, forms
-  the lookup index of a whole block (``_byte_action``).
+  layer's bytes, copied row by mask as one (rows, m * chunks) array,
+  forms the lookup index of a whole block, written in the order the OR
+  reduces (``_byte_action``).
 
 Both give the same layers; on the paper's cyclic family the rotation
-runs about 2x faster than the byte table (cycle-free
-extremal_cyclic(30, n), n = 16..20, one Xeon core).  With ``inside`` set, seed[j] is ORed into every
-entry of column j, so an entry holds the paths inside its mask rather
-than exactly through it.
+runs about 3.5x faster than the byte table (cycle-free
+extremal_cyclic(30, n), n = 16..20, one Xeon core).  With ``inside``
+set, seed[j] is ORed into every entry of column j, so an entry holds the
+paths inside its mask rather than exactly through it.
 
 The index plans.  Extending layer k reads, per target j, the rows of the
 k-subsets without j and the rows of layer k + 1 that adding j takes them
@@ -160,11 +169,16 @@ aggregated layer takes about C(m, m/2) * m * 8 bytes, 30 MB at m = 20 and
 of 20.  The plan cache adds at most 2 MiB for the life of the process;
 above its bound a run holds its mask table (2^m * 8 bytes, 128 MiB at 24)
 and one target's rows.  A block's temporaries hold at most _DENSE_BLOCK
-operand entries each, about 1 MB in all.  A stacked re-check holds two
-dict layers of one word per entry and lane, and its arc offsets, one
-word per arc, lane and byte chunk: for ``verify_all``'s stacks of
-BLOCK_ELEMS // n^2 lanes at most 4 MiB of offsets, and layers under
-1 MB at n <= 6 (its search-space cap admits no larger n for a group of
+operand entries each, about 1 MB in all.  The rotation for q <= 32
+doubles the source layer in place, a block of _DENSE_BLOCK words at a
+time, and masks it back with ``& full`` once the next layer is built (in
+a ``finally``, so also when the extension fails): it adds no array the
+size of a layer, and no caller ever sees a doubled word.  The byte table
+adds a copy of the source layer's low bytes (half a layer at order 30).
+A stacked re-check holds two dict layers of one word per entry and lane,
+and its arc offsets, one word per arc, lane and byte chunk: for
+``verify_all``'s stacks of BLOCK_ELEMS // n^2 lanes at most 4 MiB of
+offsets, and layers under 1 MB at n <= 6 (its search-space cap admits no larger n for a group of
 order 2 or more, and the trivial group has no counterexample above one
 vertex).
 
@@ -189,6 +203,7 @@ available and a miss is inconclusive.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -397,6 +412,8 @@ def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
     paths inside its mask instead of exactly through it (the layer-1 path
     to j, worth seed[j], fits inside every mask that holds j).  Without
     ``inside`` an all-zero layer ends the stream: nothing extends it.
+    The kernel stores a layer endpoint-major, as the (m, rows) array whose
+    transpose ``layer.array`` is.
     """
     m = len(verts)
     if m == 0:
@@ -404,50 +421,54 @@ def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
     action = _rotate_action if L.group.is_cyclic_numbering else _byte_action
     operand, act = action(L, verts)
     layers, rank = _dense_masks(m)
-    values = np.diag(seed).astype("<u8")
-    yield 1, _LayerView(verts, layers[1], values)
+    values = np.diag(seed).astype("<u8")  # symmetric: endpoint-major as it stands
+    yield 1, _LayerView(verts, layers[1], values.T)
     for k in range(2, m + 1):
         if not inside and not values.any():
             return
         values = _dense_extend(values, _extend_plan(m, k - 1, layers[k - 1], rank),
                                layers[k].size, operand, act, seed if inside else None)
-        yield k, _LayerView(verts, layers[k], values)
+        yield k, _LayerView(verts, layers[k], values.T)
 
 
 # The two right actions S -> S*label(p, j) of the kernel.  Each returns
-# (operand, act): operand(values) is a layer as the action reads it, one
-# row per mask, and act(data, src, targets), for the (t, rows) block ``src``
-# of operand rows, row i of it for target j = targets.start + i (``targets``
-# a slice of t targets), is the (t, rows) array of the ORs over p of
-# values[r, p] * label(p, j).
+# (operand, act).  operand(values), for an endpoint-major layer ``values``
+# (row p for endpoint p), is a context manager that gives the layer as the
+# action reads it; act(data, src, targets), for the (t, rows) block ``src``
+# of mask rows, row i of it for target j = targets.start + i (``targets`` a
+# slice of t targets), returns the (t, rows) array of the ORs over p of
+# values[p, r] * label(p, j), reduced over the leading axis of a block laid
+# out as (p, t, rows).
 
 def _byte_action(L: Labelling, verts: list[int]):
     """S*g through the group's byte table (``FiniteGroup.right_mul_lut``), for any group.
 
     The operand is a layer's values as bytes, the first ``chunks`` of each
-    word, over one flat axis: entry (r, p*chunks + c).  offsets[j] holds,
-    per flat column, the start of the table for chunk c of S*label(p, j),
-    or of the all-zero row when the arc p -> j is absent, so one add of
-    offsets[targets] forms the lookup index of a whole block.
+    word, one row per mask: entry (r, p*chunks + c) is byte c of endpoint
+    p, so gathering a block copies whole rows.  offsets[p*chunks + c, j]
+    is the start of the table for chunk c of S*label(p, j), or of the
+    all-zero row when the arc p -> j is absent; one add of
+    offsets[:, targets] forms the lookup index of a whole block, written
+    straight into the (p*chunks + c, t, rows) order of the OR-reduce.
     """
     G = L.group
     lut = G.right_mul_lut()
     chunks = lut.shape[1]
     m = len(verts)
     sub = np.ix_(verts, verts)
-    mult = np.where(L.present[sub], L.labels[sub], G.order)
-    offsets = ((mult.T[:, :, None] * chunks + np.arange(chunks)) * 256).reshape(m, m * chunks)
-    offsets = offsets.astype(np.intp)
+    mult = np.where(L.present[sub], L.labels[sub], G.order)  # mult[p, j]
+    offsets = (mult[:, None, :] * chunks + np.arange(chunks)[:, None]) * 256
+    offsets = offsets.reshape(m * chunks, m, 1).astype(np.intp)
     flat = lut.reshape(-1)
 
-    def operand(values: np.ndarray) -> np.ndarray:
-        rows = values.shape[0]
-        digits = values.view(np.uint8).reshape(rows, m, 8)[:, :, :chunks]
-        return np.ascontiguousarray(digits).reshape(rows, m * chunks)
+    def operand(values: np.ndarray):
+        digits = values.view(np.uint8).reshape(m, -1, 8)[:, :, :chunks].transpose(1, 0, 2)
+        return nullcontext(np.ascontiguousarray(digits).reshape(-1, m * chunks))
 
     def act(digits: np.ndarray, src: np.ndarray, targets: slice) -> np.ndarray:
-        idx = np.add(digits.take(src, axis=0), offsets[targets, None, :], dtype=np.intp)
-        return np.bitwise_or.reduce(flat.take(idx), axis=2)
+        block = digits.take(src, axis=0).transpose(2, 0, 1)
+        idx = np.add(block, offsets[:, targets], dtype=np.intp, order="C")
+        return np.bitwise_or.reduce(flat.take(idx), axis=0)
 
     return operand, act
 
@@ -456,21 +477,48 @@ def _rotate_action(L: Labelling, verts: list[int]):
     """S*g as a bit rotation, for a group whose table is (a + b) mod q.
 
     There S*g = ((S << g) | (S >> (q - g))) & full: the members of S move
-    up by g and wrap around.  An absent arc shifts by 64 both ways, which
-    numpy defines as 0.  The operand is a layer's values as they are; a
-    block's rows are gathered with the source endpoint axis first, so that
-    every shift runs along a target's rows with a single shift count.
+    up by g and wrap around.  When 2q <= 64 the operand is the layer
+    itself, each word doubled in place to D = S | S << q, and S*g =
+    (D >> (q - g)) & full, one shift per source and target; the layer is
+    masked back to S with ``& full`` when the operand is released, also
+    when the extension fails, so no caller sees a doubled word.  Above
+    that the operand is the layer as it is and the action takes both
+    shifts.  An absent arc shifts by 64, which numpy defines as 0; so
+    does the left shift of a two-shift rotation.  Either way ``& full``
+    runs once, on the reduced block.
     """
     q = L.group.order
     full = np.uint64(L.group.full_subset())
     sub = np.ix_(verts, verts)
     present = L.present[sub][:, :, None]
     label = L.labels[sub][:, :, None].astype(np.uint64)  # label[p, j] = label(p, j)
-    left = np.where(present, label, np.uint64(64))
-    right = np.where(present, np.uint64(q) - label, np.uint64(64))  # q - 0 = q: nothing wraps
+    right = np.where(present, np.uint64(q) - label, np.uint64(64))  # q - 0 = q
 
-    def act(values: np.ndarray, src: np.ndarray, targets: slice) -> np.ndarray:
-        block = np.moveaxis(values.take(src, axis=0), 2, 0).copy()
+    if 2 * q <= 64:
+        @contextmanager
+        def doubled(values: np.ndarray):
+            try:
+                words = values.reshape(-1)
+                for lo in range(0, words.size, _DENSE_BLOCK):
+                    block = words[lo:lo + _DENSE_BLOCK]
+                    block |= block << np.uint64(q)
+                yield values
+            finally:
+                values &= full
+
+        def act(values: np.ndarray, src: np.ndarray, targets: slice) -> np.ndarray:
+            block = values.take(src, axis=1)
+            block >>= right[:, targets]
+            acc = np.bitwise_or.reduce(block, axis=0)
+            acc &= full
+            return acc
+
+        return doubled, act
+
+    left = np.where(present, label, np.uint64(64))
+
+    def act_two_shifts(values: np.ndarray, src: np.ndarray, targets: slice) -> np.ndarray:
+        block = values.take(src, axis=1)
         moved = np.left_shift(block, left[:, targets])
         block >>= right[:, targets]
         moved |= block
@@ -478,7 +526,7 @@ def _rotate_action(L: Labelling, verts: list[int]):
         acc &= full
         return acc
 
-    return (lambda values: values), act
+    return nullcontext, act_two_shifts
 
 
 _DENSE_BLOCK = 1 << 16  # operand entries per block: keeps the temporaries in cache
@@ -504,21 +552,22 @@ def _plan_blocks(plan, step: int):
 
 def _dense_extend(values: np.ndarray, plan, size: int, operand, act,
                   seed: np.ndarray | None) -> np.ndarray:
-    """Next dense layer, of ``size`` rows: out[dst, j] = OR_p values[src, p] *
-    label(p, j) for the j-th (src, dst) of ``plan``, with seed[j] ORed in
-    unless ``seed`` is None.  ``operand`` and ``act`` are one action's; each
-    call of ``act`` extends a block of targets together (``_plan_blocks``),
-    at most _DENSE_BLOCK operand entries."""
-    m = values.shape[1]
-    data = operand(values)
-    out = np.zeros((size, m), dtype="<u8")
+    """Next endpoint-major dense layer, of ``size`` masks: out[j, dst] = OR_p
+    values[p, src] * label(p, j) for the j-th (src, dst) of ``plan``, with
+    seed[j] ORed in unless ``seed`` is None.  ``operand`` and ``act`` are
+    one action's; each call of ``act`` extends a block of targets together
+    (``_plan_blocks``), at most _DENSE_BLOCK operand entries."""
+    m = values.shape[0]
+    out = np.zeros((m, size), dtype="<u8")
     columns = np.arange(m)[:, None]
-    for j, src, dst in _plan_blocks(plan, max(1, _DENSE_BLOCK // data.shape[1])):
-        targets = slice(j, j + len(src))
-        acc = act(data, src, targets)
-        if seed is not None:
-            acc |= seed[targets, None]
-        out[dst, columns[targets]] = acc
+    with operand(values) as data:
+        per_mask = data.size // values.shape[1]
+        for j, src, dst in _plan_blocks(plan, max(1, _DENSE_BLOCK // per_mask)):
+            targets = slice(j, j + len(src))
+            acc = act(data, src, targets)
+            if seed is not None:
+                acc |= seed[targets, None]
+            out[columns[targets], dst] = acc
     return out
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,6 +355,39 @@ def test_deeply_nested_input_is_a_usage_error(capsys, tmp_path):
     assert main(["compute-n", "--group", str(group_file)]) == 2
     assert main(["check", str(labelling_file)]) == 2
     assert capsys.readouterr().out == ""
+
+
+# The reports below as the CLI printed them with json.dump(..., indent=2),
+# parsed, ``elapsed_seconds`` aside.  ``_emit`` now prints one line through
+# the C encoder; only whitespace may differ.
+REPORT_GOLDEN = Path(__file__).parent / "golden" / "cli_reports.json"
+
+# (id, argv, (q, n) of the extremal_cyclic labelling written to {labelling})
+REPORT_CASES = [
+    ("check/extremal-3-4", ["check", "{labelling}"], (3, 4)),
+    ("check/extremal-5-5", ["check", "{labelling}"], (5, 5)),
+    ("key-lemma/extremal-5-5", ["key-lemma", "{labelling}"], (5, 5)),
+    ("verify/Z3/n3/normalized",
+     ["verify", "--group", "{group}", "--n", "3", "--mode", "exhaustive-normalized"], None),
+    ("verify/Z3/n3/random",
+     ["verify", "--group", "{group}", "--n", "3", "--random", "--trials", "20", "--seed", "3"],
+     None),
+    ("compute-n/Z3", ["compute-n", "--group", "{group}"], None),
+]
+
+
+@pytest.mark.parametrize("case, argv, extremal", REPORT_CASES, ids=[c[0] for c in REPORT_CASES])
+def test_reports_parse_to_their_golden_values(case, argv, extremal, capsys, z3_file,
+                                              labelling_file):
+    files = {"group": z3_file,
+             "labelling": labelling_file(extremal_cyclic(*extremal)) if extremal else None}
+    code = main([arg.format(**files) for arg in argv])
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1  # one line
+    report = json.loads(out)
+    report.pop("elapsed_seconds", None)
+    golden = json.loads(REPORT_GOLDEN.read_text())[case]
+    assert (code, report) == (golden["exit"], golden["report"])
 
 
 def test_module_entry_point():

@@ -331,6 +331,28 @@ def test_subset_actions_reject_a_non_element(g):
         assert g9.elem_mul_subset(1, subset_of([0, 3])) == subset_of([1, 4])
 
 
+@pytest.mark.parametrize("g", [3, -1, 1.5, True, np.float64(1.0), "1"],
+                         ids=["order", "negative", "float", "bool", "numpy_float", "string"])
+def test_scalar_products_reject_a_non_element(g):
+    # over Z3, mul(True, 1) and mul(-1, 0) both returned 2: True read row 1,
+    # and -1 wrapped to the last row
+    g3 = cyclic_group(3)
+    message = re.escape(f"{g!r} is not a group element 0..2")
+    for call in (lambda: g3.mul(g, 1), lambda: g3.mul(1, g), lambda: g3.inv(g),
+                 lambda: g3.conjugate(g, 1), lambda: g3.conjugate(1, g)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_scalar_products_accept_numpy_integers():
+    g5 = cyclic_group(5)
+    for a, b in ((np.int64(2), np.uint8(4)), (2, np.int32(4)), (2, 4)):
+        assert g5.mul(a, b) == 1 and g5.inv(a) == 3 and g5.conjugate(a, b) == 2
+    f21 = metacyclic_group(7, 3, 2)
+    assert f21.conjugate(np.int64(1), np.uint8(3)) == f21.conjugate(1, 3) == \
+        f21.mul(f21.mul(3, 1), f21.inv(3))
+
+
 @pytest.mark.parametrize("elem", [True, 1.0, np.float64(2.0), -1, "1"],
                          ids=["bool", "float", "numpy_float", "negative", "string"])
 def test_subset_of_rejects_a_non_element(elem):

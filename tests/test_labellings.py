@@ -110,6 +110,25 @@ def test_labelling_accepts_numpy_integers_and_booleans():
             assert Labelling(g3, labels, mask) == want
 
 
+@pytest.mark.parametrize("w", [3, -1, 1.0, True, np.float64(1.0), "1"],
+                         ids=["n", "negative", "float", "bool", "numpy_float", "string"])
+def test_arc_accessors_reject_a_non_vertex(w):
+    # label(0, -1) returned 1, the label of the arc to the last vertex, and
+    # label(0, True) raised numpy's TypeError
+    L = extremal_cyclic(3, 3)
+    message = re.escape(f"{w!r} is not a vertex 0..2")
+    for call in (lambda: L.label(0, w), lambda: L.label(w, 0),
+                 lambda: L.has_arc(0, w), lambda: L.has_arc(w, 0)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_arc_accessors_accept_numpy_integers():
+    L = extremal_cyclic(3, 3)
+    assert L.label(np.int64(0), np.uint8(2)) == L.label(0, 2) == 1
+    assert L.has_arc(np.int32(2), 0) and not L.has_arc(np.int64(1), np.int64(1))
+
+
 @pytest.mark.parametrize("label", [-1, 3, 2 ** 63 - 1], ids=["negative", "order", "int64_max"])
 def test_labelling_checks_the_range_of_present_arcs_alone(label):
     # out of range on a present arc is an error, on an absent arc (and on

@@ -435,6 +435,50 @@ def test_every_block_size_gives_the_same_layers(action, block, monkeypatch):
         assert any(t == 1 and rows < full for t, rows, full in shapes)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "cyclic", "q": 30},
+    {"kind": "cyclic", "q": 40},
+    {"kind": "product", "left": {"kind": "cyclic", "q": 2}, "right": {"kind": "cyclic", "q": 15}},
+], ids=["Z30-doubled-word", "Z40-two-shifts", "Z2xZ15-byte-table"])
+def test_a_failed_extension_leaves_the_held_layer_unchanged(spec, monkeypatch):
+    # the extension of layer 3 fails at its second block, after Z30's
+    # rotation has doubled every word of layer 3 in place: the layer the
+    # caller holds comes back as it was, with no bit at or above q
+    group = build_group(spec)
+    L = random_labelling(group, 9, 4)
+    verts = list(range(1, 9))
+    calls = []
+
+    def failing(action):
+        def build(L, verts):
+            operand, act = action(L, verts)
+
+            def act_until_armed_twice(*args):
+                if calls:
+                    calls.append(args)
+                    if len(calls) > 2:
+                        raise RuntimeError("block failed")
+                return act(*args)
+            return operand, act_until_armed_twice
+        return build
+
+    monkeypatch.setattr(reach, "_rotate_action", failing(reach._rotate_action))
+    monkeypatch.setattr(reach, "_byte_action", failing(reach._byte_action))
+    monkeypatch.setattr(reach, "_DENSE_BLOCK", 16)  # several blocks per extension
+    layers = reach._dense_layers(L, verts, reach._arc_bits(L, 0, verts), inside=False)
+    for k, layer in layers:
+        if k == 3:
+            break
+    held = layer.array.copy()
+    assert held.any()
+    calls.append(None)  # armed: the next extension fails at its second block
+    with pytest.raises(RuntimeError, match="block failed"):
+        next(layers)
+    assert len(calls) == 3
+    assert np.array_equal(layer.array, held)
+    assert not (layer.array >> np.uint64(group.order)).any()
+
+
 def _permuted_cyclic(q: int) -> list[list[int]]:
     """Z_q's table with elements 1 and 2 swapped: a cyclic group, not numbered a + b."""
     swap = list(range(q))

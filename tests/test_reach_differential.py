@@ -9,8 +9,10 @@ package ran before (``reference_aggregated_reach_layers`` and
 reach_set_between, and the paths find_path_with_value rebuilds with the
 top-down reconstruction ``reference_path_with_value``.  Scopes are random
 and mostly non-contiguous, digraphs are masked, and the groups are the
-catalog (abelian and non-abelian) plus Z64, so value sets of 1, 2, 3 and
-8 bytes all occur.  The proof engine is checked by running key_lemma and
+catalog (abelian and non-abelian) plus Z32, Z33 and Z64, so value sets of
+1, 2, 3, 4, 5 and 8 bytes all occur, and both forms of the rotation run
+next to their boundary: Z32 rotates a doubled word (2q <= 64), Z33 takes
+two shifts.  The proof engine is checked by running key_lemma and
 make_efficient_tuple once on the kernel and once on the reference layers.
 """
 
@@ -30,7 +32,7 @@ from balanced_cycles import proof_engine, reach
 from oracle import (brute_reach_between, reference_aggregated_reach_layers,
                     reference_path_with_value, reference_reach_table)
 
-GROUPS = dict(catalog(), Z64=cyclic_group(64))
+GROUPS = dict(catalog(), Z32=cyclic_group(32), Z33=cyclic_group(33), Z64=cyclic_group(64))
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -105,6 +107,27 @@ def test_reach_table_matches_reference(case):
         assert table.aggregate(x) == expected
         if (scope >> x) & 1:
             assert expected == reach_set(L, scope, x)
+
+
+def test_kept_layers_match_the_reference_with_no_bit_at_or_above_q():
+    # Z30 rotates a doubled word: each layer reach_table keeps was doubled in
+    # place while the next one was built, then masked back, so every kept
+    # array equals the reference table entry by entry and no word holds a bit
+    # at or above q
+    group = cyclic_group(30)
+    rng = random.Random(30)
+    n = 12
+    labels = [[rng.randrange(30) for _ in range(n)] for _ in range(n)]
+    present = [[u != v and rng.random() < 0.8 for v in range(n)] for u in range(n)]
+    L = Labelling(group, labels, present)
+    scope = (1 << n) - 1
+    ref = reference_reach_table(L, scope)
+    table = reach_table(L, scope)
+    assert len(table.layers) == n
+    for layer in table.layers:
+        assert not (layer.array >> np.uint64(30)).any()
+        assert layer.array.tolist() == [[ref.get(mask, {}).get(v, 0) for v in layer.verts]
+                                        for mask in layer]
 
 
 @SETTINGS

@@ -13,8 +13,10 @@ the other, the phases such a call runs and the call itself:
   in stacks of ``BLOCK_ELEMS // n**2`` (one call per labelling on a tree
   from before the stacked re-check, whose re-check takes a Labelling);
 * ``labellings_s``: one ``Labelling`` per counterexample;
-* ``report_json_s``: the report as the CLI prints it,
-  ``json.dumps(report.to_json(), indent=2)``;
+* ``report_json_s``: the report as the CLI prints it (``cli._emit``),
+  one line through the C encoder, ``json.dumps(report.to_json())``; a
+  tree whose ``_emit`` still indents is timed with
+  ``json.dumps(..., indent=2)``, the pure-Python encoder it took;
 * ``verify_all_s``: the whole call again.
 
 The file written to ``--out`` holds one entry per measured tree, under
@@ -53,7 +55,7 @@ PHASES = ("sieve_s", "recheck_s", "labellings_s", "report_json_s", "verify_all_s
 _CHILD = """
 import inspect, json, sys, time
 import numpy as np
-from balanced_cycles import Labelling, build_group, harness, reach, verify_all
+from balanced_cycles import Labelling, build_group, cli, harness, reach, verify_all
 spec, n = json.loads(sys.argv[1]), int(sys.argv[2])
 group = build_group(spec)
 report = verify_all(group, n, normalized=True)
@@ -78,8 +80,9 @@ run["recheck_s"] = clock() - start
 start = clock()
 [Labelling(group, labels) for labels in found]
 run["labellings_s"] = clock() - start
+indent = 2 if "indent=2" in inspect.getsource(cli._emit) else None
 start = clock()
-json.dumps(report.to_json(), indent=2)
+json.dumps(report.to_json(), indent=indent)
 run["report_json_s"] = clock() - start
 start = clock()
 verify_all(group, n, normalized=True)
