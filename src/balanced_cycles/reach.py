@@ -349,7 +349,8 @@ class _LayerView(Mapping):
 
     Keys are vertex masks in ascending order, and each entry holds every
     endpoint of its mask.  ``array`` (rows in key order, column j for
-    vertex verts[j], zero outside the row's mask) and ``mask_at`` serve
+    vertex verts[j], zero outside the row's mask; from the kernel, the
+    transposed view of its endpoint-major layer) and ``mask_at`` serve
     callers that scan a whole layer at once.
     """
 
@@ -445,7 +446,9 @@ def _byte_action(L: Labelling, verts: list[int]):
 
     The operand is a layer's values as bytes, the first ``chunks`` of each
     word, one row per mask: entry (r, p*chunks + c) is byte c of endpoint
-    p, so gathering a block copies whole rows.  offsets[p*chunks + c, j]
+    p, so gathering a block copies whole rows.  When ``chunks`` bytes make
+    a word type, one transposing cast to it builds the operand; a strided
+    copy of 3, 5, 6 or 7 bytes per word runs several times slower.  offsets[p*chunks + c, j]
     is the start of the table for chunk c of S*label(p, j), or of the
     all-zero row when the arc p -> j is absent; one add of
     offsets[:, targets] forms the lookup index of a whole block, written
@@ -462,8 +465,12 @@ def _byte_action(L: Labelling, verts: list[int]):
     flat = lut.reshape(-1)
 
     def operand(values: np.ndarray):
-        digits = values.view(np.uint8).reshape(m, -1, 8)[:, :, :chunks].transpose(1, 0, 2)
-        return nullcontext(np.ascontiguousarray(digits).reshape(-1, m * chunks))
+        if chunks in (1, 2, 4, 8):  # the low bytes are a word type: one transposing cast
+            digits = np.asarray(values.T, dtype=f"<u{chunks}", order="C")
+        else:
+            digits = values.view(np.uint8).reshape(m, -1, 8)[:, :, :chunks].transpose(1, 0, 2)
+            digits = np.ascontiguousarray(digits)
+        return nullcontext(digits.view(np.uint8).reshape(-1, m * chunks))
 
     def act(digits: np.ndarray, src: np.ndarray, targets: slice) -> np.ndarray:
         block = digits.take(src, axis=0).transpose(2, 0, 1)

@@ -453,13 +453,13 @@ def test_a_failed_extension_leaves_the_held_layer_unchanged(spec, monkeypatch):
         def build(L, verts):
             operand, act = action(L, verts)
 
-            def act_until_armed_twice(*args):
+            def act_failing_once_armed(*args):
                 if calls:
                     calls.append(args)
                     if len(calls) > 2:
                         raise RuntimeError("block failed")
                 return act(*args)
-            return operand, act_until_armed_twice
+            return operand, act_failing_once_armed
         return build
 
     monkeypatch.setattr(reach, "_rotate_action", failing(reach._rotate_action))

@@ -13,10 +13,9 @@ the other, the phases such a call runs and the call itself:
   in stacks of ``BLOCK_ELEMS // n**2`` (one call per labelling on a tree
   from before the stacked re-check, whose re-check takes a Labelling);
 * ``labellings_s``: one ``Labelling`` per counterexample;
-* ``report_json_s``: the report as the CLI prints it (``cli._emit``),
-  one line through the C encoder, ``json.dumps(report.to_json())``; a
-  tree whose ``_emit`` still indents is timed with
-  ``json.dumps(..., indent=2)``, the pure-Python encoder it took;
+* ``report_json_s``: the report as the CLI prints it,
+  ``cli._emit(report.to_json())`` into a string buffer, so each tree is
+  timed with its own encoder call;
 * ``verify_all_s``: the whole call again.
 
 The file written to ``--out`` holds one entry per measured tree, under
@@ -53,7 +52,7 @@ N = 4
 PHASES = ("sieve_s", "recheck_s", "labellings_s", "report_json_s", "verify_all_s")
 
 _CHILD = """
-import inspect, json, sys, time
+import contextlib, inspect, io, json, sys, time
 import numpy as np
 from balanced_cycles import Labelling, build_group, cli, harness, reach, verify_all
 spec, n = json.loads(sys.argv[1]), int(sys.argv[2])
@@ -80,10 +79,10 @@ run["recheck_s"] = clock() - start
 start = clock()
 [Labelling(group, labels) for labels in found]
 run["labellings_s"] = clock() - start
-indent = 2 if "indent=2" in inspect.getsource(cli._emit) else None
-start = clock()
-json.dumps(report.to_json(), indent=indent)
-run["report_json_s"] = clock() - start
+with contextlib.redirect_stdout(io.StringIO()):
+    start = clock()
+    cli._emit(report.to_json())
+    run["report_json_s"] = clock() - start
 start = clock()
 verify_all(group, n, normalized=True)
 run["verify_all_s"] = clock() - start
