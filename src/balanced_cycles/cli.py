@@ -18,7 +18,7 @@ inconclusive; 5 search space too large or memory ran out; 6 internal error
 (any other exception, such as a failed re-verification; the traceback goes
 to stderr).
 ``verify --workers N`` (N >= 1) splits an exhaustive campaign across at
-most N processes, and never more than the machine has cores.
+most N processes, and never more than the CPUs the process may run on.
 ``--max-dp-vertices K`` (K >= 0; ``check``, ``verify --random``) runs the
 exact search only up to K vertices, and never above the cap of 24; larger
 instances get the short-cycle scan alone, so K = 0 means scan only.

@@ -13,7 +13,8 @@ S.  ``right_mul_lut`` hands the right table to the dense DP kernel, which
 reads it for every group whose table is not exactly (a + b) mod order
 (``is_cyclic_numbering``); for those it rotates the bits of S instead.  The
 scalar ``subset_mul_elem`` / ``elem_mul_subset`` take element g's row of the
-table as lists the first time g is used and walk the bytes of S in Python.
+table as lists the first time g is used and walk the bytes of S in Python;
+``_byte_actions`` hands those rows to a hot loop as one callable per element.
 ``stabilizer`` and ``cosets`` gather the images of S under every element
 at once, and ``is_subgroup`` is "contains 1 and H*h = H for every h in H".
 ``subgroup_closure`` grows {1} by every generator with ``grow_set`` until
@@ -41,6 +42,7 @@ is exact because every entry is below the order, at most 64.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -168,6 +170,17 @@ class FiniteGroup:
         """g*S as a bitmask; ValueError unless g is an element."""
         row = self._lut_rows["left"].get(g) if type(g) is int else None
         return _apply_chunks(row or self._action_row("left", g), bits)
+
+    def _byte_actions(self, side: str) -> list:
+        """Per element g, the action S -> S*g ("right") or g*S ("left") as a
+        callable on bitmasks that reads g's byte-table row directly: one list
+        lookup per byte of S, and at order <= 8, where S is one byte, the
+        row's own ``__getitem__``.  For loops that act millions of times
+        with no argument to check."""
+        rows = [self._action_row(side, g) for g in range(self.order)]
+        if self.order <= 8:
+            return [row[0].__getitem__ for row in rows]
+        return [partial(_apply_chunks, row) for row in rows]
 
     def right_mul_lut(self) -> np.ndarray:
         """All of ``subset_mul_elem`` as one read-only uint64 array.

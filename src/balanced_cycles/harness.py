@@ -40,8 +40,8 @@ as a stack of one, and the sieve's counterexamples (the cycle lists), a
 stack at a time, are confirmed on the dict layers by
 ``reach._recheck_cycle_free``: the same route and the same recurrence
 for one labelling or a stack; ``compute_n``'s witness, whose
-CSP built its path rows on the dict layers, by ``find_balanced_cycle``
-finding nothing (``_reverify_cycle_free``).
+CSP grew its path tables on the dict route (``reach._grow_anchored``), by
+``find_balanced_cycle`` finding nothing (``_reverify_cycle_free``).
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
 and so does a stack of re-checked counterexamples, and a sieve step at
@@ -74,12 +74,28 @@ bipartite CSP: out-labels ``x_a = l(k, a)`` against in-labels
 ``y_b = l(b, k)``, with ``y_0`` the pinned identity.  The pair is forbidden
 exactly when ``(y_b x_a)^-1`` lies in ``P[a][b]``, the value of the cycle
 then being the identity.  The x_a are placed first, each shrinking the y_b
-domains (forward checking), and a branch dies when a domain empties; row a
-of the table is walked, once per prefix, when x_a is first tried, so a
-prefix that dies early never walks the later rows.  Given every x_a, the
-y_b are independent: at the last vertex nonempty domains settle it, at
-earlier ones the search enumerates the product of the domains.  One node
-of the budget is one (variable, value) trial, x_a or y_b.
+domains (forward checking), and a branch dies when a domain empties.
+Given every x_a, the y_b are independent: at the last vertex nonempty
+domains settle it, at earlier ones the search enumerates the product of
+the domains.  One node of the budget is one (variable, value) trial, x_a
+or y_b.
+
+Row a of P comes from start a's exact-vertex-set path table, a flat list
+with entry ``mask * n + e`` (``reach._grow_anchored``).  Every prefix keeps
+every start's table.  A prefix on 0..k-1 differs from its parent on
+0..k-2 only by the paths through its newest vertex v = k-1, whose masks
+are the upper half of the flat range, so start a's table is the parent's
+grown by that half, and row a the parent's row ORed with the half's
+columns; only start v's table is built from scratch.  Each is made when
+x_a is first tried, so a prefix that dies early grows none of the later
+starts' tables.  The CSP reads the group's byte-table rows directly
+(``FiniteGroup._byte_actions``, one list lookup per byte of a set, and
+every set one byte at order <= 8), and packs the k domains into the lanes
+of one int, so that a branch is one ``&`` and an emptied domain one
+subtract and mask (``_empty_lane``).  The tables of the deepest prefix of
+an n-vertex search hold (n-1) * 2^(n-1) * n entries; above
+PATH_TABLE_CAP, which n = 14 fits, the search stops with
+``SearchSpaceTooLarge`` before its first trial.
 """
 
 from __future__ import annotations
@@ -89,14 +105,15 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import reduce
+from operator import lshift, or_
 
 import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, build_group, is_json_int
 from .labellings import MAX_VERTICES, Labelling, complete_mask
-from .reach import (EXACT_CAP, _anchored_layers, _cycle_arcs, _cycle_values,
+from .reach import (EXACT_CAP, _cycle_arcs, _cycle_values, _grow_anchored,
                     _recheck_cycle_free, find_balanced_cycle, runs_exact)
 from .rng import _check_seed, trial_seeds, xoshiro_labels
 
@@ -104,6 +121,7 @@ SEARCH_SPACE_CAP = 10 ** 8
 COUNTEREXAMPLE_CAP = 100_000  # about 0.9 KB per kept n=3 counterexample with its report
 DEFAULT_NODE_BUDGET = 2_000_000
 BLOCK_ELEMS = 1 << 16
+PATH_TABLE_CAP = 1 << 21  # about 80 bytes an entry at order 64: n <= 14
 
 
 @dataclass
@@ -232,6 +250,14 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
     return hi - lo, np.concatenate(counterexamples), dict(lengths)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every core of the machine (1 when that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
                workers: int = 1) -> VerdictReport:
     """Enumerate every labelling (or every normalized one) and check exactly.
@@ -255,8 +281,8 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
             f"{group.order}^{len(free)} = {space} labellings exceed the cap of {SEARCH_SPACE_CAP}")
 
     # the executor forks all of its workers at once: never more than the
-    # machine has cores, nor more than there are ranges to check
-    workers = min(workers, os.cpu_count() or 1, space)
+    # CPUs this process may run on, nor more than there are ranges to check
+    workers = min(workers, _usable_cpus(), space)
     if workers == 1:
         chunks = [_enumerate_chunk(group.spec, n, normalized, 0, space)]
     else:
@@ -355,6 +381,15 @@ class ComputeNResult:
                 "search_nodes": self.nodes}
 
 
+def _empty_lane(x: int, low: int, high: int) -> bool:
+    """Whether a lane of x is zero, for lanes whose top bit is clear: ``low``
+    has each lane's bit 0 set and ``high`` each lane's top bit.  Subtracting
+    ``low`` borrows through the lowest zero lane into its top bit, and sets
+    no top bit while no lane is zero.  (The clear top bit makes the usual
+    ``& ~x`` of the byte-wise test redundant.)"""
+    return bool((x - low) & high)
+
+
 class _Budget:
     __slots__ = ("left",)
 
@@ -367,21 +402,20 @@ class _Budget:
             raise SearchSpaceTooLarge("backtracking budget exhausted")
 
 
-def _path_row(labels: list[list[int]], k: int, a: int, pres, smul) -> list[int]:
-    """Row a of the path table: entry b holds the values of the simple paths
-    a ~> b inside vertices 0..k-1 as a group bitmask, and entry a is
-    {identity}, the empty path.
+def _grow_paths(parent: tuple | None, a: int, v: int, n: int, arcs,
+                plans: dict) -> tuple[list[int], list[int]]:
+    """Start a's path table on the prefix 0..v and row a of P over it.
 
-    The start-anchored layers of ``reach`` run from a over the prefix,
-    each OR-ed into the row by endpoint.
+    The table is ``reach._grow_anchored``'s, grown from ``parent``, the
+    table and row of the prefix 0..v-1 (None for a = v, whose table is
+    built from scratch).  Entry b of the row ORs the table's column b, so
+    the parent's row needs only the grown masks ORed in.
     """
-    row = [0] * k
-    for layer in _anchored_layers(a, [b for b in range(k) if b != a], labels, pres, smul):
-        for entry in layer.values():
-            for b, bits in entry.items():
-                row[b] |= bits
-    row[a] = 1
-    return row
+    table, row = parent[:2] if parent else (None, [])
+    table = _grow_anchored(table, a, v, n, arcs, plans)
+    new = (1 << v) * n  # the grown masks' entries start here
+    row = row + [0] * (v + 1 - len(row))
+    return table, [reduce(or_, table[new + b::n], bits) for b, bits in enumerate(row)]
 
 
 def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labelling | None:
@@ -390,66 +424,82 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
     See the module docstring.  Each y_b is kept as the domain of its inverse
     z_b = y_b^-1, from which placing x_a removes the set ``x_a P[a][b]``;
     z_0 starts as {identity}, so the row-0 pin is the rule that no domain
-    may empty.
+    may empty.  The k domains are the lanes of one int, lane b at bit
+    ``b * (|G| + 1)``: |G| bits and a top bit that stays clear, so a branch
+    is one ``&`` with the cut's complement, and a lane is empty exactly when
+    subtracting 1 from it borrows into that top bit (``_empty_lane``).
     """
+    entries = ((n - 1) << (n - 1)) * n  # k starts of 2^k * n at the deepest prefix, k = n - 1
+    if entries > PATH_TABLE_CAP:
+        raise SearchSpaceTooLarge(
+            f"the path tables on {n} vertices take {entries} entries, above "
+            f"PATH_TABLE_CAP = {PATH_TABLE_CAP}")
     inv = group._inv
     order = group.order
-    smul = group.subset_mul_elem
-    left_mul = [partial(group.elem_mul_subset, g) for g in range(order)]
-    # every arc of the complete digraph is present
-    pres = [[True] * n] * n
+    right = group._byte_actions("right")
+    left = group._byte_actions("left")
     full = group.full_subset()
+    shifts = [b * (order + 1) for b in range(n)]
+    lows = [sum(1 << s for s in shifts[:k]) for k in range(n + 1)]
     labels = [[0] * n for _ in range(n)]
+    plans: dict = {}
 
-    def extend(k: int) -> bool:
+    def extend(k: int, parent: list) -> bool:
         if k == n:
             return True
-        # cuts[a] = (row a of the path table, built when x_a is first tried;
-        # per g, the z_b that x_a = g rules out, built when g is first tried)
-        cuts: list[tuple[list[int], list[list[int] | None]]] = []
+        # paths[a] = (start a's table and row a of P, made when x_a is first
+        # tried; per g, the complement of the packed z_b that x_a = g rules
+        # out, made when g is first tried)
+        paths: list[tuple[list[int], list[int], list[int | None]]] = []
+        arcs = [[right[g] for g in labels[u][:k]] for u in range(k)]  # S -> S*l(u, w)
+        v = k - 1
+        low = lows[k]
+        high = low << order
         outs = labels[k]
 
-        def place_x(a: int, domains: list[int]) -> bool:
+        def place_x(a: int, domains: int) -> bool:
             if a == k:
                 if k == n - 1:
                     for b in range(1, k):
-                        labels[b][k] = inv[(domains[b] & -domains[b]).bit_length() - 1]
+                        lane = domains >> shifts[b] & full
+                        labels[b][k] = inv[(lane & -lane).bit_length() - 1]
                     return True
                 return place_y(1, domains)
-            if a == len(cuts):
-                cuts.append((_path_row(labels, k, a, pres, smul), [None] * order))
-            paths, by_g = cuts[a]
+            if a == len(paths):
+                paths.append((*_grow_paths(parent[a] if a < v else None, a, v, n, arcs, plans),
+                              [None] * order))
+            _, row, by_g = paths[a]
             # the sorting rule: l(k, 0) is nondecreasing in k (l(0, 0) = 0 at k = 1)
-            for g in range(labels[k - 1][0] if a == 0 else 0, order):
-                cut = by_g[g]
-                if cut is None:
-                    cut = by_g[g] = list(map(left_mul[g], paths))
+            for g in range(labels[v][0] if a == 0 else 0, order):
+                keep = by_g[g]
+                if keep is None:
+                    keep = by_g[g] = ~sum(map(lshift, map(left[g], row), shifts))
                 budget.spend()
-                left_over = [d & ~c for d, c in zip(domains, cut)]
-                if all(left_over):
+                left_over = domains & keep
+                if not _empty_lane(left_over, low, high):
                     outs[a] = g
                     if place_x(a + 1, left_over):
                         return True
             return False
 
-        def place_y(b: int, domains: list[int]) -> bool:
+        def place_y(b: int, domains: int) -> bool:
             if b == k:
-                return extend(k + 1)
-            bits = domains[b]
+                return extend(k + 1, paths)
+            bits = domains >> shifts[b] & full
             while bits:
-                low = bits & -bits
-                bits ^= low
+                low_bit = bits & -bits
+                bits ^= low_bit
                 budget.spend()
-                labels[b][k] = inv[low.bit_length() - 1]
+                labels[b][k] = inv[low_bit.bit_length() - 1]
                 if place_y(b + 1, domains):
                     return True
             return False
 
-        return place_x(0, [1] + [full] * (k - 1))
+        return place_x(0, 1 | full * (low ^ 1))
 
-    if extend(1):
+    if extend(1, []):
         L = Labelling(group, np.array(labels, dtype=np.int64))
-        # the CSP built its path rows on the dict layers, which the search never runs
+        # the CSP grew its path tables on the dict route, which the search never runs
         _reverify_cycle_free(L)
         return L
     return None

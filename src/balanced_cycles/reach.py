@@ -14,8 +14,7 @@ stored as an int bitmask over group elements.  Three table flavours exist:
   which is how cycles are detected and counted exactly once (every cycle
   is closed from its minimum vertex).
 
-Three routes, each with one entry point: the dense kernel, the dict layers
-and the cycle lists.
+Three routes: the dense kernel, the dict layers and the cycle lists.
 
 The dense kernel, ``_dense_layers(L, verts, seed, inside)``.  Over the m
 vertices of ``verts`` (local mask bit i = vertex verts[i], in ascending
@@ -112,9 +111,16 @@ calls the dense kernel, and the search never calls it.  The callers:
   action ``subset_mul_elem``; for a larger stack it is a uint64 array with
   one lane per labelling, and the action a gather from the group's right
   byte table per lane, so one pass re-checks a whole stack;
-* ``start_anchored_table``, which merges the layers;
-* the path rows of ``harness.compute_n``, which OR each layer in by
-  endpoint.
+* ``start_anchored_table``, which merges the layers.
+
+The dict route's second form, ``_grow_anchored(table, start, v, n, arcs,
+plans)``, runs the same push recurrence over a flat table, entry ``mask *
+n + endpoint``, restricted to the masks that hold one new vertex v: the
+upper half of the range, filled from the table on the vertices below v.
+Its one caller is ``harness.compute_n``'s CSP, which grows every start's
+table a vertex at a time and ORs the new half into its path rows.  It
+acts through the group's byte-table rows directly
+(``FiniteGroup._byte_actions``), and it too never calls the dense kernel.
 
 The cycle lists, one per length, built on demand: ``_cycle_list(n,
 length)`` holds every simple cycle of the complete digraph on n vertices
@@ -146,18 +152,19 @@ kernel (``harness.verify_random``)     to DICT_SWEEP_CAP vertices; above,
 the sieve's counterexamples: the       ``_recheck_cycle_free``, as above, in
 cycle lists (``harness.verify_all``)   stacks of BLOCK_ELEMS // n^2: the same
                                        route and the same recurrence
-the CSP's witness, whose path rows     ``find_balanced_cycle`` finds nothing
-are the dict layers                    (``harness._reverify_cycle_free``)
-(``harness.compute_n``)
+the CSP's witness, whose path tables   ``find_balanced_cycle`` finds nothing
+grow on the dict route                 (``harness._reverify_cycle_free``)
+(``_grow_anchored``,
+``harness.compute_n``)
 =====================================  ==========================================
 
 The search itself sweeps every start that can close a cycle, so its DP
 sees the 2- and 3-cycles that the short-cycle scan, its fast path, read
 off the lists; a fault in any one route is caught by another.  The dict
 layers act through ``FiniteGroup.subset_mul_elem``, which reads the
-group's right byte table.  For a cyclic numbering the dense kernel
-rotates bits instead, so there the dense route and the dict route share
-no action; for every other group both read the byte table, which
+group's right byte table, and ``_grow_anchored`` reads that table's rows
+directly.  For a cyclic numbering the dense kernel rotates bits instead,
+so there the dense route and the dict route share no action; for every other group both read the byte table, which
 ``tests/test_groups.py`` checks against the Cayley table.  A stacked
 re-check reads the same table through ``FiniteGroup.right_mul_lut``, so
 on a cyclic numbering it too shares no action with the dense kernel.
@@ -651,6 +658,67 @@ def _anchored_layers(start: int, verts, rows, pres,
             return
         yield nxt
         layer = nxt
+
+
+def _grow_plan(v: int, n: int, start: int) -> list[tuple[int, list[int], list[int], list]]:
+    """The index plan of ``_grow_anchored`` for one (v, n, start).
+
+    Per mask m of vertices 0..v-1 whose union with {v} holds the start, in
+    increasing order: m's flat base m * n; the endpoints of the paths from
+    the start with vertex set exactly m, which step to v ([] for start v,
+    which has no old mask); those with vertex set m + {v}; and per vertex
+    w below v outside m, the offset (1 << w) * n + w that takes an entry
+    of m + {v} to its extension by w.  Over the complete digraph every
+    listed entry holds a path, so the growth tests none.
+    """
+    steps = [(w, (n << w) + w) for w in range(v)]
+    plan = []
+    for m in range(1 << v):
+        if start < v and not m >> start & 1:
+            continue
+        members = [e for e in range(v) if m >> e & 1]
+        old = ([e for e in members if e != start] or [start]) if start < v else []
+        new = [e for e in members + [v] if e != start] or [v]
+        plan.append((m * n, old, new, [steps[w] for w in range(v) if not m >> w & 1]))
+    return plan
+
+
+def _grow_anchored(table: list[int] | None, start: int, v: int, n: int, arcs,
+                   plans: dict) -> list[int]:
+    """A start-anchored exact-vertex-set table grown by vertex v, over the complete digraph.
+
+    ``table[mask * n + e]`` holds the values of the paths from ``start``
+    with vertex set exactly ``mask`` and endpoint e, for every mask of
+    vertices 0..v-1.  The grown table adds the masks that hold v, the upper
+    half of the flat range, by ``_anchored_layers``' push recurrence
+    restricted to them: every path of an old mask steps to v, and every
+    path of a new mask, taken in increasing mask order, to each vertex
+    below v outside it.  ``arcs[u][w]`` maps a value set S to S*label(u, w)
+    for u, w <= v.  Start v's own table, ``table`` None, is built from
+    scratch: no old mask holds a path, and the new mask {v} holds the empty
+    path, the identity.  ``plans`` keeps ``_grow_plan``'s plans by (v,
+    start) for one n.
+    """
+    plan = plans.get((v, start))
+    if plan is None:
+        plan = plans[v, start] = _grow_plan(v, n, start)
+    new = [0] * ((1 << v) * n)
+    if table is None:
+        table = new[:]
+        new[v] = 1
+    for base, old, ends, steps in plan:
+        if old:
+            into = 0
+            for e in old:
+                into |= arcs[e][v](table[base + e])
+            new[base + v] = into
+        if steps:
+            for e in ends:
+                bits = new[base + e]
+                out = arcs[e]
+                for w, step in steps:
+                    new[base + step] |= out[w](bits)
+    return table + new
 
 
 @dataclass(eq=False)

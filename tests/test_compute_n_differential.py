@@ -8,13 +8,21 @@ answer turns to "no", and for Z5, S3 and Z6 up to n = 5.  Z9 and F21 have
 more than 8 elements, so their subsets span several byte chunks.  Every
 witness must keep the arcs out of vertex 0 at the identity and be
 cycle-free, by brute force and by enumerate_balanced_cycles.
+
+The search's own parts are checked on their own: its path tables, grown a
+vertex at a time, against rows and entries built from scratch on the dict
+layers, and its packed zero-lane test against ``all`` over the lanes.
 """
+
+import random
 
 import pytest
 
 from balanced_cycles import (catalog, compute_n, cyclic_group, enumerate_balanced_cycles,
                              product_group)
-from balanced_cycles.harness import DEFAULT_NODE_BUDGET, _Budget, _cycle_free_labelling
+from balanced_cycles.harness import (DEFAULT_NODE_BUDGET, _Budget, _cycle_free_labelling,
+                                     _empty_lane, _grow_paths)
+from balanced_cycles.reach import _anchored_layers
 from oracle import brute_has_balanced_cycle, reference_cycle_free_labelling
 
 GROUPS = dict(catalog(), Z1=cyclic_group(1), Z6=cyclic_group(6),
@@ -49,3 +57,62 @@ def test_compute_n_decides_z5():
     # pinned: the sorting rule cut it from 1,455,541
     assert result.nodes == 278_650 <= DEFAULT_NODE_BUDGET
     assert_normalized_cycle_free(result.witness, 5)
+
+
+def _path_row(labels, k, a, pres, smul):
+    """Row a of the path table over vertices 0..k-1, from scratch: the
+    start-anchored dict layers from a, each ORed into the row by endpoint,
+    and entry a the identity alone (how the search built every row before
+    it grew them from the parent prefix's tables)."""
+    row = [0] * k
+    for layer in _anchored_layers(a, [b for b in range(k) if b != a], labels, pres, smul):
+        for entry in layer.values():
+            for b, bits in entry.items():
+                row[b] |= bits
+    row[a] = 1
+    return row
+
+
+@pytest.mark.parametrize("name", ["Z3", "Z4", "Z2xZ2", "S3", "Z9", "F21"])
+def test_grown_path_tables_match_the_dict_layers(name):
+    group = GROUPS[name]
+    right = group._byte_actions("right")
+    smul = group.subset_mul_elem
+    rng = random.Random(f"grown tables over {name}")
+    n = 7  # the flat tables' stride, larger than every prefix as in the search
+    pres = [[True] * n] * n
+    for _ in range(6):
+        labels = [[rng.randrange(group.order) if u != w else 0 for w in range(n)]
+                  for u in range(n)]
+        plans = {}
+        paths = []
+        for v in range(rng.randint(1, 6)):
+            arcs = [[right[g] for g in labels[u][:v + 1]] for u in range(v + 1)]
+            paths = [_grow_paths(paths[a] if a < v else None, a, v, n, arcs, plans)
+                     for a in range(v + 1)]
+            for a, (table, row) in enumerate(paths):
+                assert row == _path_row(labels, v + 1, a, pres, smul)
+                exact = {(1 << a) * n + a: 1}
+                others = [b for b in range(v + 1) if b != a]
+                for layer in _anchored_layers(a, others, labels, pres, smul):
+                    for mask, entry in layer.items():
+                        for b, bits in entry.items():
+                            exact[mask * n + b] = bits
+                assert len(table) == (2 << v) * n
+                assert {i: bits for i, bits in enumerate(table) if bits} == exact
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 6, 8, 9, 21, 63, 64])
+def test_packed_zero_lane_test_matches_all(order):
+    # lanes of order + 1 bits whose top bit is clear, 65-bit lanes at order 64
+    rng = random.Random(order)
+    full = (1 << order) - 1
+    width = order + 1
+    for k in range(1, 9):
+        low = sum(1 << (b * width) for b in range(k))
+        high = low << order
+        for _ in range(300):
+            lanes = [rng.choice([0, 0, 1, full, 1 << (order - 1), rng.randint(1, full)])
+                     for _ in range(k)]
+            x = sum(lane << (b * width) for b, lane in enumerate(lanes))
+            assert _empty_lane(x, low, high) == (not all(lanes)), lanes

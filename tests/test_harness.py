@@ -1,7 +1,6 @@
 """Campaign machinery: exhaustive sweeps, randomized trials, n(G) search."""
 
 from concurrent.futures import Future
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -172,7 +171,9 @@ class _InlineExecutor:
 def test_verify_all_clamps_workers(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "sizes", [])
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    # the CPUs the process may run on bound the pool, not the machine's cores
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     g = cyclic_group(3)
     serial = strip_elapsed(verify_all(g, 3, workers=1))
     assert _InlineExecutor.sizes == []
@@ -180,9 +181,26 @@ def test_verify_all_clamps_workers(monkeypatch):
     assert strip_elapsed(verify_all(g, 2, workers=100_000))["trials"] == 9
     assert strip_elapsed(verify_all(g, 2, normalized=True, workers=100_000))["trials"] == 3
     assert _InlineExecutor.sizes == [4, 4, 3]
+    # a platform with no affinity call falls back to the core count
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert strip_elapsed(verify_all(g, 3, workers=100_000)) == serial
+    assert _InlineExecutor.sizes == [4, 4, 3, 4]
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert strip_elapsed(verify_all(g, 3, workers=100_000)) == serial
-    assert _InlineExecutor.sizes == [4, 4, 3]  # unknown core count: serial, no pool
+    assert _InlineExecutor.sizes == [4, 4, 3, 4]  # unknown core count: serial, no pool
+
+
+def test_verify_all_runs_in_process_on_one_allowed_cpu(monkeypatch):
+    # a process pinned to one CPU of a larger machine gets no pool
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "sizes", [])
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    g = cyclic_group(3)
+    serial = strip_elapsed(verify_all(g, 3, workers=1))
+    assert strip_elapsed(verify_all(g, 3, workers=2)) == serial
+    assert _InlineExecutor.sizes == []
 
 
 def test_verify_all_too_large():
@@ -353,19 +371,29 @@ def test_compute_n_rejects_a_negative_budget():
         compute_n(cyclic_group(3), node_budget=-1)
 
 
-def test_compute_n_catches_a_broken_dict_route(monkeypatch):
-    # dict layers cut after paths of one arc hide every cycle of four or
-    # more vertices from the CSP's path rows, so its 4-vertex labelling
-    # over Z3 has a balanced 4-cycle, which the exact search finds
-    layers = reach._anchored_layers
+def test_compute_n_recheck_catches_a_broken_growth_step(monkeypatch):
+    # a growth step that drops the paths through the newest vertex hides
+    # every cycle through it from the CSP's path rows, so the labelling the
+    # CSP finds over Z3 has a balanced cycle, which the exact search finds
+    grow = harness._grow_anchored
 
-    def first_layer(*args):
-        return islice(layers(*args), 1)
+    def drop_newest(*args):
+        table = grow(*args)
+        half = len(table) // 2
+        return table[:half] + [0] * half
 
-    monkeypatch.setattr(reach, "_anchored_layers", first_layer)
-    monkeypatch.setattr(harness, "_anchored_layers", first_layer)
+    monkeypatch.setattr(harness, "_grow_anchored", drop_newest)
     with pytest.raises(AssertionError, match=r"re-verification \(exact search\)"):
         compute_n(cyclic_group(3))
+
+
+def test_compute_n_stops_before_its_path_tables_outgrow_the_cap():
+    # the tables of n vertices take (n - 1) * 2^(n - 1) * n entries: n = 14 fits, 15 does not
+    assert 13 * 2 ** 13 * 14 <= harness.PATH_TABLE_CAP < 14 * 2 ** 14 * 15
+    budget = harness._Budget(10)
+    with pytest.raises(SearchSpaceTooLarge, match="PATH_TABLE_CAP"):
+        harness._cycle_free_labelling(cyclic_group(64), 15, budget)
+    assert budget.left == 10  # refused before a single trial
 
 
 def test_compute_n_rejects_max_n_below_one():
@@ -391,7 +419,7 @@ def test_recheck_does_not_share_the_dense_kernel(monkeypatch):
         verify_random(cyclic_group(64), 8, 300, seed=5)
 
 
-def test_verify_all_confirms_the_sieve(monkeypatch):
+def test_verify_all_recheck_confirms_the_sieve(monkeypatch):
     # with no listed cycle balanced, the sieve calls every labelling a
     # counterexample; the re-check on the dict layers must refuse them
     listed = harness._cycle_values
