@@ -164,8 +164,9 @@ off the lists; a fault in any one route is caught by another.  The dict
 layers act through ``FiniteGroup.subset_mul_elem``, which reads the
 group's right byte table, and ``_grow_anchored`` reads that table's rows
 directly.  For a cyclic numbering the dense kernel rotates bits instead,
-so there the dense route and the dict route share no action; for every other group both read the byte table, which
-``tests/test_groups.py`` checks against the Cayley table.  A stacked
+so there the dense route and the dict route share no action; for every
+other group both read the byte table, which ``tests/test_groups.py``
+checks against the Cayley table.  A stacked
 re-check reads the same table through ``FiniteGroup.right_mul_lut``, so
 on a cyclic numbering it too shares no action with the dense kernel.
 
