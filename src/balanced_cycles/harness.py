@@ -390,18 +390,6 @@ def _empty_lane(x: int, low: int, high: int) -> bool:
     return bool((x - low) & high)
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise SearchSpaceTooLarge("backtracking budget exhausted")
-
-
 def _grow_paths(parent: tuple | None, a: int, v: int, n: int, arcs,
                 plans: dict) -> tuple[list[int], list[int]]:
     """Start a's path table on the prefix 0..v and row a of P over it.
@@ -418,10 +406,13 @@ def _grow_paths(parent: tuple | None, a: int, v: int, n: int, arcs,
     return table, [reduce(or_, table[new + b::n], bits) for b, bits in enumerate(row)]
 
 
-def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labelling | None:
+def _cycle_free_labelling(group: FiniteGroup, n: int,
+                          budget: int) -> tuple[Labelling | None, int]:
     """Vertex-extension search for a balanced-cycle-free labelling on n vertices.
 
-    See the module docstring.  Each y_b is kept as the domain of its inverse
+    Returns the labelling, or None, and what is left of ``budget`` trials;
+    the trial that would take it below 0 raises SearchSpaceTooLarge.  See
+    the module docstring.  Each y_b is kept as the domain of its inverse
     z_b = y_b^-1, from which placing x_a removes the set ``x_a P[a][b]``;
     z_0 starts as {identity}, so the row-0 pin is the rule that no domain
     may empty.  The k domains are the lanes of one int, lane b at bit
@@ -458,6 +449,7 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
         outs = labels[k]
 
         def place_x(a: int, domains: int) -> bool:
+            nonlocal budget
             if a == k:
                 if k == n - 1:
                     for b in range(1, k):
@@ -474,7 +466,9 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
                 keep = by_g[g]
                 if keep is None:
                     keep = by_g[g] = ~sum(map(lshift, map(left[g], row), shifts))
-                budget.spend()
+                budget -= 1
+                if budget < 0:
+                    raise SearchSpaceTooLarge("backtracking budget exhausted")
                 left_over = domains & keep
                 if not _empty_lane(left_over, low, high):
                     outs[a] = g
@@ -483,13 +477,16 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
             return False
 
         def place_y(b: int, domains: int) -> bool:
+            nonlocal budget
             if b == k:
                 return extend(k + 1, paths)
             bits = domains >> shifts[b] & full
             while bits:
                 low_bit = bits & -bits
                 bits ^= low_bit
-                budget.spend()
+                budget -= 1
+                if budget < 0:
+                    raise SearchSpaceTooLarge("backtracking budget exhausted")
                 labels[b][k] = inv[low_bit.bit_length() - 1]
                 if place_y(b + 1, domains):
                     return True
@@ -501,8 +498,8 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: _Budget) -> Labell
         L = Labelling(group, np.array(labels, dtype=np.int64))
         # the CSP grew its path tables on the dict route, which the search never runs
         _reverify_cycle_free(L)
-        return L
-    return None
+        return L, budget
+    return None, budget
 
 
 def compute_n(group: FiniteGroup, max_n: int | None = None,
@@ -523,11 +520,11 @@ def compute_n(group: FiniteGroup, max_n: int | None = None,
         raise BadSize(f"max_n {limit} is below 1 or not an integer")
     if not (is_json_int(node_budget) and node_budget >= 0):
         raise BadSize(f"node_budget {node_budget} is not an integer >= 0")
-    budget = _Budget(node_budget)
+    left = node_budget
     witness: Labelling | None = None
     for n in range(1, limit + 1):
         try:
-            found = _cycle_free_labelling(group, n, budget)
+            found, left = _cycle_free_labelling(group, n, left)
         except SearchSpaceTooLarge as exc:
             exc.lower_bound = n
             exc.witness = witness
@@ -535,7 +532,7 @@ def compute_n(group: FiniteGroup, max_n: int | None = None,
         if found is None:
             return ComputeNResult(group_name=group.name, group_spec=group.spec,
                                   value=n, witness=witness,
-                                  nodes=node_budget - budget.left)
+                                  nodes=node_budget - left)
         witness = found
     raise SearchSpaceTooLarge(
         f"no conclusion up to n = {limit}", lower_bound=limit + 1, witness=witness)

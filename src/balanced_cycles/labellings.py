@@ -159,9 +159,13 @@ def labelling_from_json(obj: dict) -> Labelling:
         raise BadSpec(f"n must be an integer, got {n!r}")
     if len(labels) != n:
         raise BadSize("n does not match the label matrix")
+    if any(len(row) != n for row in labels):
+        raise BadSize("labels must be a square matrix")
     mask = obj.get("mask")
     if mask is not None and not is_json_matrix(mask, _is_bool):
         raise BadSpec("mask must be rows of booleans")
+    if mask is not None and any(len(row) != n for row in mask):
+        raise BadSize("mask shape must match labels")
     return Labelling(group, np.array(labels, dtype=np.int64), mask)
 
 

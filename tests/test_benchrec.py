@@ -1,0 +1,63 @@
+"""The record writer the ``tools/bench_*.py`` scripts share.
+
+A benchmark file holds one entry per measured tree.  Measuring a case
+again under the same label must replace only that case's row, and a new
+label must add an entry next to the others, each with the fields that
+say what was measured where.
+"""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+BENCHREC = Path(__file__).resolve().parent.parent / "tools" / "benchrec.py"
+ENTRY_FIELDS = {"label", "commit", "modified", "date", "machine", "python", "numpy", "results"}
+
+
+@pytest.fixture
+def write(monkeypatch, tmp_path):
+    """``benchrec.write`` into tmp_path/bench.json, under a label (None: the commit)."""
+    spec = importlib.util.spec_from_file_location("benchrec", BENCHREC)
+    benchrec = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(benchrec)
+    # git and the platform's processor query start processes; the writer is tested without them
+    monkeypatch.setattr(benchrec, "git", lambda root, *args: "abc123" if "rev-parse" in args else "")
+    monkeypatch.setattr(benchrec, "machine", lambda: {"cpu_model": "test", "nproc": 1})
+    monkeypatch.setattr(subprocess, "Popen", None)
+    parser = benchrec.parser("A test.\n\nMore.", "unused.json")
+
+    def write(label, rows):
+        argv = ["--root", str(tmp_path), "--out", str(tmp_path / "bench.json")]
+        benchrec.write(parser.parse_args(argv + (["--label", label] if label else [])),
+                       "what", "group", rows)
+        return json.loads((tmp_path / "bench.json").read_text())["runs"]
+
+    return write
+
+
+def test_a_row_measured_again_replaces_only_its_key(write):
+    write("a", [{"group": "Z3", "wall_s": 1.0}, {"group": "Z4", "wall_s": 2.0}])
+    runs = write("a", [{"group": "Z4", "wall_s": 3.0}, {"group": "Z5", "wall_s": 4.0}])
+    assert [run["label"] for run in runs] == ["a"]
+    assert runs[0]["results"] == [{"group": "Z3", "wall_s": 1.0}, {"group": "Z4", "wall_s": 3.0},
+                                  {"group": "Z5", "wall_s": 4.0}]
+
+
+def test_a_new_label_appends_an_entry(write):
+    first = write("a", [{"group": "Z3", "wall_s": 1.0}])
+    runs = write(None, [{"group": "Z3", "wall_s": 2.0}])
+    assert [run["label"] for run in runs] == ["a", "abc123"]  # the commit by default
+    assert runs[0] == first[0]
+    assert runs[1]["results"] == [{"group": "Z3", "wall_s": 2.0}]
+
+
+def test_every_entry_keeps_the_tree_fields(write):
+    write("a", [{"group": "Z3", "wall_s": 1.0}])
+    write("a", [{"group": "Z4", "wall_s": 1.0}])
+    for run in write("b", [{"group": "Z3", "wall_s": 2.0}]):
+        assert run.keys() == ENTRY_FIELDS
+        assert run["commit"] == "abc123" and run["modified"] is False
+        assert run["python"] and run["numpy"] and run["date"].endswith("Z")

@@ -307,8 +307,10 @@ MALFORMED = {
     "float_group_order": {"group": {"kind": "cyclic", "q": 3.5}, "n": 2,
                           "labels": [[0, 1], [1, 0]]},
     "top_level_list": [[0, 1], [1, 0]],
+    "ragged_labels": {"group": Z2, "labels": [[0, 1], [1]]},
     "int_mask": {"group": Z2, "n": 2, "labels": [[0, 1], [1, 0]],
                  "mask": [[0, 1], [1, 0]]},
+    "ragged_mask": {"group": Z2, "labels": [[0, 1], [1, 0]], "mask": [[False, True], [True]]},
 }
 
 

@@ -20,8 +20,8 @@ import pytest
 
 from balanced_cycles import (catalog, compute_n, cyclic_group, enumerate_balanced_cycles,
                              product_group)
-from balanced_cycles.harness import (DEFAULT_NODE_BUDGET, _Budget, _cycle_free_labelling,
-                                     _empty_lane, _grow_paths)
+from balanced_cycles.harness import (DEFAULT_NODE_BUDGET, _cycle_free_labelling, _empty_lane,
+                                     _grow_paths)
 from balanced_cycles.reach import _anchored_layers
 from oracle import brute_has_balanced_cycle, reference_cycle_free_labelling
 
@@ -44,7 +44,8 @@ def assert_normalized_cycle_free(L, n):
 @pytest.mark.parametrize("name, n", CASES)
 def test_existence_matches_reference(name, n):
     group = GROUPS[name]
-    found = _cycle_free_labelling(group, n, _Budget(DEFAULT_NODE_BUDGET))
+    found, left = _cycle_free_labelling(group, n, DEFAULT_NODE_BUDGET)
+    assert 0 <= left <= DEFAULT_NODE_BUDGET
     want = reference_cycle_free_labelling(group, n)
     assert (found is None) == (want is None)
     if found is not None:
