@@ -43,6 +43,7 @@ is exact because every entry is below the order, at most 64.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain, combinations, islice, product
 from typing import Iterable
 
 import numpy as np
@@ -312,6 +313,85 @@ def subgroup_closure(group: FiniteGroup, gens: Iterable[int]) -> int:
         for g in gens:
             grown = grow_set(group, grown, g)
     return closure
+
+
+def automorphism_orbit_min(group: FiniteGroup) -> list[int]:
+    """``orbit_min[g]``, the least element of g's orbit under a subgroup A of Aut(G).
+
+    The generators are picked greedily, largest order first, each element
+    outside the subgroup of those before it (``subgroup_closure``): one
+    for a cyclic group, and two for every other group of order <= 8 but
+    Z2^3, which needs three.  A breadth-first walk
+    from 1 writes every element as a word in them: h*g_i is reached from
+    h.  An image tuple (t_1, ...), each t_i of the order of g_i, extends
+    along the words to the map phi(h*g_i) = phi(h)*t_i.  The map is kept
+    when that rule holds for every h and i, which makes it a homomorphism
+    (phi(xy) = phi(x)phi(y) by induction on the word of y), and when only
+    1 maps to 1, which makes it bijective.  Tuples are tried by how many
+    generators they move, none, then one, two, ..., at most 8|G| of them,
+    checked as one numpy array.  At order <= 8 that is every tuple, at
+    most 7^2, or for Z2^3 every tuple that moves at most one generator,
+    so those groups get the orbits of their whole Aut(G), whatever their
+    numbering.  Z2^6, whose Aut(G) has about 2*10^10 elements, gets those
+    of a subgroup in milliseconds.
+
+    A is the group the kept maps generate, and the orbits are A's: a
+    finite group's orbit of g is all that repeated images reach from g,
+    so the least element reached is propagated until nothing changes.
+    Any subgroup of Aut(G) makes the cut in ``harness`` sound, but it
+    must be a group: the cut keeps the labelling whose sorted in-labels
+    are lex-least over A, and a labelling's images under A are the same
+    set as its representative's only because A is closed under
+    composition.  Orbits of the kept maps taken one at a time, not
+    composed, would not be.
+    """
+    order, rows, table = group.order, group._rows, group.table
+
+    def element_order(g: int) -> int:
+        k, power = 1, g
+        while power:
+            k, power = k + 1, rows[power][g]
+        return k
+
+    orders = [element_order(g) for g in range(order)]
+    gens, closure = [], 1
+    for g in sorted(range(1, order), key=lambda g: -orders[g]):
+        if not closure >> g & 1:
+            gens.append(g)
+            closure = subgroup_closure(group, gens)
+    steps, reached = [], [0]  # (w, h, i): w = h * g_i, each w once
+    for h in reached:
+        for i, g in enumerate(gens):
+            w = rows[h][g]
+            if w not in reached:
+                reached.append(w)
+                steps.append((w, h, i))
+    others = [[t for t in range(order) if orders[t] == orders[g] and t != g] for g in gens]
+
+    def moving(count: int):
+        for where in combinations(range(len(gens)), count):
+            for images in product(*(others[i] for i in where)):
+                moved = list(gens)
+                for i, t in zip(where, images):
+                    moved[i] = t
+                yield moved
+
+    # the identity's tuple, which moves none, comes first
+    tuples = np.array(list(islice(chain.from_iterable(map(moving, range(len(gens) + 1))),
+                                  8 * order)), dtype=np.int64)
+    images = np.zeros((len(tuples), order), dtype=np.int64)
+    for w, h, i in steps:
+        images[:, w] = table[images[:, h], tuples[:, i]]
+    kept = (images[:, 1:] != 0).all(axis=1)
+    for i, g in enumerate(gens):
+        kept &= (images[:, table[:, g]] == table[images, tuples[:, i, None]]).all(axis=1)
+    autos = images[kept]
+    least = np.arange(order)
+    while True:
+        lower = np.minimum(least, least[autos].min(axis=0))
+        if np.array_equal(lower, least):
+            return least.tolist()
+        least = lower
 
 
 def cosets(group: FiniteGroup, subgroup_bits: int, side: str) -> list[int]:

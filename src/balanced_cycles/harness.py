@@ -62,9 +62,29 @@ values, so l' is cycle-free when l is, and pinned when l is, since
 ``l'(0, v) = l(0, s(v))`` is the identity.  Taking for s a permutation
 of 1..n-1 that sorts ``l(., 0)`` makes l' sorted, and the prefixes of a
 sorted labelling are sorted, so the vertex-by-vertex search reaches it.
-(This symmetry cut is a lex-leader predicate in the sense of Crawford,
-Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
-problems", KR 1996.)
+
+The search also cuts by the automorphisms of G.  An automorphism phi,
+applied to every label, maps the value of every cycle to its image, so
+it keeps a labelling cycle-free, and it keeps the pin, since phi(1) = 1.
+Let A be a subgroup of Aut(G) and M the multiset of the in-labels
+``l(v, 0)``, v >= 1.  The orbit of a pinned cycle-free labelling under
+A x Sym(1..n-1) holds a sorted labelling l whose sorted M is lex-least
+among the sorted phi(M), phi in A: apply the phi that makes sorted phi(M)
+least, then sort the vertices.  For every psi in A, psi phi is in A as
+well, so sorted psi(M_l) is no less than sorted M_l.  This step needs A
+to be closed under composition, a group and not just some automorphisms.
+The first entries give min M_l <= min psi(M_l), and in a sorted
+labelling min M is ``l(1, 0)``, the least of ``l(1, 0) <= l(2, 0) <=
+...``.  So every in-label g = ``l(k, 0)`` has psi(g) >= ``l(1, 0)`` for
+every psi in A, that is ``orbit_min[g] >= l(1, 0)``, with ``orbit_min``
+the least element of each orbit of A (``groups.automorphism_orbit_min``).
+The search therefore tries at k >= 2 no ``l(k, 0)`` in an orbit whose
+least element is below ``l(1, 0)``, and at k = 1, where g is ``l(1, 0)``
+itself, none with ``orbit_min[g] < g``.  Each test reads the labels into
+vertex 0 alone, and each holds on every prefix of l, so the search still
+reaches l.  A value either cut skips is not a trial.  (Both cuts are
+lex-leader predicates in the sense of Crawford, Ginsberg, Luks and Roy,
+"Symmetry-breaking predicates for search problems", KR 1996.)
 
 In a cycle-free prefix on vertices 0..k-1, every new simple cycle through
 k is k -> a ~> b -> k.  With the path table ``P[a][b]``, the values of
@@ -111,7 +131,7 @@ from operator import lshift, or_
 import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
-from .groups import FiniteGroup, build_group, is_json_int
+from .groups import FiniteGroup, automorphism_orbit_min, build_group, is_json_int
 from .labellings import MAX_VERTICES, Labelling, complete_mask
 from .reach import (EXACT_CAP, _cycle_arcs, _cycle_values, _grow_anchored,
                     _recheck_cycle_free, find_balanced_cycle, runs_exact)
@@ -406,13 +426,15 @@ def _grow_paths(parent: tuple | None, a: int, v: int, n: int, arcs,
     return table, [reduce(or_, table[new + b::n], bits) for b, bits in enumerate(row)]
 
 
-def _cycle_free_labelling(group: FiniteGroup, n: int,
-                          budget: int) -> tuple[Labelling | None, int]:
+def _cycle_free_labelling(group: FiniteGroup, n: int, budget: int,
+                          orbit_min: list[int] | None = None) -> tuple[Labelling | None, int]:
     """Vertex-extension search for a balanced-cycle-free labelling on n vertices.
 
     Returns the labelling, or None, and what is left of ``budget`` trials;
-    the trial that would take it below 0 raises SearchSpaceTooLarge.  See
-    the module docstring.  Each y_b is kept as the domain of its inverse
+    the trial that would take it below 0 raises SearchSpaceTooLarge.
+    ``orbit_min`` is ``groups.automorphism_orbit_min(group)``, built here
+    when not given (``compute_n`` builds it once for every n).  See the
+    module docstring.  Each y_b is kept as the domain of its inverse
     z_b = y_b^-1, from which placing x_a removes the set ``x_a P[a][b]``;
     z_0 starts as {identity}, so the row-0 pin is the rule that no domain
     may empty.  The k domains are the lanes of one int, lane b at bit
@@ -425,6 +447,8 @@ def _cycle_free_labelling(group: FiniteGroup, n: int,
         raise SearchSpaceTooLarge(
             f"the path tables on {n} vertices take {entries} entries, above "
             f"PATH_TABLE_CAP = {PATH_TABLE_CAP}")
+    if orbit_min is None:
+        orbit_min = automorphism_orbit_min(group)
     inv = group._inv
     order = group.order
     right = group._byte_actions("right")
@@ -447,6 +471,10 @@ def _cycle_free_labelling(group: FiniteGroup, n: int,
         low = lows[k]
         high = low << order
         outs = labels[k]
+        # the two cuts on l(k, 0): sorted, and in no orbit whose least element
+        # is below l(1, 0), which at k = 1 is l(1, 0) least in its own orbit
+        firsts = [g for g in range(labels[v][0], order)
+                  if orbit_min[g] >= (labels[1][0] if k > 1 else g)]
 
         def place_x(a: int, domains: int) -> bool:
             nonlocal budget
@@ -461,8 +489,7 @@ def _cycle_free_labelling(group: FiniteGroup, n: int,
                 paths.append((*_grow_paths(parent[a] if a < v else None, a, v, n, arcs, plans),
                               [None] * order))
             _, row, by_g = paths[a]
-            # the sorting rule: l(k, 0) is nondecreasing in k (l(0, 0) = 0 at k = 1)
-            for g in range(labels[v][0] if a == 0 else 0, order):
+            for g in firsts if a == 0 else range(order):
                 keep = by_g[g]
                 if keep is None:
                     keep = by_g[g] = ~sum(map(lshift, map(left[g], row), shifts))
@@ -522,9 +549,10 @@ def compute_n(group: FiniteGroup, max_n: int | None = None,
         raise BadSize(f"node_budget {node_budget} is not an integer >= 0")
     left = node_budget
     witness: Labelling | None = None
+    orbit_min = automorphism_orbit_min(group)
     for n in range(1, limit + 1):
         try:
-            found, left = _cycle_free_labelling(group, n, left)
+            found, left = _cycle_free_labelling(group, n, left, orbit_min)
         except SearchSpaceTooLarge as exc:
             exc.lower_bound = n
             exc.witness = witness

@@ -1,9 +1,9 @@
-"""The record writer the ``tools/bench_*.py`` scripts share.
+"""The runner and the record writer the ``tools/bench_*.py`` scripts share.
 
 A benchmark file holds one entry per measured tree.  Measuring a case
 again under the same label must replace only that case's row, and a new
 label must add an entry next to the others, each with the fields that
-say what was measured where.
+say what was measured where.  A run whose child fails must say why.
 """
 
 import importlib.util
@@ -17,12 +17,17 @@ BENCHREC = Path(__file__).resolve().parent.parent / "tools" / "benchrec.py"
 ENTRY_FIELDS = {"label", "commit", "modified", "date", "machine", "python", "numpy", "results"}
 
 
-@pytest.fixture
-def write(monkeypatch, tmp_path):
-    """``benchrec.write`` into tmp_path/bench.json, under a label (None: the commit)."""
+def load_benchrec():
     spec = importlib.util.spec_from_file_location("benchrec", BENCHREC)
     benchrec = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(benchrec)
+    return benchrec
+
+
+@pytest.fixture
+def write(monkeypatch, tmp_path):
+    """``benchrec.write`` into tmp_path/bench.json, under a label (None: the commit)."""
+    benchrec = load_benchrec()
     # git and the platform's processor query start processes; the writer is tested without them
     monkeypatch.setattr(benchrec, "git", lambda root, *args: "abc123" if "rev-parse" in args else "")
     monkeypatch.setattr(benchrec, "machine", lambda: {"cpu_model": "test", "nproc": 1})
@@ -61,3 +66,10 @@ def test_every_entry_keeps_the_tree_fields(write):
         assert run.keys() == ENTRY_FIELDS
         assert run["commit"] == "abc123" and run["modified"] is False
         assert run["python"] and run["numpy"] and run["date"].endswith("Z")
+
+
+def test_a_failing_child_names_its_error(tmp_path):
+    child = "raise ValueError('the child broke at step 7')"
+    with pytest.raises(SystemExit, match="exited with status 1") as info:
+        load_benchrec().run(tmp_path, child)
+    assert "ValueError: the child broke at step 7" in str(info.value)

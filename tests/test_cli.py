@@ -250,10 +250,10 @@ def test_compute_n(capsys, z3_file):
 
 
 def test_compute_n_node_budget(capsys, z3_file):
-    # Z3 takes 88 label trials in all, 82 of them refuting n = 4
-    code, data = run_cli(capsys, "compute-n", "--group", z3_file, "--node-budget", "88")
+    # Z3 takes 62 label trials in all, 56 of them refuting n = 4
+    code, data = run_cli(capsys, "compute-n", "--group", z3_file, "--node-budget", "62")
     assert code == 0
-    assert data["n"] == 4 and data["search_nodes"] == 88
+    assert data["n"] == 4 and data["search_nodes"] == 62
     code, data = run_cli(capsys, "compute-n", "--group", z3_file, "--node-budget", "20")
     assert code == 5
     assert data["error"] == "search_space_too_large" and data["lower_bound"] == 4

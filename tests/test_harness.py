@@ -11,6 +11,7 @@ from balanced_cycles import (BadSeed, BadSize, Labelling, SearchSpaceTooLarge, c
                              find_balanced_cycle, metacyclic_group,
                              product_group, random_labelling,
                              shifting_equivalent, verify_all, verify_random)
+from balanced_cycles.groups import automorphism_orbit_min
 
 
 def strip_elapsed(report):
@@ -315,16 +316,30 @@ def test_verify_random_derives_seeds_block_by_block(monkeypatch):
 
 def test_compute_n_values():
     # the trial counts are pinned, so any change to the search's order or
-    # to its sorting rule shows
+    # to its cuts (the sorting rule, the Aut(G) orbit cut) shows
     result = compute_n(cyclic_group(1))
     assert (result.value, result.nodes) == (2, 1)
     result = compute_n(cyclic_group(2))
     assert (result.value, result.nodes) == (3, 7)
     result = compute_n(cyclic_group(3))
-    assert (result.value, result.nodes) == (4, 88)
+    assert (result.value, result.nodes) == (4, 62)
     witness = result.witness
     assert witness.n == 3
     assert enumerate_balanced_cycles(witness) == []
+
+
+SMALL_GROUPS = [*map(cyclic_group, range(1, 6)), product_group(cyclic_group(2), cyclic_group(2))]
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda group: group.name)
+def test_compute_n_witness_passes_both_cuts(group):
+    # the in-labels of vertex 0 are sorted, l(1, 0) is the least of its
+    # orbit, and no in-label lies in an orbit whose least element is below it
+    inlabels = [row[0] for row in compute_n(group).witness.rows()[1:]]
+    orbit_min = automorphism_orbit_min(group)
+    assert inlabels == sorted(inlabels)
+    assert all(orbit_min[g] >= inlabels[0] for g in inlabels)
+    assert not inlabels or orbit_min[inlabels[0]] == inlabels[0]
 
 
 def test_compute_n_bounds_when_capped():
@@ -339,15 +354,16 @@ def test_compute_n_bounds_when_capped():
 
 def test_compute_n_order_four_groups():
     # both even-order groups of order 4 resolve inside the default budget;
-    # without the sorting rule they took 16,136 and 15,435 trials
+    # without the sorting rule they took 16,136 and 15,435 trials, without
+    # the orbit cut 4,064 and 3,075
     result = compute_n(cyclic_group(4))
-    assert (result.value, result.nodes) == (5, 4064)
+    assert (result.value, result.nodes) == (5, 2806)
     result = compute_n(product_group(cyclic_group(2), cyclic_group(2)))
-    assert (result.value, result.nodes) == (5, 3075)
+    assert (result.value, result.nodes) == (5, 2057)
 
 
 def test_compute_n_budget_reports_bounds():
-    # n <= 3 spend 6 nodes on Z3 and refuting n = 4 needs 82, so 20 run out at n = 4
+    # n <= 3 spend 6 nodes on Z3 and refuting n = 4 needs 56, so 20 run out at n = 4
     with pytest.raises(SearchSpaceTooLarge) as info:
         compute_n(cyclic_group(3), node_budget=20)
     assert info.value.lower_bound == 4
@@ -359,9 +375,9 @@ def test_compute_n_budget_reports_bounds():
 
 def test_compute_n_budget_is_exact():
     # the pinned count suffices, one trial less does not
-    assert compute_n(cyclic_group(3), node_budget=88).value == 4
+    assert compute_n(cyclic_group(3), node_budget=62).value == 4
     with pytest.raises(SearchSpaceTooLarge) as info:
-        compute_n(cyclic_group(3), node_budget=87)
+        compute_n(cyclic_group(3), node_budget=61)
     assert info.value.lower_bound == 4
 
 

@@ -7,7 +7,11 @@ after each run this interpreter times ``perfbench/calib.py``'s
 ``probe()``, a fixed kernel that tracks the host's speed, which drifts up
 to 2x on a shared machine.  A row's ``probe_s`` is the median over its
 runs of that before/after mean, so rows taken apart compare as
-``wall_s / probe_s`` (or phase seconds / ``probe_s``).
+``wall_s / probe_s`` (or phase seconds / ``probe_s``).  The probe stays
+in this interpreter: timed inside the child, right before and right
+after its timed call, it tracked the child's time less well (three
+five-run Z5 calls of ``bench_compute_n.py`` spread 25-29% in ``wall_s /
+probe_s`` that way, against 7-14% this way, in CHANGES.md).
 
 The file written to ``--out`` holds one entry per measured tree, under
 ``--label`` (default: the commit of ``--root``), with the machine, Python
@@ -76,11 +80,15 @@ def parser(doc: str, out: str) -> argparse.ArgumentParser:
 
 def run(root: Path, child: str, *args) -> dict:
     """``child`` in a fresh interpreter on ``root/src``: its JSON line, with
-    ``probe_s``, the mean of the probe right before and right after."""
+    ``probe_s``, the mean of the probe right before and right after.  A
+    child that fails stops the script with its exit status and stderr."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     before = probe()
     done = subprocess.run([sys.executable, "-c", child, *map(str, args)], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"a run on {root} exited with status {done.returncode}:\n"
+                         f"{done.stderr}")
     return dict(json.loads(done.stdout), probe_s=(before + probe()) / 2)
 
 
