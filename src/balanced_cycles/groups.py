@@ -12,9 +12,9 @@ left table holds g*S the same way, so an action is the OR over the bytes of
 S.  ``right_mul_lut`` hands the right table to the dense DP kernel, which
 reads it for every group whose table is not exactly (a + b) mod order
 (``is_cyclic_numbering``); for those it rotates the bits of S instead.  The
-scalar ``subset_mul_elem`` / ``elem_mul_subset`` take element g's row of the
-table as lists the first time g is used and walk the bytes of S in Python;
-``_byte_actions`` hands those rows to a hot loop as one callable per element.
+scalar ``subset_mul_elem`` / ``elem_mul_subset`` call ``_byte_actions``: per
+side, one callable per element that walks the bytes of S in Python over
+that element's row of the table, kept as lists from the first use on.
 ``stabilizer`` and ``cosets`` gather the images of S under every element
 at once, and ``is_subgroup`` is "contains 1 and H*h = H for every h in H".
 ``subgroup_closure`` grows {1} by every generator with ``grow_set`` until
@@ -25,9 +25,10 @@ the other modules: ``is_json_int(value, size)`` accepts an int or a numpy
 integer, never a bool or a float, and with ``size`` only one in
 0..size-1.  Nothing is coerced: an element g of the subset actions, ``grow_set`` and
 ``subgroup_closure`` passes ``is_json_int(g, order)``, an element set of
-``stabilizer``, ``cosets`` and ``is_subgroup`` ``is_json_int(S, 2^order)``,
-and a set ``subset_elements`` lists, like every element ``subset_of``
-takes, must be a non-negative integer; anything else is a ValueError.  The
+the subset actions, ``stabilizer``, ``cosets`` and ``is_subgroup``
+``is_json_int(S, 2^order)``, and a set ``subset_elements`` lists, like
+every element ``subset_of`` takes, must be a non-negative integer;
+anything else is a ValueError.  The
 constructors' ``q``, ``m``, ``n`` and ``r``, and every entry of a table
 ``FiniteGroup`` takes, are integers by the same rule (BadSpec otherwise;
 an integer numpy table passes on its dtype, ``checked_matrix``, and any
@@ -87,7 +88,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "name", "spec", "table", "inverse_table", "is_cyclic_numbering",
-                 "_rows", "_inv", "_luts", "_lut_rows")
+                 "_rows", "_inv", "_luts", "_acts")
 
     def __init__(self, table, name: str = "", spec: dict | None = None):
         mul = checked_matrix(table, "iu", is_json_int,
@@ -107,7 +108,7 @@ class FiniteGroup:
         self._rows = tuple(map(tuple, mul.tolist()))
         self._inv = tuple(inv.tolist())
         self._luts: dict[str, np.ndarray] = {}
-        self._lut_rows: dict[str, dict[int, list[list[int]]]] = {"left": {}, "right": {}}
+        self._acts: dict[str, tuple] = {}
 
     identity = 0
 
@@ -117,6 +118,13 @@ class FiniteGroup:
         if not is_json_int(g, self.order):
             raise ValueError(f"{g!r} is not a group element 0..{self.order - 1}")
         return g
+
+    def _element_set(self, bits) -> int:
+        """``bits`` itself if it is an element set, an integer in
+        0..2^order-1 by ``is_json_int``, else ValueError."""
+        if not is_json_int(bits, 1 << self.order):
+            raise ValueError(f"element set {bits!r} outside 0..2^{self.order}-1")
+        return bits
 
     def mul(self, g: int, h: int) -> int:
         return self._rows[self._element(g)][self._element(h)]
@@ -148,40 +156,26 @@ class FiniteGroup:
             lut = self._luts[side] = _byte_table(self.table.T if side == "right" else self.table)
         return lut
 
-    def _action_row(self, side: str, g: int) -> list[list[int]]:
-        """Element g's row of one side's byte table, as lists for scalar lookups.
-
-        The actions read a cached row themselves when g is a plain int, so
-        only a first use, a numpy integer or a non-element comes here; a
-        bool or a float equal to a cached element must not read its row.
-        """
-        self._element(g)
-        rows = self._lut_rows[side]
-        row = rows.get(g)
-        if row is None:
-            row = rows[int(g)] = self._action_lut(side)[g].tolist()
-        return row
-
     def subset_mul_elem(self, bits: int, g: int) -> int:
-        """S*g as a bitmask; ValueError unless g is an element."""
-        row = self._lut_rows["right"].get(g) if type(g) is int else None
-        return _apply_chunks(row or self._action_row("right", g), bits)
+        """S*g as a bitmask; ValueError unless S is an element set and g an element."""
+        return self._byte_actions("right")[self._element(g)](self._element_set(bits))
 
     def elem_mul_subset(self, g: int, bits: int) -> int:
-        """g*S as a bitmask; ValueError unless g is an element."""
-        row = self._lut_rows["left"].get(g) if type(g) is int else None
-        return _apply_chunks(row or self._action_row("left", g), bits)
+        """g*S as a bitmask; ValueError unless g is an element and S an element set."""
+        return self._byte_actions("left")[self._element(g)](self._element_set(bits))
 
-    def _byte_actions(self, side: str) -> list:
+    def _byte_actions(self, side: str) -> tuple:
         """Per element g, the action S -> S*g ("right") or g*S ("left") as a
-        callable on bitmasks that reads g's byte-table row directly: one list
-        lookup per byte of S, and at order <= 8, where S is one byte, the
-        row's own ``__getitem__``.  For loops that act millions of times
-        with no argument to check."""
-        rows = [self._action_row(side, g) for g in range(self.order)]
-        if self.order <= 8:
-            return [row[0].__getitem__ for row in rows]
-        return [partial(_apply_chunks, row) for row in rows]
+        callable on bitmasks that reads g's byte-table row, kept as lists:
+        one list lookup per byte of S, and at order <= 8, where S is one
+        byte, the row's own ``__getitem__``.  Built once per side, on first
+        use; hot loops call them with no argument to check."""
+        acts = self._acts.get(side)
+        if acts is None:
+            acts = self._acts[side] = tuple(
+                row[0].__getitem__ if self.order <= 8 else partial(_apply_chunks, row)
+                for row in self._action_lut(side)[:self.order].tolist())
+        return acts
 
     def right_mul_lut(self) -> np.ndarray:
         """All of ``subset_mul_elem`` as one read-only uint64 array.
@@ -266,8 +260,7 @@ def _images(group: FiniteGroup, bits: int, side: str) -> np.ndarray:
     ValueError unless S is an element set, an integer in 0..2^order-1."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not is_json_int(bits, 1 << group.order):
-        raise ValueError(f"element set {bits!r} outside 0..2^{group.order}-1")
+    group._element_set(bits)
     lut = group._action_lut(side)
     chunks = lut.shape[1]
     digits = np.array([bits], dtype="<u8").view(np.uint8)[:chunks]

@@ -37,11 +37,12 @@ What re-checks what is one rule, kept in ``reach``'s module docstring: a
 cycle-free verdict is confirmed by a route that did not produce it.  An
 escalated trial's None from ``find_balanced_cycle`` (the dense kernel),
 as a stack of one, and the sieve's counterexamples (the cycle lists), a
-stack at a time, are confirmed on the dict layers by
-``reach._recheck_cycle_free``: the same route and the same recurrence
-for one labelling or a stack; ``compute_n``'s witness, whose
-CSP grew its path tables on the dict route (``reach._grow_anchored``), by
-``find_balanced_cycle`` finding nothing (``_reverify_cycle_free``).
+stack at a time, are confirmed on the dict route by
+``reach._recheck_cycle_free``, which grows every start's table with
+``reach._grow_anchored``: the same route and the same recurrence for one
+labelling or a stack.  ``compute_n``'s witness, whose CSP grew its path
+tables on that route too, is confirmed by ``find_balanced_cycle``
+finding nothing (``_reverify_cycle_free``).
 
 ``BLOCK_ELEMS`` bounds the arrays: a block holds at most that many labels,
 and so does a stack of re-checked counterexamples, and a sieve step at
@@ -523,7 +524,7 @@ def _cycle_free_labelling(group: FiniteGroup, n: int, budget: int,
 
     if extend(1, []):
         L = Labelling(group, np.array(labels, dtype=np.int64))
-        # the CSP grew its path tables on the dict route, which the search never runs
+        # the CSP grew its path tables with reach._grow_anchored, which the search never runs
         _reverify_cycle_free(L)
         return L, budget
     return None, budget

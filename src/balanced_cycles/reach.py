@@ -14,7 +14,7 @@ stored as an int bitmask over group elements.  Three table flavours exist:
   which is how cycles are detected and counted exactly once (every cycle
   is closed from its minimum vertex).
 
-Three routes: the dense kernel, the dict layers and the cycle lists.
+Three routes: the dense kernel, the dict route and the cycle lists.
 
 The dense kernel, ``_dense_layers(L, verts, seed, inside)``.  Over the m
 vertices of ``verts`` (local mask bit i = vertex verts[i], in ascending
@@ -95,32 +95,40 @@ layer's targets at once would hold m times one target's rows.  The callers:
   scope up to 24.  That is why a dense sweep's witness is rebuilt this
   way.
 
-The dict layers, ``_anchored_layers(start, verts, rows, pres, smul)``: the
-start-anchored exact-vertex-set DP as {mask: {endpoint: value bits}}, one
-layer per popcount, pushed one arc at a time in plain Python.  It never
-calls the dense kernel, and the search never calls it.  The callers:
+The dict route, ``_grow_anchored(table, start, v, n, arcs, plans)``: the
+start-anchored exact-vertex-set DP in plain Python over one flat list,
+entry ``mask * n + endpoint``, 0 where no path exists.  A call grows the
+table on the vertices below v by the masks that hold v, the upper half of
+the range, pushing one arc at a time by an index plan (``_grow_plan``).
+An arc acts through the group's byte-table rows
+(``FiniteGroup._byte_actions``), an absent one as a function that returns
+0.  It never calls the dense kernel, and the search never calls it.  The
+callers:
 
-* ``_anchored_cycles``, every balanced cycle with minimum vertex s in
-  (length, mask, closing vertex) order, each rebuilt from the layers it
-  keeps.  These layers are small, so keeping them all is cheap, and the
-  rebuild is a walk over them with no rerun of anything.
-  ``enumerate_balanced_cycles`` takes them all;
-* ``_recheck_cycle_free``, which runs every start once for a stack of
-  labellings that share one arc mask and only asks whether a layer
-  closes a cycle.  For a stack of one a value set is a Python int and the
-  action ``subset_mul_elem``; for a larger stack it is a uint64 array with
-  one lane per labelling, and the action a gather from the group's right
-  byte table per lane, so one pass re-checks a whole stack;
-* ``start_anchored_table``, which merges the layers.
+* ``harness.compute_n``'s CSP, which grows every start's table a vertex at
+  a time from its parent prefix's and ORs the new half into its path
+  rows, with plans kept per call;
+* ``_start_table(act, labels, pres, verts)``: the table of the paths from
+  verts[0] inside ``verts``, renumbered so that the start is local vertex
+  0, grown from vertex 0 alone.  Up to DICT_SWEEP_CAP vertices its plans
+  stay in ``_GROW_PLANS`` for the life of the process; above, each is
+  built for one step and dropped, as the dense kernel does above
+  _PLAN_CACHE_MAX_M.  It serves:
 
-The dict route's second form, ``_grow_anchored(table, start, v, n, arcs,
-plans)``, runs the same push recurrence over a flat table, entry ``mask *
-n + endpoint``, restricted to the masks that hold one new vertex v: the
-upper half of the range, filled from the table on the vertices below v.
-Its one caller is ``harness.compute_n``'s CSP, which grows every start's
-table a vertex at a time and ORs the new half into its path rows.  It
-acts through the group's byte-table rows directly
-(``FiniteGroup._byte_actions``), and it too never calls the dense kernel.
+  - ``_anchored_cycles``, every balanced cycle with minimum vertex s in
+    (length, mask, closing vertex) order, from the table over s..n-1: the
+    closing entries of each endpoint are read off its column
+    (``_column``), and each cycle is rebuilt by a walk back through the
+    table, indexed by mask, with no rerun of anything.
+    ``enumerate_balanced_cycles`` takes every start's;
+  - ``_recheck_cycle_free``, which grows every start's table once for a
+    stack of labellings that share one arc mask and only asks whether an
+    entry (mask, e), e in the mask, closes a cycle.  For a stack of one a
+    value set is a Python int; for a larger stack it is a uint64 array
+    with one lane per labelling, and the action a gather from the group's
+    right byte table per lane, so one pass re-checks a whole stack;
+  - ``start_anchored_table``, which turns the table into {mask: {endpoint:
+    value bits}}.
 
 The cycle lists, one per length, built on demand: ``_cycle_list(n,
 length)`` holds every simple cycle of the complete digraph on n vertices
@@ -138,15 +146,15 @@ by Cayley-table gathers, with no DP at all.  The callers:
   call.
 
 What re-checks what.  A cycle-free verdict is confirmed by a route that
-did not produce it: the dict layers confirm what the dense kernel or the
-cycle lists produced, and the search confirms what the dict layers
+did not produce it: the dict route confirms what the dense kernel or the
+cycle lists produced, and the search confirms what the dict route
 produced.
 
 =====================================  ==========================================
 producer of the verdict                confirming route
 =====================================  ==========================================
-``find_balanced_cycle`` returns None:  ``_recheck_cycle_free``: the dict layers
-the cycle lists, then the dense        from every start, a stack of one.  Up
+``find_balanced_cycle`` returns None:  ``_recheck_cycle_free``: the grown table
+the cycle lists, then the dense        of every start, a stack of one.  Up
 kernel (``harness.verify_random``)     to DICT_SWEEP_CAP vertices; above,
                                        nothing re-checks.
 the sieve's counterexamples: the       ``_recheck_cycle_free``, as above, in
@@ -161,12 +169,11 @@ grow on the dict route                 (``harness._reverify_cycle_free``)
 The search itself sweeps every start that can close a cycle, so its DP
 sees the 2- and 3-cycles that the short-cycle scan, its fast path, read
 off the lists; a fault in any one route is caught by another.  The dict
-layers act through ``FiniteGroup.subset_mul_elem``, which reads the
-group's right byte table, and ``_grow_anchored`` reads that table's rows
-directly.  For a cyclic numbering the dense kernel rotates bits instead,
-so there the dense route and the dict route share no action; for every
-other group both read the byte table, which ``tests/test_groups.py``
-checks against the Cayley table.  A stacked
+route reads the rows of the group's right byte table
+(``FiniteGroup._byte_actions``).  For a cyclic numbering the dense kernel
+rotates bits instead, so there the dense route and the dict route share
+no action; for every other group both read the byte table, which
+``tests/test_groups.py`` checks against the Cayley table.  A stacked
 re-check reads the same table through ``FiniteGroup.right_mul_lut``, so
 on a cyclic numbering it too shares no action with the dense kernel.
 
@@ -183,12 +190,22 @@ time, and masks it back with ``& full`` once the next layer is built (in
 a ``finally``, so also when the extension fails): it adds no array the
 size of a layer, and no caller ever sees a doubled word.  The byte table
 adds a copy of the source layer's low bytes (half a layer at order 30).
-A stacked re-check holds two dict layers of one word per entry and lane,
-and its arc offsets, one word per arc, lane and byte chunk: for
-``verify_all``'s stacks of BLOCK_ELEMS // n^2 lanes at most 4 MiB of
-offsets, and layers under 1 MB at n <= 6 (its search-space cap admits no larger n for a group of
-order 2 or more, and the trivial group has no counterexample above one
-vertex).
+
+The dict route's table on m vertices has 2^m * m slots, one pointer each
+(a quarter of them hold the start's paths, the rest 0): 8 MiB at m = 16
+and 160 MiB at TABLE_RETENTION_CAP.  Growing the last vertex holds the old
+half, the new half, the joined table and that step's plan at once.
+``_GROW_PLANS``, filled for every m <= DICT_SWEEP_CAP, takes 1,708,256
+bytes (tracemalloc) for the life of the process.  ``start_anchored_table``
+on 16 vertices peaked at 24.1 MiB under tracemalloc on a random Z7
+labelling and 32.5 MiB on a Z64 one, with the flat table, the last plan
+and the dict alive at once.  A stacked re-check holds one uint64 word per
+lane in each written entry, and its arc offsets, one word per arc, lane
+and byte chunk: for ``verify_all``'s stacks of BLOCK_ELEMS // n^2 lanes at
+most 4 MiB of offsets.  At n = 6, the largest (its search-space cap admits
+no larger n for a group of order 2 or more, and the trivial group has no
+counterexample above one vertex), a stack peaked at 2.6 MiB at order 7
+and 6.5 MiB at order 64 under tracemalloc.
 
 Scope and size, one rule.  Every exact route hands its scope, the
 vertices it names and its cap to ``_scope`` before it allocates anything.
@@ -200,7 +217,7 @@ caps: EXACT_CAP (24) for the search, the aggregated layers, ``reach_set``,
 (20) for the retained ``reach_table`` and ``start_anchored_table``;
 DICT_SWEEP_CAP (12) for ``enumerate_balanced_cycles``, which also keeps at
 most CYCLE_LIST_CAP cycles (``_recheck_cycle_free`` stops at the same cap,
-since both sweep the dict route over every start); and
+since both grow a dict-route table from every start); and
 ``proof_engine.KEY_LEMMA_CAP`` (20) for the key lemma.  Whether a campaign
 or the CLI runs the exact search or the short-cycle scan alone is
 ``runs_exact(n, max_dp_vertices)``: the limit is at least 0 and can only
@@ -213,7 +230,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import compress
+from operator import or_
 from typing import Iterator
 
 import numpy as np
@@ -224,7 +243,7 @@ from .labellings import CycleWitness, Labelling, cycle_value
 
 EXACT_CAP = 24
 TABLE_RETENTION_CAP = 20
-DICT_SWEEP_CAP = 12  # every start on the dict layers: enumeration and the re-check
+DICT_SWEEP_CAP = 12  # every start's grown table, plans kept: enumeration and the re-check
 CYCLE_LIST_CAP = 500_000  # about 250 B per kept cycle: some 125 MB
 
 
@@ -632,35 +651,6 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     return _paths_from(L, _scope(L, X, EXACT_CAP, u, v), int(u))[v]
 
 
-def _anchored_layers(start: int, verts, rows, pres,
-                     smul) -> Iterator[dict[int, dict[int, int]]]:
-    """The start-anchored exact-vertex-set DP, pushed one arc at a time.
-
-    Yields the layers of paths from ``start`` by popcount, from two
-    vertices up, each as {vertex mask: {endpoint: value bits}}: every path
-    of the layer before extended by one arc to a vertex of ``verts`` (which
-    must not hold ``start``) outside its mask.  Masks with no path are
-    absent, so there is at most one layer per vertex of ``verts``, and the
-    stream stops at the first empty one.
-    """
-    layer = {1 << start: {start: 1}}
-    for _ in verts:
-        nxt: dict[int, dict[int, int]] = {}
-        for m, entry in layer.items():
-            for e, bits in entry.items():
-                row_e = rows[e]
-                pres_e = pres[e]
-                for w in verts:
-                    if not (m >> w) & 1 and pres_e[w]:
-                        value = smul(bits, row_e[w])
-                        nentry = nxt.setdefault(m | (1 << w), {})
-                        nentry[w] = nentry.get(w, 0) | value
-        if not nxt:
-            return
-        yield nxt
-        layer = nxt
-
-
 def _grow_plan(v: int, n: int, start: int) -> list[tuple[int, list[int], list[int], list]]:
     """The index plan of ``_grow_anchored`` for one (v, n, start).
 
@@ -669,8 +659,9 @@ def _grow_plan(v: int, n: int, start: int) -> list[tuple[int, list[int], list[in
     the start with vertex set exactly m, which step to v ([] for start v,
     which has no old mask); those with vertex set m + {v}; and per vertex
     w below v outside m, the offset (1 << w) * n + w that takes an entry
-    of m + {v} to its extension by w.  Over the complete digraph every
-    listed entry holds a path, so the growth tests none.
+    of m + {v} to its extension by w.  The growth tests no entry for a
+    path: an entry without one holds 0, an absent arc maps every set to 0,
+    and either way the step adds nothing.
     """
     steps = [(w, (n << w) + w) for w in range(v)]
     plan = []
@@ -686,19 +677,19 @@ def _grow_plan(v: int, n: int, start: int) -> list[tuple[int, list[int], list[in
 
 def _grow_anchored(table: list[int] | None, start: int, v: int, n: int, arcs,
                    plans: dict) -> list[int]:
-    """A start-anchored exact-vertex-set table grown by vertex v, over the complete digraph.
+    """A start-anchored exact-vertex-set table grown by vertex v.
 
     ``table[mask * n + e]`` holds the values of the paths from ``start``
     with vertex set exactly ``mask`` and endpoint e, for every mask of
-    vertices 0..v-1.  The grown table adds the masks that hold v, the upper
-    half of the flat range, by ``_anchored_layers``' push recurrence
-    restricted to them: every path of an old mask steps to v, and every
-    path of a new mask, taken in increasing mask order, to each vertex
-    below v outside it.  ``arcs[u][w]`` maps a value set S to S*label(u, w)
-    for u, w <= v.  Start v's own table, ``table`` None, is built from
-    scratch: no old mask holds a path, and the new mask {v} holds the empty
-    path, the identity.  ``plans`` keeps ``_grow_plan``'s plans by (v,
-    start) for one n.
+    vertices 0..v-1, and 0 where no such path exists.  The grown table adds
+    the masks that hold v, the upper half of the flat range, by the push
+    recurrence restricted to them: every path of an old mask steps to v,
+    and every path of a new mask, taken in increasing mask order, to each
+    vertex below v outside it.  ``arcs[u][w]`` maps a value set S to
+    S*label(u, w) for u, w <= v, and every set to 0 when the arc is absent.
+    Start v's own table, ``table`` None, is built from scratch: no old mask
+    holds a path, and the new mask {v} holds the empty path, the identity.
+    ``plans`` keeps ``_grow_plan``'s plans by (v, start) for one n.
     """
     plan = plans.get((v, start))
     if plan is None:
@@ -720,6 +711,40 @@ def _grow_anchored(table: list[int] | None, start: int, v: int, n: int, arcs,
                 for w, step in steps:
                     new[base + step] |= out[w](bits)
     return table + new
+
+
+_GROW_PLANS: dict[int, dict] = {}  # m <= DICT_SWEEP_CAP: _grow_anchored's plans from vertex 0
+
+
+def _no_arc(bits):
+    return 0
+
+
+def _start_table(act, labels, pres, verts) -> list:
+    """``_grow_anchored``'s table of the paths from verts[0] inside ``verts``.
+
+    The m vertices are renumbered 0..m-1 in the order given, so the start
+    is local vertex 0 and entry ``mask * m + e`` is over local masks and
+    endpoints.  ``act(labels[u][w])`` is the action of the arc u -> w, used
+    where ``pres[u][w]``.  Up to DICT_SWEEP_CAP vertices the plans are kept
+    in ``_GROW_PLANS`` for the life of the process; above, each is built
+    for one growth step and dropped.
+    """
+    m = len(verts)
+    arcs = [[act(labels[u][w]) if pres[u][w] else _no_arc for w in verts] for u in verts]
+    kept = _GROW_PLANS.setdefault(m, {}) if m <= DICT_SWEEP_CAP else None
+    table = [0] * m + [1] + [0] * (m - 1)  # vertex 0 alone: the empty path, the identity
+    for v in range(1, m):
+        table = _grow_anchored(table, 0, v, m, arcs, {} if kept is None else kept)
+    return table
+
+
+def _column(table: list, m: int, e: int):
+    """The masks of ``_start_table``'s table over m vertices that hold the
+    start and e >= 1, ascending, and their entries at e, as two iterators."""
+    half = 1 << (e - 1)  # of the odd masks, the upper half of every 2 * half holds e
+    holds = (bytes(half) + b"\1" * half) * (1 << (m - e - 1))
+    return compress(range(1, 1 << m, 2), holds), compress(table[m + e::2 * m], holds)
 
 
 @dataclass(eq=False)
@@ -781,12 +806,16 @@ def start_anchored_table(L: Labelling, X, start: int | None = None) -> StartAnch
     """
     mask = _scope(L, X, TABLE_RETENTION_CAP, start)
     verts = subset_elements(mask)
-    if start is None:
-        start = verts[0]
-    table = {1 << start: {start: 1}}
-    for layer in _anchored_layers(start, [v for v in verts if v != start], L.rows(),
-                                  L.present_rows(), L.group.subset_mul_elem):
-        table.update(layer)
+    start = verts[0] if start is None else int(start)  # a numpy start passes _scope
+    verts = [start] + [v for v in verts if v != start]
+    flat = _start_table(L.group._byte_actions("right").__getitem__, L.rows(), L.present_rows(),
+                        verts)
+    m = len(verts)
+    table = {}
+    for local in range(1, 1 << m, 2):  # the masks that hold the start
+        entry = {v: bits for v, bits in zip(verts, flat[local * m:(local + 1) * m]) if bits}
+        if entry:
+            table[sum(1 << v for i, v in enumerate(verts) if local >> i & 1)] = entry
     return StartAnchoredTable(L, mask, start, table)
 
 
@@ -955,39 +984,38 @@ def _anchored_cycles(L: Labelling, s: int, rows, pres) -> Iterator[tuple[int, ..
     """Every balanced cycle with minimum vertex ``s``, as its vertices from ``s``.
 
     Cycles come by length, then vertex mask, then closing vertex, in
-    ascending order.  Each is rebuilt from the layers of ``_anchored_layers``
-    kept so far, walking back from the closing vertex with the value the
-    path still needs: the predecessors p of endpoint e in mask M are the
-    vertices of M - e with an arc p -> e whose exact-mask entry (M - e, p)
-    holds val * label(p, e)^-1, tried smallest first (earliest branch
-    first).  A start's first cycle has the smallest mask that closes, so
-    every path inside that mask with the needed value runs through all of
-    it, and the walk picks what ``find_path_with_value`` would.
+    ascending order.  They are read off ``_start_table`` over s..n-1
+    (local vertex i for vertex s + i), and each is rebuilt from it, walking
+    back from the closing vertex with the value the path still needs: the
+    predecessors p of endpoint e in local mask M are the vertices of M - e
+    with an arc p -> e whose entry ``table[(M - e) * m + p]`` holds
+    val * label(p, e)^-1, tried smallest first (earliest branch first).  A
+    start's first cycle has the smallest mask that closes, so every path
+    inside that mask with the needed value runs through all of it, and the
+    walk picks what ``find_path_with_value`` would.
     """
-    G = L.group
-    inv = G._inv
-    mul_rows = G._rows
-    others = range(s + 1, L.n)
-    close = {e: inv[rows[e][s]] for e in others if pres[e][s]}
-    layers = [{1 << s: {s: 1}}]  # layers[i] holds the masks of i + 1 vertices
-    for layer in _anchored_layers(s, others, rows, pres, G.subset_mul_elem):
-        layers.append(layer)
-        hits = sorted((m, e) for m, entry in layer.items() for e, bits in entry.items()
-                      if e in close and (bits >> close[e]) & 1)
-        for hit, last in hits:
-            stack = [(hit, last, close[last], (last,))]
-            while stack:
-                mask, e, val, tail = stack.pop()
-                if mask == 1 << s:
-                    yield tail
-                    continue
-                sub = mask ^ (1 << e)
-                entry = layers[sub.bit_count() - 1][sub]
-                for p in reversed(subset_elements(sub)):
-                    if pres[p][e]:
-                        prev = mul_rows[val][inv[rows[p][e]]]
-                        if (entry.get(p, 0) >> prev) & 1:
-                            stack.append((sub, p, prev, (p,) + tail))
+    inv, mul_rows = L.group._inv, L.group._rows
+    m = L.n - s
+    table = _start_table(L.group._byte_actions("right").__getitem__, rows, pres, range(s, L.n))
+    hits = []
+    for e in range(1, m):
+        close = inv[rows[s + e][s]]
+        if pres[s + e][s] and reduce(or_, table[e::m]) >> close & 1:  # one pass when none closes
+            hits += [(mask.bit_count(), mask, e) for mask, bits in zip(*_column(table, m, e))
+                     if bits >> close & 1]
+    for _, hit, last in sorted(hits):
+        stack = [(hit, last, inv[rows[s + last][s]], (s + last,))]
+        while stack:
+            mask, e, val, tail = stack.pop()
+            if mask == 1:
+                yield tail
+                continue
+            sub = mask ^ (1 << e)
+            for p in reversed(range(m)):
+                if sub >> p & 1 and pres[s + p][s + e]:
+                    prev = mul_rows[val][inv[rows[s + p][s + e]]]
+                    if table[sub * m + p] >> prev & 1:
+                        stack.append((sub, p, prev, (s + p,) + tail))
 
 
 def _dense_sweep(L: Labelling, s: int) -> tuple[int, int] | None:
@@ -1017,21 +1045,23 @@ def _dense_sweep(L: Labelling, s: int) -> tuple[int, int] | None:
 
 def _recheck_cycle_free(group: FiniteGroup, labels: np.ndarray, present: np.ndarray) -> None:
     """Confirm cycle-free verdicts of the dense kernel or the cycle lists on
-    the dict layers, which neither uses.
+    the grown tables, which neither uses.
 
     ``labels`` is a stack of labellings over ``group`` that share the arc
     mask ``present``, as a (count, n, n) integer array; labels of absent
-    arcs must still be group elements, though no path uses them.  Every start runs
-    ``_anchored_layers`` once for the whole stack, and a layer closes a
-    cycle when some entry (mask, e) holds the inverse of label(e, start).
-    Raises AssertionError if any labelling of the stack has a balanced
-    cycle.  Above DICT_SWEEP_CAP vertices nothing is re-checked.
+    arcs must still be group elements, though no path uses them.  Every
+    start s builds ``_start_table`` over s..n-1 once for the whole stack,
+    and a cycle closes when some entry (mask, e), with e in the mask,
+    holds the inverse of label(e, s).  Raises AssertionError if any
+    labelling of the stack has a balanced cycle.  Above DICT_SWEEP_CAP
+    vertices nothing is re-checked.
 
-    A stack of one runs on Python-int value sets and
-    ``FiniteGroup.subset_mul_elem``.  A larger one keeps each value set as
-    a uint64 array with one lane per labelling, and acts by gathers from
-    ``FiniteGroup.right_mul_lut``, ORed over the bytes of the set: the same
-    route and the same recurrence, one pass instead of one per labelling.
+    A stack of one runs on Python-int value sets and the group's byte-table
+    rows (``FiniteGroup._byte_actions``).  A larger one keeps each value
+    set as a uint64 array with one lane per labelling, and acts by gathers
+    from ``FiniteGroup.right_mul_lut``, ORed over the bytes of the set: the
+    same route and the same recurrence, one pass instead of one per
+    labelling.
     """
     count, n = labels.shape[:2]
     if n > DICT_SWEEP_CAP:
@@ -1039,32 +1069,30 @@ def _recheck_cycle_free(group: FiniteGroup, labels: np.ndarray, present: np.ndar
     pres = present.tolist()
     inv = group.inverse_table[labels]
     if count == 1:
-        rows, inv, smul, closes = labels[0].tolist(), inv[0].tolist(), group.subset_mul_elem, bool
+        act, labels = group._byte_actions("right").__getitem__, labels[0].tolist()
+        inv = inv[0].tolist()
     else:
         lut = group.right_mul_lut()
         chunks = lut.shape[1]
-        flat = lut.reshape(-1)
         shifts = np.arange(0, 8 * chunks, 8, dtype=np.uint64)
-        # rows[e][w][i, c]: where chunk c of S*label(e, w) starts in ``flat``, lane i
-        rows = ((labels.transpose(1, 2, 0)[..., None] * chunks + np.arange(chunks)) * 256)
+        # labels[u, w][i, c]: where chunk c of S*label(u, w) starts in the flat ``lut``, lane i
+        labels = (labels.transpose(1, 2, 0)[..., None] * chunks + np.arange(chunks)) * 256
         inv = inv.transpose(1, 2, 0).astype(np.uint64)
-        closes = np.any
 
-        def smul(bits, offsets: np.ndarray) -> np.ndarray:
+        def lanes(offsets: np.ndarray, bits) -> np.ndarray:
             digits = (np.asarray(bits, dtype=np.uint64)[..., None] >> shifts) & np.uint64(0xFF)
-            return np.bitwise_or.reduce(flat.take(offsets + digits.astype(np.intp)), axis=-1)
+            return np.bitwise_or.reduce(lut.take(offsets + digits.astype(np.intp)), axis=-1)
 
+        act = partial(partial, lanes)  # act(labels[u][w]) acts by arc u -> w on every lane
+
+    hit = 0
     for s in range(n - 1):
-        others = range(s + 1, n)
-        close = {e: inv[e][s] for e in others if pres[e][s]}
-        for layer in _anchored_layers(s, others, rows, pres, smul):
-            hit = 0
-            for entry in layer.values():
-                for e, bits in entry.items():
-                    if e in close:
-                        hit |= (bits >> close[e]) & 1
-            if closes(hit):
-                raise AssertionError("cycle-free verdict failed re-verification (dict layers)")
+        table = _start_table(act, labels, pres, range(s, n))
+        for e in range(1, n - s):
+            if pres[s + e][s]:
+                hit |= reduce(or_, _column(table, n - s, e)[1], 0) >> inv[s + e][s] & 1
+    if np.any(hit):
+        raise AssertionError("cycle-free verdict failed re-verification (grown tables)")
 
 
 def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:
@@ -1080,7 +1108,7 @@ def enumerate_balanced_cycles(L: Labelling) -> list[CycleWitness]:
     rows = L.rows()
     pres = L.present_rows()
     out: list[CycleWitness] = []
-    for s in range(n):
+    for s in range(n - 1):
         for cycle in _anchored_cycles(L, s, rows, pres):
             out.append(_checked(L, cycle))
             if len(out) > CYCLE_LIST_CAP:

@@ -369,6 +369,8 @@ REPORT_CASES = [
     ("check/extremal-3-4", ["check", "{labelling}"], (3, 4)),
     ("check/extremal-5-5", ["check", "{labelling}"], (5, 5)),
     ("key-lemma/extremal-5-5", ["key-lemma", "{labelling}"], (5, 5)),
+    ("enumerate/extremal-3-6", ["enumerate", "{labelling}"], (3, 6)),
+    ("enumerate/extremal-5-5", ["enumerate", "{labelling}"], (5, 5)),
     ("verify/Z3/n3/normalized",
      ["verify", "--group", "{group}", "--n", "3", "--mode", "exhaustive-normalized"], None),
     ("verify/Z3/n3/random",

@@ -10,20 +10,20 @@ witness must keep the arcs out of vertex 0 at the identity and be
 cycle-free, by brute force and by enumerate_balanced_cycles.
 
 The search's own parts are checked on their own: its path tables, grown a
-vertex at a time, against rows and entries built from scratch on the dict
-layers, and its packed zero-lane test against ``all`` over the lanes.
+vertex at a time, against rows and entries read off every simple path
+(oracle.py's ``iter_simple_paths``, which shares no code with the growth),
+and its packed zero-lane test against ``all`` over the lanes.
 """
 
 import random
 
 import pytest
 
-from balanced_cycles import (catalog, compute_n, cyclic_group, enumerate_balanced_cycles,
-                             product_group)
+from balanced_cycles import (Labelling, catalog, compute_n, cyclic_group,
+                             enumerate_balanced_cycles, product_group, subset_of)
 from balanced_cycles.harness import (DEFAULT_NODE_BUDGET, _cycle_free_labelling, _empty_lane,
                                      _grow_paths)
-from balanced_cycles.reach import _anchored_layers
-from oracle import brute_has_balanced_cycle, reference_cycle_free_labelling
+from oracle import brute_has_balanced_cycle, iter_simple_paths, reference_cycle_free_labelling
 
 GROUPS = dict(catalog(), Z1=cyclic_group(1), Z6=cyclic_group(6),
               Z2xZ2=product_group(cyclic_group(2), cyclic_group(2)))
@@ -60,28 +60,25 @@ def test_compute_n_decides_z5():
     assert_normalized_cycle_free(result.witness, 5)
 
 
-def _path_row(labels, k, a, pres, smul):
-    """Row a of the path table over vertices 0..k-1, from scratch: the
-    start-anchored dict layers from a, each ORed into the row by endpoint,
-    and entry a the identity alone (how the search built every row before
-    it grew them from the parent prefix's tables)."""
-    row = [0] * k
-    for layer in _anchored_layers(a, [b for b in range(k) if b != a], labels, pres, smul):
-        for entry in layer.values():
-            for b, bits in entry.items():
-                row[b] |= bits
-    row[a] = 1
+def _path_row(L, a):
+    """Row a of the path table over L's vertices, by brute force: entry b
+    holds the values of every simple path from a to b, and entry a the
+    identity alone (the length-0 path)."""
+    row = [0] * L.n
+    for path, value in iter_simple_paths(L, list(range(L.n))):
+        if path[0] == a:
+            row[path[-1]] |= 1 << value
     return row
 
 
 @pytest.mark.parametrize("name", ["Z3", "Z4", "Z2xZ2", "S3", "Z9", "F21"])
 def test_grown_path_tables_match_the_dict_layers(name):
+    # the grown tables against every simple path, entry mask * n + b for the
+    # values of the paths from a with vertex set mask and endpoint b
     group = GROUPS[name]
     right = group._byte_actions("right")
-    smul = group.subset_mul_elem
     rng = random.Random(f"grown tables over {name}")
     n = 7  # the flat tables' stride, larger than every prefix as in the search
-    pres = [[True] * n] * n
     for _ in range(6):
         labels = [[rng.randrange(group.order) if u != w else 0 for w in range(n)]
                   for u in range(n)]
@@ -91,14 +88,14 @@ def test_grown_path_tables_match_the_dict_layers(name):
             arcs = [[right[g] for g in labels[u][:v + 1]] for u in range(v + 1)]
             paths = [_grow_paths(paths[a] if a < v else None, a, v, n, arcs, plans)
                      for a in range(v + 1)]
+            L = Labelling(group, [row[:v + 1] for row in labels[:v + 1]])
             for a, (table, row) in enumerate(paths):
-                assert row == _path_row(labels, v + 1, a, pres, smul)
-                exact = {(1 << a) * n + a: 1}
-                others = [b for b in range(v + 1) if b != a]
-                for layer in _anchored_layers(a, others, labels, pres, smul):
-                    for mask, entry in layer.items():
-                        for b, bits in entry.items():
-                            exact[mask * n + b] = bits
+                assert row == _path_row(L, a)
+                exact: dict[int, int] = {}
+                for path, value in iter_simple_paths(L, list(range(v + 1))):
+                    if path[0] == a:
+                        key = subset_of(path) * n + path[-1]
+                        exact[key] = exact.get(key, 0) | 1 << value
                 assert len(table) == (2 << v) * n
                 assert {i: bits for i, bits in enumerate(table) if bits} == exact
 

@@ -447,6 +447,11 @@ def test_element_set_outside_the_group_is_rejected(bits):
             cosets(g3, bits, side)
     with pytest.raises(ValueError, match="element set"):
         is_subgroup(g3, bits)
+    # the subset actions read a byte-table row by S: -1 would index from its end
+    with pytest.raises(ValueError, match="element set"):
+        g3.subset_mul_elem(bits, 1)
+    with pytest.raises(ValueError, match="element set"):
+        g3.elem_mul_subset(1, bits)
 
 
 @pytest.mark.parametrize("bits", [-1, True, 1.5, np.float64(1.0)],

@@ -1,5 +1,6 @@
 """Reach sets and balanced-cycle detection against the brute-force oracle."""
 
+import json
 import random
 import re
 
@@ -84,19 +85,27 @@ def test_reach_table_aggregate_rejects_a_vertex_outside_the_labelling(x):
 def test_start_anchored_table_against_oracle():
     from oracle import iter_simple_paths
     rng = random.Random(13)
-    for _ in range(15):
-        L = random_labelling(cyclic_group(7), 5, rng.getrandbits(32))
-        start = rng.randrange(5)
-        tab = start_anchored_table(L, range(5), start=start)
-        assert tab.table[1 << start] == {start: 1}
-        expected: dict[tuple[int, int], set[int]] = {}
-        for path, value in iter_simple_paths(L, list(range(5))):
-            if path[0] == start:
-                key = (subset_of(path), path[-1])
-                expected.setdefault(key, set()).add(value)
-        actual = {(m, e): set(subset_elements(bits))
-                  for m, entry in tab.table.items() for e, bits in entry.items()}
-        assert actual == expected
+    for density in (1.0, 0.6):  # a complete labelling, then one with absent arcs
+        for _ in range(15):
+            base = random_labelling(cyclic_group(7), 5, rng.getrandbits(32))
+            L = Labelling(base.group, base.labels,
+                          [[u != v and rng.random() < density for v in range(5)] for u in range(5)])
+            start = rng.randrange(5)
+            tab = start_anchored_table(L, range(5), start=start)
+            assert tab.table[1 << start] == {start: 1}
+            expected: dict[tuple[int, int], set[int]] = {}
+            for path, value in iter_simple_paths(L, list(range(5))):
+                if path[0] == start:
+                    key = (subset_of(path), path[-1])
+                    expected.setdefault(key, set()).add(value)
+            actual = {(m, e): set(subset_elements(bits))
+                      for m, entry in tab.table.items() for e, bits in entry.items()}
+            assert actual == expected
+    # a numpy start passes the integer rule, and the table keeps int keys that json encodes
+    L = random_labelling(cyclic_group(7), 5, 4)
+    tab = start_anchored_table(L, range(5), start=np.int64(2))
+    assert type(tab.start) is int and tab.table == start_anchored_table(L, range(5), start=2).table
+    json.dumps(tab.table)
 
 
 def test_reach_against_oracle():

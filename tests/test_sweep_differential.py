@@ -155,7 +155,7 @@ def test_search_never_runs_the_dict_layers(monkeypatch):
     want = [reference_find_balanced_cycle(L) for L in cases]
     assert want[-1] == (1, 3, 2, 4)
     assert sum(w is not None and len(w) > 3 for w in want) >= 10
-    monkeypatch.setattr(reach, "_anchored_layers", _broken)
+    monkeypatch.setattr(reach, "_grow_anchored", _broken)
     assert [_witness(L) for L in cases] == want
 
 
