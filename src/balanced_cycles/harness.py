@@ -14,20 +14,24 @@ witness length the reports count.  Most labellings die at length 2, so
 the longer, more numerous cycles only see the few survivors, and once
 none is left the sieve reads no further length.  The lists are built per
 length as the sieve reads them (``reach._cycle_arcs``), so a longer list
-is only built for a block that has survivors: the trivial group's one
-labelling, at any n, reads the 2-cycle list alone.
+is only built for a block that has survivors.
 
 * ``verify_random`` draws a block of trials with ``rng.xoshiro_labels``
   and sieves lengths 2 and 3, the ``short_cycle_scan`` verdict.  Only the
   trials that survive become ``Labelling`` objects, in trial order, for
   exact escalation.
-* ``verify_all`` turns a block of odometer indices into their base-|G|
-  digits over the free arcs and sieves every length up to n.  The
-  survivors are the counterexamples, in index order, kept as one
-  (count, n, n) int64 array (``_enumerate_chunk``'s result, which also
-  crosses the process boundary with ``workers`` > 1).  They are
-  re-checked as stacks of at most ``BLOCK_ELEMS // n**2`` labellings and
-  become ``Labelling`` objects afterwards.
+* ``verify_all`` enumerates the base-|G| digits of the free arcs as a
+  prefix over a suffix: the last free arcs' digits are one pattern of
+  columns, built once per call, and a block is one prefix value over it.
+  The 2-cycles are settled on the digits before any label array exists,
+  whole blocks at once where the prefix closes one, so only the
+  labellings without a balanced 2-cycle become a label array, sieved
+  from length 3 up to n; the trivial group's one labelling, at any n,
+  builds no cycle list.  The survivors are the counterexamples, in index
+  order, kept as one (count, n, n) int64 array (``_enumerate_chunk``'s
+  result, which also crosses the process boundary with ``workers`` > 1).
+  They are re-checked as stacks of at most ``BLOCK_ELEMS // n**2``
+  labellings and become ``Labelling`` objects afterwards.
 
 Both campaigns keep, re-verify and report every counterexample, so past
 COUNTEREXAMPLE_CAP of them, checked after every block, a campaign stops
@@ -134,7 +138,7 @@ import numpy as np
 from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, automorphism_orbit_min, build_group, is_json_int
 from .labellings import MAX_VERTICES, Labelling, complete_mask
-from .reach import (EXACT_CAP, _cycle_arcs, _cycle_values, _grow_anchored,
+from .reach import (EXACT_CAP, _cycle_arcs, _cycle_list, _cycle_values, _grow_anchored,
                     _recheck_cycle_free, find_balanced_cycle, runs_exact)
 from .rng import _check_seed, trial_seeds, xoshiro_labels
 
@@ -244,31 +248,86 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
 
     Index i labels the free arcs (row-major) with its base-|G| digits, most
     significant first; pinned arcs and the diagonal are the identity.  The
-    counterexamples come back in index order as one (count, n, n) int64
-    array.
+    last b free arcs are the suffix, with b the largest such that |G|^b
+    labellings of n^2 labels fit in BLOCK_ELEMS; their digits are one
+    pattern of |G|^b columns, built once.  A block is one value of the
+    other digits, the prefix, over that pattern, clipped to [lo, hi), so
+    blocks come in index order.  Each 2-cycle is settled on the digits
+    before any label array exists (a pinned arc is the digit 0): a pair of
+    prefix arcs is one test per block, and a balanced one settles the
+    whole block; a pair of suffix arcs is one mask per call; a pair with
+    one arc in each is a (|G|, columns) table per call, whose row the
+    prefix digit picks.  Only the labellings left alive become a label
+    array, sieved from length 3.  The counterexamples come back in index
+    order as one (count, n, n) int64 array.
     """
     group = build_group(spec)
-    order = group.order
+    order, table, inverse = group.order, group.table, np.array(group._inv)
     free = [u * n + v for u, v in _free_arcs(n, normalized)]
-    block = max(1, BLOCK_ELEMS // (n * n))
+    b = 0
+    while b < len(free) and order ** (b + 1) * n * n <= BLOCK_ELEMS:
+        b += 1
+    head, tail = free[:len(free) - b], free[len(free) - b:]
+    width = order ** b
+    # column s holds the digits of s, and the last row, zeros, a pinned arc
+    pattern = np.zeros((b + 1, width), dtype=np.int64)
+    rest = np.arange(width, dtype=np.int64)
+    for row in reversed(range(b)):  # least significant digit first
+        if rest[-1] == 0:  # |G| = 1: one column, every digit 0
+            break
+        above = rest // order
+        pattern[row] = rest - above * order
+        rest = above
+    at_head = {arc: i for i, arc in enumerate(head)}
+    at_tail = {arc: j for j, arc in enumerate(tail)}
+    prefix_pairs, suffix_pairs, cross_pairs = [], [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            pair = (u * n + v, v * n + u)
+            heads = [at_head[arc] for arc in pair if arc in at_head]
+            tails = [at_tail[arc] for arc in pair if arc in at_tail]
+            if not tails:  # a pinned arc is the last prefix digit, 0
+                prefix_pairs.append(heads + [len(head)] * (2 - len(heads)))
+            elif not heads:  # and the last pattern row
+                suffix_pairs.append(tails + [b] * (2 - len(tails)))
+            else:
+                cross_pairs.append((heads[0], tails[0]))
+    # a 2-cycle is balanced when one label is the other's inverse
+    rows = np.array(suffix_pairs, dtype=np.int64).reshape(-1, 2).T
+    suffix_dead = (pattern[rows[0]] == inverse[pattern[rows[1]]]).any(axis=0)
+    cross_at = [i for i, _ in cross_pairs]
+    # cross[c, d]: the columns where pair c is balanced if its prefix digit is d
+    cross = pattern[[j for _, j in cross_pairs], None] == inverse[:, None]
+    cross_index = np.arange(len(cross_pairs))
+    settled = 0  # labellings with a balanced 2-cycle
     lengths: Counter[int] = Counter()
     counterexamples = [np.zeros((0, n, n), dtype=np.int64)]
     kept = 0
-    for start in range(lo, hi, block):
-        labels = np.zeros((n * n, min(block, hi - start)), dtype=np.int64)
-        rest = np.arange(start, start + labels.shape[1], dtype=np.int64)
-        for arc in reversed(free):  # least significant digit first
-            if rest[-1] == 0:  # rest ascends, so every index is out of digits
-                break
-            above = rest // order
-            labels[arc] = rest - above * order
-            rest = above
-        first = _sieve(group.table, labels, _cycle_arcs(n, n))
+    for prefix in range(lo // width, -(-hi // width)):
+        left, right = max(lo - prefix * width, 0), min(hi - prefix * width, width)
+        digits = [0] * (len(head) + 1)
+        rest = prefix
+        for i in reversed(range(len(head))):
+            rest, digits[i] = divmod(rest, order)
+        if any(group._inv[digits[i]] == digits[j] for i, j in prefix_pairs):
+            settled += right - left
+            continue
+        dead = suffix_dead | cross[cross_index, [digits[i] for i in cross_at]].any(axis=0)
+        alive = np.flatnonzero(~dead[left:right]) + left
+        settled += right - left - alive.size
+        if not alive.size:
+            continue
+        labels = np.zeros((n * n, alive.size), dtype=np.int64)
+        labels[head] = np.array(digits[:-1], dtype=np.int64)[:, None]
+        labels[tail] = pattern[:b, alive]
+        first = _sieve(table, labels, ((k, _cycle_list(n, k)) for k in range(3, n + 1)))
         _count_lengths(lengths, first)
         counterexamples.append(labels[:, first == 0].T.reshape(-1, n, n))
         kept += len(counterexamples[-1])
         _check_counterexamples(kept)
-    return hi - lo, np.concatenate(counterexamples), dict(lengths)
+    if settled:
+        lengths[2] += settled
+    return hi - lo, np.concatenate(counterexamples), dict(sorted(lengths.items()))
 
 
 def _usable_cpus() -> int:
@@ -420,7 +479,7 @@ def _grow_paths(parent: tuple | None, a: int, v: int, n: int, arcs,
     built from scratch).  Entry b of the row ORs the table's column b, so
     the parent's row needs only the grown masks ORed in.
     """
-    table, row = parent[:2] if parent else (None, [])
+    table, row = (parent[0][:], parent[1]) if parent else (None, [])  # the parent keeps its own
     table = _grow_anchored(table, a, v, n, arcs, plans)
     new = (1 << v) * n  # the grown masks' entries start here
     row = row + [0] * (v + 1 - len(row))

@@ -97,22 +97,23 @@ layer's targets at once would hold m times one target's rows.  The callers:
 
 The dict route, ``_grow_anchored(table, start, v, n, arcs, plans)``: the
 start-anchored exact-vertex-set DP in plain Python over one flat list,
-entry ``mask * n + endpoint``, 0 where no path exists.  A call grows the
-table on the vertices below v by the masks that hold v, the upper half of
-the range, pushing one arc at a time by an index plan (``_grow_plan``).
+entry ``mask * n + endpoint``, 0 where no path exists.  A call extends the
+table on the vertices below v, in place, by the masks that hold v, the
+upper half of the range, pushing one arc at a time by an index plan
+(``_grow_plan``).
 An arc acts through the group's byte-table rows
 (``FiniteGroup._byte_actions``), an absent one as a function that returns
 0.  It never calls the dense kernel, and the search never calls it.  The
 callers:
 
 * ``harness.compute_n``'s CSP, which grows every start's table a vertex at
-  a time from its parent prefix's and ORs the new half into its path
-  rows, with plans kept per call;
+  a time from a copy of its parent prefix's, which the parent keeps, and
+  ORs the new half into its path rows, with plans kept per call;
 * ``_start_table(act, labels, pres, verts)``: the table of the paths from
   verts[0] inside ``verts``, renumbered so that the start is local vertex
-  0, grown from vertex 0 alone.  Up to DICT_SWEEP_CAP vertices its plans
-  stay in ``_GROW_PLANS`` for the life of the process; above, each is
-  built for one step and dropped, as the dense kernel does above
+  0, grown in place from vertex 0 alone.  Up to DICT_SWEEP_CAP vertices
+  its plans stay in ``_GROW_PLANS`` for the life of the process; above,
+  each is built for one step and dropped, as the dense kernel does above
   _PLAN_CACHE_MAX_M.  It serves:
 
   - ``_anchored_cycles``, every balanced cycle with minimum vertex s in
@@ -147,8 +148,8 @@ by Cayley-table gathers, with no DP at all.  The callers:
 
 What re-checks what.  A cycle-free verdict is confirmed by a route that
 did not produce it: the dict route confirms what the dense kernel or the
-cycle lists produced, and the search confirms what the dict route
-produced.
+cycle lists (with the enumeration's 2-cycle test) produced, and the
+search confirms what the dict route produced.
 
 =====================================  ==========================================
 producer of the verdict                confirming route
@@ -157,9 +158,9 @@ producer of the verdict                confirming route
 the cycle lists, then the dense        of every start, a stack of one.  Up
 kernel (``harness.verify_random``)     to DICT_SWEEP_CAP vertices; above,
                                        nothing re-checks.
-the sieve's counterexamples: the       ``_recheck_cycle_free``, as above, in
-cycle lists (``harness.verify_all``)   stacks of BLOCK_ELEMS // n^2: the same
-                                       route and the same recurrence
+the enumeration's counterexamples:     ``_recheck_cycle_free``, as above, in
+2-cycles on the digits, then the       stacks of BLOCK_ELEMS // n^2: the same
+cycle lists (``harness.verify_all``)   route and the same recurrence
 the CSP's witness, whose path tables   ``find_balanced_cycle`` finds nothing
 grow on the dict route                 (``harness._reverify_cycle_free``)
 (``_grow_anchored``,
@@ -231,7 +232,7 @@ from collections.abc import Iterable, Mapping
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import or_
 from typing import Iterator
 
@@ -677,40 +678,45 @@ def _grow_plan(v: int, n: int, start: int) -> list[tuple[int, list[int], list[in
 
 def _grow_anchored(table: list[int] | None, start: int, v: int, n: int, arcs,
                    plans: dict) -> list[int]:
-    """A start-anchored exact-vertex-set table grown by vertex v.
+    """A start-anchored exact-vertex-set table grown by vertex v, in place.
 
     ``table[mask * n + e]`` holds the values of the paths from ``start``
     with vertex set exactly ``mask`` and endpoint e, for every mask of
-    vertices 0..v-1, and 0 where no such path exists.  The grown table adds
-    the masks that hold v, the upper half of the flat range, by the push
-    recurrence restricted to them: every path of an old mask steps to v,
-    and every path of a new mask, taken in increasing mask order, to each
-    vertex below v outside it.  ``arcs[u][w]`` maps a value set S to
-    S*label(u, w) for u, w <= v, and every set to 0 when the arc is absent.
-    Start v's own table, ``table`` None, is built from scratch: no old mask
-    holds a path, and the new mask {v} holds the empty path, the identity.
-    ``plans`` keeps ``_grow_plan``'s plans by (v, start) for one n.
+    vertices 0..v-1, and 0 where no such path exists.  The call extends
+    ``table`` by the masks that hold v, the upper half of the flat range,
+    and returns it; a caller that keeps the table it grew from passes a
+    copy.  The new half follows the push recurrence restricted to it:
+    every path of an old mask steps to v, and every path of a new mask,
+    taken in increasing mask order, to each vertex below v outside it.
+    ``arcs[u][w]`` maps a value set S to S*label(u, w) for u, w <= v, and
+    every set to 0 when the arc is absent.  Start v's own table, ``table``
+    None, is built from scratch: no old mask holds a path, and the new mask
+    {v} holds the empty path, the identity.  ``plans`` keeps
+    ``_grow_plan``'s plans by (v, start) for one n.
     """
     plan = plans.get((v, start))
     if plan is None:
         plan = plans[v, start] = _grow_plan(v, n, start)
-    new = [0] * ((1 << v) * n)
+    half = (1 << v) * n
     if table is None:
-        table = new[:]
-        new[v] = 1
+        table = [0] * (2 * half)
+        table[half + v] = 1
+    else:
+        table.extend(repeat(0, half))
     for base, old, ends, steps in plan:
+        top = half + base
         if old:
             into = 0
             for e in old:
                 into |= arcs[e][v](table[base + e])
-            new[base + v] = into
+            table[top + v] = into
         if steps:
             for e in ends:
-                bits = new[base + e]
+                bits = table[top + e]
                 out = arcs[e]
                 for w, step in steps:
-                    new[base + step] |= out[w](bits)
-    return table + new
+                    table[top + step] |= out[w](bits)
+    return table
 
 
 _GROW_PLANS: dict[int, dict] = {}  # m <= DICT_SWEEP_CAP: _grow_anchored's plans from vertex 0
@@ -735,7 +741,7 @@ def _start_table(act, labels, pres, verts) -> list:
     kept = _GROW_PLANS.setdefault(m, {}) if m <= DICT_SWEEP_CAP else None
     table = [0] * m + [1] + [0] * (m - 1)  # vertex 0 alone: the empty path, the identity
     for v in range(1, m):
-        table = _grow_anchored(table, 0, v, m, arcs, {} if kept is None else kept)
+        _grow_anchored(table, 0, v, m, arcs, {} if kept is None else kept)
     return table
 
 

@@ -68,6 +68,21 @@ def test_every_entry_keeps_the_tree_fields(write):
         assert run["python"] and run["numpy"] and run["date"].endswith("Z")
 
 
+def test_an_archive_export_names_its_commit(tmp_path):
+    # git archive fills ARCHIVED_COMMIT in the export's copy of benchrec.py
+    # (export-subst in .gitattributes); a checkout keeps the placeholder
+    benchrec = load_benchrec()
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    (tools / "benchrec.py").write_text('ARCHIVED_COMMIT = "$Format:%H$"\n')
+    assert benchrec.archived_commit(tmp_path) is None
+    commit = "0123456789abcdef0123456789abcdef01234567"
+    (tools / "benchrec.py").write_text(f'ARCHIVED_COMMIT = "{commit}"\n')
+    assert benchrec.archived_commit(tmp_path) == commit
+    assert benchrec.archived_commit(tmp_path / "missing") is None
+    assert "tools/benchrec.py export-subst" in (BENCHREC.parents[1] / ".gitattributes").read_text()
+
+
 def test_a_failing_child_names_its_error(tmp_path):
     child = "raise ValueError('the child broke at step 7')"
     with pytest.raises(SystemExit, match="exited with status 1") as info:

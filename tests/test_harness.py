@@ -52,6 +52,25 @@ def test_verify_all_z3_n4_normalized_clean():
     assert report.counterexample_count == 0
 
 
+Z2xZ2 = {"kind": "product", "left": {"kind": "cyclic", "q": 2}, "right": {"kind": "cyclic", "q": 2}}
+
+
+@pytest.mark.parametrize("spec, n, count, lengths", [
+    ({"kind": "cyclic", "q": 4}, 4, 714, {2: 215488, 3: 42178, 4: 3764}),
+    (Z2xZ2, 4, 708, {2: 215488, 3: 42186, 4: 3762}),
+    ({"kind": "cyclic", "q": 5}, 4, 22528, {2: 1441125, 3: 427180, 4: 62292}),
+    ({"kind": "cyclic", "q": 3}, 5, 0, {2: 42300225, 3: 746256, 4: 240}),
+])
+def test_enumerate_chunk_whole_normalized_space(spec, n, count, lengths):
+    # the counts the odometer enumeration, one block of indices at a time, gave
+    space = harness.build_group(spec).order ** (n - 1) ** 2
+    trials, counterexamples, got = harness._enumerate_chunk(spec, n, True, 0, space)
+    assert trials == space
+    assert counterexamples.shape == (count, n, n)
+    assert got == lengths
+    assert sum(lengths.values()) + count == space
+
+
 def test_verify_all_trivial_group():
     g1 = cyclic_group(1)
     assert verify_all(g1, 1).counterexample_count == 1  # no cycles on one vertex
@@ -61,8 +80,8 @@ def test_verify_all_trivial_group():
 
 
 def test_verify_all_trivial_group_goes_through_the_sieve(monkeypatch):
-    # the one labelling dies at length 2 on the cycle lists at any n, so no
-    # longer list is built, even at n = 64
+    # the one labelling dies at length 2, settled on its digits at any n,
+    # so no cycle list is built, even at n = 64
     built = []
     listed = reach._cycle_list
 
@@ -79,7 +98,7 @@ def test_verify_all_trivial_group_goes_through_the_sieve(monkeypatch):
         assert report.counterexample_count == 0
         assert report.witness_lengths == {2: 1}
         assert report.witness_methods == {"cycle_list": 1}
-        assert built == [(n, 2)]
+        assert built == []
     with pytest.raises(BadSize, match="vertex count 65 outside 1..64"):
         verify_all(g1, 65)
 

@@ -6,8 +6,9 @@ normalized=True)`` call to fill the caches (cycle lists, byte tables),
 and then times, one after the other, the phases such a call runs and the
 call itself:
 
-* ``sieve_s``: ``harness._enumerate_chunk`` over every index, the
-  odometer digits and the cycle-length sieve;
+* ``sieve_s``: ``harness._enumerate_chunk`` over every index: the
+  2-cycles settled on the digits, then the cycle-length sieve on the
+  labellings left;
 * ``recheck_s``: ``reach._recheck_cycle_free`` over the counterexamples,
   in stacks of ``BLOCK_ELEMS // n**2``;
 * ``labellings_s``: one ``Labelling`` per counterexample;

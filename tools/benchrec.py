@@ -16,10 +16,13 @@ probe_s`` that way, against 7-14% this way, in CHANGES.md).
 The file written to ``--out`` holds one entry per measured tree, under
 ``--label`` (default: the commit of ``--root``), with the machine, Python
 and numpy versions, the commit and whether the tree's tracked files
-differ from it.  Rows measured again under the same label replace the
-rows with the same key and the other rows are kept, so slow cases can be
-measured in a separate call and two trees sit side by side.  Standard
-library plus numpy, on Linux.
+differ from it.  A ``git archive`` export has no repository to ask: its
+commit is read off ``ARCHIVED_COMMIT`` in its copy of this file, which
+``git archive`` fills in (``export-subst`` in ``.gitattributes``), and
+whether it differs is unknown (null).  Rows measured again under the
+same label replace the rows with the same key and the other rows are
+kept, so slow cases can be measured in a separate call and two trees
+sit side by side.  Standard library plus numpy, on Linux.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import runpy
 import statistics
 import subprocess
@@ -42,6 +46,9 @@ ROOT = Path(__file__).resolve().parent.parent
 probe = runpy.run_path(str(ROOT / "perfbench" / "calib.py"))["probe"]
 probe()  # the first run in an interpreter is slow
 
+# git archive writes the exported commit's hash here; a checkout keeps the placeholder
+ARCHIVED_COMMIT = "$Format:%H$"
+
 GROUPS = dict({f"Z{q}": {"kind": "cyclic", "q": q} for q in range(1, 7)},
               Z2xZ2={"kind": "product", "left": {"kind": "cyclic", "q": 2},
                      "right": {"kind": "cyclic", "q": 2}},
@@ -55,6 +62,16 @@ def git(root: Path, *args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
+
+
+def archived_commit(root: Path) -> str | None:
+    """The commit a ``git archive`` export ``root`` was made from, or None."""
+    try:
+        text = (root / "tools" / "benchrec.py").read_text()
+    except OSError:
+        return None
+    found = re.search(r'^ARCHIVED_COMMIT = "([0-9a-f]{40})"$', text, re.MULTILINE)
+    return found and found.group(1)
 
 
 def machine() -> dict:
@@ -99,7 +116,7 @@ def median(runs: list[dict], field: str, digits: int) -> float:
 def write(args: argparse.Namespace, what: str, key: str, rows: list[dict]) -> None:
     """Put ``rows`` into the entry of this tree in ``args.out``, replacing
     the entry's rows that have the same ``key``."""
-    commit = git(args.root, "rev-parse", "HEAD")
+    commit = git(args.root, "rev-parse", "HEAD") or archived_commit(args.root)
     modified = git(args.root, "status", "--porcelain", "--untracked-files=no")
     label = args.label or commit or str(args.root)
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
