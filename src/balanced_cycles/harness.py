@@ -128,7 +128,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import lshift, or_
@@ -366,6 +365,7 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     if workers == 1:
         chunks = [_enumerate_chunk(group.spec, n, normalized, 0, space)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
         bounds = [space * i // workers for i in range(workers + 1)]
         ranges = list(zip(bounds, bounds[1:]))
         with ProcessPoolExecutor(max_workers=workers) as pool:

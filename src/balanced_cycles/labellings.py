@@ -63,9 +63,13 @@ class Labelling:
     entries booleans, else ValueError.  An integer (for the mask, boolean)
     numpy array passes on its dtype alone, which is what every internal
     caller hands over; any other input is checked entry by entry.
+
+    ``_dense_arcs`` is the one cache: the dense kernel's arc arrays over
+    all n vertices (``reach._DenseArcs``), built on the first exact query
+    and read by every later one.
     """
 
-    __slots__ = ("group", "n", "labels", "present")
+    __slots__ = ("group", "n", "labels", "present", "_dense_arcs")
 
     def __init__(self, group: FiniteGroup, labels, present=None):
         lab = checked_matrix(labels, "iu", is_json_int,
@@ -93,6 +97,7 @@ class Labelling:
         self.n = n
         self.labels = lab
         self.present = pres
+        self._dense_arcs = None
 
     def _arc(self, u, v) -> tuple[int, int]:
         """(u, v) if both are vertices by ``is_json_int``, else ValueError;

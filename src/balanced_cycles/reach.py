@@ -54,6 +54,16 @@ extremal_cyclic(30, n), n = 16..20, one Xeon core).  With ``inside``
 set, seed[j] is ORed into every entry of column j, so an entry holds the
 paths inside its mask rather than exactly through it.
 
+The arcs.  A labelling's per-arc arrays over all n vertices are built
+once, on first use, and kept on it (``_DenseArcs``, in the slot
+``Labelling._dense_arcs``): the singletons of the arcs, which seed a run
+(``_arc_bits``) and close a sweep's cycles, and the action's per-arc
+operands.  Only the action the group takes is built, so a cyclic
+numbering never builds the byte offsets, nor ``right_mul_lut``.  Each
+run copies its own vertices' block into a C-contiguous (m * c, m, 1)
+array (``_operands``): a slice for a sweep's s+1..n-1, a take for a
+walk's mask; the hot loop never reads a strided view.
+
 The index plans.  Extending layer k reads, per target j, the rows of the
 k-subsets without j and the rows of layer k + 1 that adding j takes them
 to (``_extend_rows``, from ``_layer_masks(m)``: the masks by popcount and
@@ -83,17 +93,24 @@ layer's targets at once would hold m times one target's rows.  The callers:
 * ``reach_table``: the same seed, not inside, every layer kept, so
   ``ReachTable.layers`` holds views; the dict ``table`` is built from them
   only on first access;
-* ``_paths_from(L, X, u)``: verts = X minus u, seed the arcs out of u,
-  inside; the last layer's single entry holds the values of the u-to-w
-  paths inside X for every w at once.  ``reach_set_between`` reads one
-  value of it, and ``find_path_with_value`` walks back from v, rerunning
-  it over the vertices still unused at each step to pick the smallest
-  feasible predecessor.  Each rerun has one vertex fewer, so a walk costs
-  about one run over X and keeps two layers alive.  Keeping every layer
-  of one run instead would make the walk a lookup but hold 2^m * m * 8
-  bytes, the memory that ``reach_table`` caps at 20 vertices, at any
-  scope up to 24.  That is why a dense sweep's witness is rebuilt this
-  way.
+* ``_paths_in(L, top, Y, u)``: verts = Y, seed the arcs out of u, inside;
+  the last layer's single entry holds the values of the u-to-w paths
+  inside Y + u for every w of Y at once.  The run keeps its last
+  _WALK_KEPT = R layers in ``top``, and row Z of a kept layer holds the
+  same for Z + u, so a later call on such a Z is a lookup.
+  ``reach_set_between`` reads one value of one run.  The walk of
+  ``find_path_with_value``, which rebuilds the search's and the proof
+  engine's witnesses, goes back from v, and each step picks the smallest
+  feasible predecessor from the paths inside the vertices still unused:
+  the last step's set minus one vertex, a row of the kept layer below the
+  last step's.  So one run serves R steps, and the kernel reruns only when
+  the set falls below the kept layers: a walk through all of a scope of
+  m + 2 vertices takes ceil(m / R) runs, over m, m - R, ... vertices,
+  where one run per step took m + 1.  The kept layers are the lattice's
+  smallest, at most the sum over j < R of C(m, j) rows of m words: 2,048
+  rows, about 377 KB, at m = 23.  Keeping every layer would make the walk
+  one run but hold 2^m * m * 8 bytes, the memory that ``reach_table``
+  caps at 20 vertices, at any scope up to 24.
 
 The dict route, ``_grow_anchored(table, start, v, n, arcs, plans)``: the
 start-anchored exact-vertex-set DP in plain Python over one flat list,
@@ -191,6 +208,8 @@ time, and masks it back with ``& full`` once the next layer is built (in
 a ``finally``, so also when the extension fails): it adds no array the
 size of a layer, and no caller ever sees a doubled word.  The byte table
 adds a copy of the source layer's low bytes (half a layer at order 30).
+A labelling's prepared arcs are a few n x n words, 32 KiB each at n =
+64, and the byte offsets one such array per byte chunk.
 
 The dict route's table on m vertices has 2^m * m slots, one pointer each
 (a quarter of them hold the start's paths, the rest 0): 8 MiB at m = 16
@@ -328,10 +347,13 @@ _MASK_CACHE: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
 _PLAN_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _compact(a: np.ndarray) -> np.ndarray:
-    out = a.astype(np.uint16)
-    out.setflags(write=False)
-    return out
+    return _frozen(a.astype(np.uint16))
 
 
 def _dense_masks(m: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -363,11 +385,86 @@ def _extend_plan(m: int, k: int, masks: np.ndarray, rank: np.ndarray):
     return plan
 
 
+def _singletons(present: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per arc, the singleton {label} as uint64 bits, or 0 where the arc is absent."""
+    return np.where(present, np.left_shift(np.uint64(1), labels.astype(np.uint64)), np.uint64(0))
+
+
+class _DenseArcs:
+    """One labelling's arcs over all n vertices, in the forms the dense
+    kernel reads: each array built on its first use and kept, read-only,
+    on the labelling (``_dense_arcs``), so a query builds it once, not once
+    per kernel run.
+
+    ``bits[u, w]`` is the singleton {label(u, w)} and ``close[s, w]`` the
+    singleton {label(w, s)^-1}, 0 where the arc is absent.  The action's
+    arrays are (n, c, n), entry [p, :, j] for the arc p -> j: the
+    rotation's shifts ``right`` and ``left`` (c = 1), and the byte table's
+    ``offsets`` (c = chunks).  Only the action a run takes is built, so a
+    cyclic numbering never builds the byte table.  ``_operands`` copies a
+    run's own vertices out of one.  Nothing here refers back to the
+    labelling, so caching it there makes no reference cycle.
+    """
+
+    def __init__(self, L: Labelling):
+        self.group, self.labels, self.present = L.group, L.labels, L.present
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        return _frozen(_singletons(self.present, self.labels))
+
+    @cached_property
+    def close(self) -> np.ndarray:
+        return _frozen(_singletons(self.present.T, self.group.inverse_table[self.labels.T]))
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """q - label(p, j) (q - 0 = q), and 64 for an absent arc."""
+        q = np.uint64(self.group.order)
+        shift = np.where(self.present, q - self.labels.astype(np.uint64), np.uint64(64))
+        return _frozen(shift[:, None, :])
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """label(p, j), and 64 for an absent arc."""
+        shift = np.where(self.present, self.labels.astype(np.uint64), np.uint64(64))
+        return _frozen(shift[:, None, :])
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where chunk c of S*label(p, j) starts in the flat byte table, or
+        the all-zero row g = order when the arc is absent."""
+        G = self.group
+        chunks = G.right_mul_lut().shape[1]
+        mult = np.where(self.present, self.labels, G.order)
+        offsets = (mult[:, None, :] * chunks + np.arange(chunks)[:, None]) * 256
+        return _frozen(offsets.astype(np.intp))
+
+
+def _dense_arcs(L: Labelling) -> _DenseArcs:
+    arcs = L._dense_arcs
+    if arcs is None:
+        arcs = L._dense_arcs = _DenseArcs(L)
+    return arcs
+
+
+def _operands(a: np.ndarray, verts: list[int]) -> np.ndarray:
+    """a[p, :, j] for p and j in ``verts`` (ascending) as a C-contiguous
+    (m * c, m, 1) array, a copy: the hot loop never reads a strided view.
+    A sweep's s+1..n-1 are consecutive and copied from a slice, 1-6 us a
+    run faster than the take a walk's mask needs: about 2% of the small
+    searches of ``verify`` and ``compute-n``."""
+    m, lo = len(verts), verts[0]
+    if verts[-1] - lo == m - 1:
+        block = np.ascontiguousarray(a[lo:lo + m, :, lo:lo + m])
+    else:
+        block = a.take(verts, axis=0).take(verts, axis=2)
+    return block.reshape(m * a.shape[1], m, 1)
+
+
 def _arc_bits(L: Labelling, u: int, verts: list[int]) -> np.ndarray:
     """Per vertex w of ``verts``, the singleton {label(u, w)}, or 0 when the arc is absent."""
-    return np.where(L.present[u, verts],
-                    np.left_shift(np.uint64(1), L.labels[u, verts].astype(np.uint64)),
-                    np.uint64(0))
+    return _dense_arcs(L).bits[u].take(verts)
 
 
 class _LayerView(Mapping):
@@ -397,7 +494,8 @@ class _LayerView(Mapping):
         return out.tolist()
 
     def mask_at(self, row: int) -> int:
-        return self._vertex_masks(self.masks[row:row + 1])[0]
+        local = int(self.masks[row])
+        return sum(1 << v for i, v in enumerate(self.verts) if local >> i & 1)
 
     def _entry(self, local: int, row: list[int]) -> dict[int, int]:
         return {v: row[i] for i, v in enumerate(self.verts) if (local >> i) & 1}
@@ -482,14 +580,10 @@ def _byte_action(L: Labelling, verts: list[int]):
     offsets[:, targets] forms the lookup index of a whole block, written
     straight into the (p*chunks + c, t, rows) order of the OR-reduce.
     """
-    G = L.group
-    lut = G.right_mul_lut()
+    lut = L.group.right_mul_lut()
     chunks = lut.shape[1]
     m = len(verts)
-    sub = np.ix_(verts, verts)
-    mult = np.where(L.present[sub], L.labels[sub], G.order)  # mult[p, j]
-    offsets = (mult[:, None, :] * chunks + np.arange(chunks)[:, None]) * 256
-    offsets = offsets.reshape(m * chunks, m, 1).astype(np.intp)
+    offsets = _operands(_dense_arcs(L).offsets, verts)
     flat = lut.reshape(-1)
 
     def operand(values: np.ndarray):
@@ -524,10 +618,8 @@ def _rotate_action(L: Labelling, verts: list[int]):
     """
     q = L.group.order
     full = np.uint64(L.group.full_subset())
-    sub = np.ix_(verts, verts)
-    present = L.present[sub][:, :, None]
-    label = L.labels[sub][:, :, None].astype(np.uint64)  # label[p, j] = label(p, j)
-    right = np.where(present, np.uint64(q) - label, np.uint64(64))  # q - 0 = q
+    arcs = _dense_arcs(L)
+    right = _operands(arcs.right, verts)
 
     if 2 * q <= 64:
         @contextmanager
@@ -550,7 +642,7 @@ def _rotate_action(L: Labelling, verts: list[int]):
 
         return doubled, act
 
-    left = np.where(present, label, np.uint64(64))
+    left = _operands(arcs.left, verts)
 
     def act_two_shifts(values: np.ndarray, src: np.ndarray, targets: slice) -> np.ndarray:
         block = values.take(src, axis=1)
@@ -632,14 +724,26 @@ def reach_set(L: Labelling, X, x: int) -> int:
     return layer[mask][x]
 
 
-def _paths_from(L: Labelling, mask: int, u: int) -> dict[int, int]:
-    """{w: values of the simple u-to-w paths inside ``mask``} for every w of
-    the mask, u included (only the length-0 path: the identity)."""
-    others = subset_elements(mask ^ (1 << u))
-    paths = {u: 1}
-    for k, layer in _dense_layers(L, others, _arc_bits(L, u, others), inside=True):
-        if k == len(others):
-            paths.update(next(layer.values()))  # the one entry: every vertex but u
+_WALK_KEPT = 4  # the top layers a run of _paths_in keeps for the next calls
+
+
+def _paths_in(L: Labelling, top: dict[int, _LayerView], others: int, u: int) -> dict[int, int]:
+    """{w: values of the simple u-to-w paths inside ``others`` + u} for u
+    (only the length-0 path: the identity) and every w of the vertex mask
+    ``others``.  ``top`` is {} or the last _WALK_KEPT layers, by popcount,
+    that an earlier call kept from its inside run from u over a superset of
+    ``others``; row Y of layer k holds the same for Y + u, so a popcount
+    found there is read off them.  Otherwise one kernel run over
+    ``others`` refills ``top`` in place."""
+    k = others.bit_count()
+    if k and k not in top:
+        verts = subset_elements(others)
+        top.clear()
+        top.update((j, layer) for j, layer in
+                   _dense_layers(L, verts, _arc_bits(L, u, verts), inside=True)
+                   if j > k - _WALK_KEPT)
+    paths = top[k][others] if k else {}
+    paths[u] = 1
     return paths
 
 
@@ -649,7 +753,9 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     For u == v only the length-0 path qualifies (simple paths cannot
     return), so the result is the singleton identity.
     """
-    return _paths_from(L, _scope(L, X, EXACT_CAP, u, v), int(u))[v]
+    mask = _scope(L, X, EXACT_CAP, u, v)
+    u = int(u)
+    return _paths_in(L, {}, mask ^ (1 << u), u)[v]
 
 
 def _grow_plan(v: int, n: int, start: int) -> list[tuple[int, list[int], list[int], list]]:
@@ -844,11 +950,14 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
 
     Walks back from v: the predecessor of the current endpoint e is the
     smallest p of the remaining vertices with an arc p -> e such that some
-    u-to-p path inside them has value val * label(p, e)^-1, read from one
-    ``_paths_from`` run per step.  The runs shrink by a vertex each, so the
-    walk costs about one kernel run over X.  Raises ValueError when
-    ``value`` is not a group element (an integer in 0..order-1, numpy
-    integers included) or no such path exists.
+    u-to-p path inside them has value val * label(p, e)^-1.  Each step's
+    vertex set is the last one's minus a vertex, so it is a row of the
+    layer below the last step's: one kernel run (``_paths_in``) serves
+    _WALK_KEPT steps, and a walk through m vertices takes about
+    m / _WALK_KEPT runs, shrinking by _WALK_KEPT vertices each.  The last
+    step, to u itself, takes none.  Raises ValueError when ``value`` is not
+    a group element (an integer in 0..order-1, numpy integers included) or
+    no such path exists.
     """
     mask = _scope(L, X, EXACT_CAP, u, v)
     if not is_json_int(value, L.group.order):
@@ -861,9 +970,10 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
     mul_rows = L.group._rows
     u, e, val = int(u), int(v), int(value)  # numpy integers pass the checks above
     path = [e]
+    top: dict[int, _LayerView] = {}
     while e != u:
         mask ^= 1 << e
-        paths = _paths_from(L, mask, u)
+        paths = _paths_in(L, top, mask ^ (1 << u), u)
         for p in subset_elements(mask):
             prev_val = mul_rows[val][inv[rows[p][e]]]
             if pres[p][e] and (paths[p] >> prev_val) & 1:
@@ -1036,11 +1146,7 @@ def _dense_sweep(L: Labelling, s: int) -> tuple[int, int] | None:
     endpoint) ascending.
     """
     free = list(range(s + 1, L.n))
-    lab = L.labels
-    inv = L.group.inverse_table
-    close = np.where(L.present[free, s],
-                     np.left_shift(np.uint64(1), inv[lab[free, s]].astype(np.uint64)),
-                     np.uint64(0))
+    close = _dense_arcs(L).close[s, s + 1:]
     for _, layer in _dense_layers(L, free, _arc_bits(L, s, free), inside=False):
         hits = (layer.array & close) != 0
         if hits.any():

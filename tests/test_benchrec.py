@@ -59,6 +59,43 @@ def test_a_new_label_appends_an_entry(write):
     assert runs[1]["results"] == [{"group": "Z3", "wall_s": 2.0}]
 
 
+def test_a_key_of_several_fields_replaces_only_its_row(monkeypatch, tmp_path):
+    # the frontier script keys its rows by (case, n): a cycle-free and a
+    # late-cycle row of one size stay apart
+    benchrec = load_benchrec()
+    monkeypatch.setattr(benchrec, "git", lambda root, *args: None)
+    monkeypatch.setattr(benchrec, "machine", lambda: {"cpu_model": "test", "nproc": 1})
+    monkeypatch.setattr(subprocess, "Popen", None)
+    out = tmp_path / "bench.json"
+    args = benchrec.parser("A test.", "unused.json").parse_args(
+        ["--root", str(tmp_path), "--out", str(out), "--label", "a"])
+    benchrec.write(args, "what", ("case", "n"), [{"case": "free", "n": 12, "wall_s": 1.0},
+                                                 {"case": "late", "n": 12, "wall_s": 2.0}])
+    benchrec.write(args, "what", ("case", "n"), [{"case": "late", "n": 12, "wall_s": 3.0}])
+    assert json.loads(out.read_text())["runs"][0]["results"] == [
+        {"case": "free", "n": 12, "wall_s": 1.0}, {"case": "late", "n": 12, "wall_s": 3.0}]
+
+
+def test_every_frontier_entry_can_be_measured_again(monkeypatch, tmp_path):
+    # the frontier rows are keyed by (case, n), so a row of any entry,
+    # the oldest included, must carry both for a new row to replace it
+    benchrec = load_benchrec()
+    monkeypatch.setattr(benchrec, "git", lambda root, *args: None)
+    monkeypatch.setattr(benchrec, "machine", lambda: {"cpu_model": "test", "nproc": 1})
+    monkeypatch.setattr(subprocess, "Popen", None)
+    out = tmp_path / "bench.json"
+    out.write_text((BENCHREC.parents[1] / "BENCH_frontier.json").read_text())
+    parser = benchrec.parser("A test.", "unused.json")
+    for entry in json.loads(out.read_text())["runs"]:
+        args = parser.parse_args(["--root", str(tmp_path), "--out", str(out),
+                                  "--label", entry["label"]])
+        benchrec.write(args, "what", ("case", "n"), [{"case": "cycle-free", "n": 16}])
+        results = next(run["results"] for run in json.loads(out.read_text())["runs"]
+                       if run["label"] == entry["label"])
+        assert results[-1] == {"case": "cycle-free", "n": 16}
+        assert len(results) == len(entry["results"])
+
+
 def test_every_entry_keeps_the_tree_fields(write):
     write("a", [{"group": "Z3", "wall_s": 1.0}])
     write("a", [{"group": "Z4", "wall_s": 1.0}])

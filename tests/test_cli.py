@@ -400,3 +400,12 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 3
+
+
+def test_a_launch_leaves_the_process_pool_unloaded():
+    # only verify_all's workers > 1 branch imports the pool, and with it multiprocessing
+    code = ("import json, sys, balanced_cycles.cli; print(json.dumps("
+            "[m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -1,5 +1,6 @@
 """Campaign machinery: exhaustive sweeps, randomized trials, n(G) search."""
 
+import concurrent.futures
 from concurrent.futures import Future
 
 import numpy as np
@@ -189,7 +190,7 @@ class _InlineExecutor:
 
 
 def test_verify_all_clamps_workers(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "sizes", [])
     # the CPUs the process may run on bound the pool, not the machine's cores
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
@@ -213,7 +214,7 @@ def test_verify_all_clamps_workers(monkeypatch):
 
 def test_verify_all_runs_in_process_on_one_allowed_cpu(monkeypatch):
     # a process pinned to one CPU of a larger machine gets no pool
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "sizes", [])
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)

@@ -274,6 +274,52 @@ def test_find_path_with_value_leaves_no_garbage():
         gc.enable()
 
 
+def test_a_late_cycle_takes_one_sweep_and_a_run_per_kept_layers(monkeypatch):
+    # the sweep from vertex 0 closes the 14-vertex cycle at its last layer;
+    # the walk back keeps reach._WALK_KEPT layers of each run, so it runs over
+    # 12, 8 and 4 free vertices, and its last step, to vertex 0, runs nothing
+    runs = []
+    dense = reach._dense_layers
+
+    def spy(L, verts, seed, inside):
+        runs.append(len(verts))
+        return dense(L, verts, seed, inside)
+
+    monkeypatch.setattr(reach, "_dense_layers", spy)
+    assert find_balanced_cycle(extremal_cyclic(13, 14)).vertices == tuple(range(14))
+    assert runs == [13] + list(range(12, 0, -reach._WALK_KEPT))
+    assert len(runs) == 4  # one per step of the walk would be 14
+
+
+def test_a_search_prepares_the_arcs_once(monkeypatch):
+    # a cycle-free search on 12 vertices sweeps 11 starts: the arc arrays are
+    # built once for the labelling, and each run copies its block out of them
+    built = []
+
+    class Counted(reach._DenseArcs):
+        def __init__(self, L):
+            built.append(L)
+            super().__init__(L)
+
+    monkeypatch.setattr(reach, "_DenseArcs", Counted)
+    L = extremal_cyclic(30, 12)
+    assert find_balanced_cycle(L) is None
+    assert built == [L] and isinstance(L._dense_arcs, Counted)
+    assert find_balanced_cycle(L) is None
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("verts", [[3, 4, 5, 6], [1, 2, 4, 6], [6]])
+def test_operands_copy_the_block_of_any_vertices(verts):
+    # a sweep's consecutive vertices are sliced, a walk's mask is taken:
+    # both give the (m * c, m, 1) block, C-contiguous, not a view
+    a = np.arange(7 * 3 * 7).reshape(7, 3, 7)
+    block = reach._operands(a, verts)
+    m = len(verts)
+    assert block.flags.c_contiguous and not np.shares_memory(block, a)
+    assert block.tolist() == a[np.ix_(verts, range(3), verts)].reshape(m * 3, m, 1).tolist()
+
+
 def test_max_vertices_never_lifts_the_exact_cap():
     big = Labelling(cyclic_group(2), [[0] * 30 for _ in range(30)])
     with pytest.raises(TooLarge):

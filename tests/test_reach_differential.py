@@ -165,6 +165,37 @@ def test_find_path_with_value_matches_reference(case, seed):
                 find_path_with_value(L, scope, u, v, value)
 
 
+@pytest.mark.parametrize("name, n, size, density, seed", [
+    ("Z3", 12, 12, 0.7, 0), ("M(3,2,2)", 11, 10, 0.7, 1), ("Z5", 12, 9, 0.7, 2),
+    ("Z4", 12, 11, 0.7, 3), ("Z33", 10, 10, 0.7, 4), ("Z64", 12, 10, 0.25, 6),
+])
+def test_walks_across_reruns_match_reference(name, n, size, density, seed):
+    # scopes of 9-12 vertices with absent arcs: one kernel run serves
+    # reach._WALK_KEPT steps of a walk, so the longer paths cross one or two
+    # reruns; every value, attainable (per the dict route's anchored table)
+    # or not
+    group = GROUPS[name]
+    rng = random.Random(seed)
+    labels = [[rng.randrange(group.order) for _ in range(n)] for _ in range(n)]
+    present = [[u != v and rng.random() < density for v in range(n)] for u in range(n)]
+    L = Labelling(group, labels, present)
+    scope = subset_of(rng.sample(range(n), size))
+    u, v = rng.sample(subset_elements(scope), 2)
+    attainable = 0
+    for mask, entry in start_anchored_table(L, scope, start=u).table.items():
+        attainable |= entry.get(v, 0)
+    lengths = []
+    for value in range(group.order):
+        if (attainable >> value) & 1:
+            path = find_path_with_value(L, scope, u, v, value)
+            assert path == reference_path_with_value(L, scope, u, v, value), value
+            lengths.append(len(path))
+        else:
+            with pytest.raises(ValueError):
+                find_path_with_value(L, scope, u, v, value)
+    assert max(lengths) > reach._WALK_KEPT + 1  # some walk took a second run
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(complete_labellings())
 def test_proof_engine_matches_reference_layers(L):

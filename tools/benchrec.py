@@ -113,21 +113,27 @@ def median(runs: list[dict], field: str, digits: int) -> float:
     return round(statistics.median(run[field] for run in runs), digits)
 
 
-def write(args: argparse.Namespace, what: str, key: str, rows: list[dict]) -> None:
+def write(args: argparse.Namespace, what: str, key: str | tuple[str, ...],
+          rows: list[dict]) -> None:
     """Put ``rows`` into the entry of this tree in ``args.out``, replacing
-    the entry's rows that have the same ``key``."""
+    the entry's rows that have the same ``key``, one field or a tuple of them."""
+    fields = (key,) if isinstance(key, str) else key
+
+    def of(row: dict) -> tuple:
+        return tuple(row[field] for field in fields)
+
     commit = git(args.root, "rev-parse", "HEAD") or archived_commit(args.root)
     modified = git(args.root, "status", "--porcelain", "--untracked-files=no")
     label = args.label or commit or str(args.root)
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     kept = next((entry["results"] for entry in runs if entry["label"] == label), [])
-    measured = {row[key] for row in rows}
+    measured = {of(row) for row in rows}
     entry = {"label": label, "commit": commit,
              "modified": None if modified is None else bool(modified),
              "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
              "machine": machine(), "python": platform.python_version(),
              "numpy": numpy.__version__,
-             "results": [row for row in kept if row[key] not in measured] + rows}
+             "results": [row for row in kept if of(row) not in measured] + rows}
     runs = [old for old in runs if old["label"] != label] + [entry]
     what += "; probe_s is the median perfbench/calib.py probe() around a run"
     args.out.write_text(json.dumps({"what": what, "runs": runs}, indent=1) + "\n")
