@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import BadIndex, BadSize
 from .groups import FiniteGroup, cyclic_group, is_json_int
-from .labellings import MAX_VERTICES, Labelling
+from .labellings import Labelling, _check_vertex_count, complete_mask
 from .rng import Xoshiro256StarStar
 
 
@@ -21,8 +21,7 @@ def extremal_cyclic(q: int, n: int) -> Labelling:
     """
     if not (is_json_int(q) and q >= 2):
         raise BadSize(f"extremal construction needs an integer q >= 2, got {q}")
-    if not (is_json_int(n, MAX_VERTICES + 1) and n >= 2):
-        raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
+    _check_vertex_count(n, 2)
     labels = np.zeros((n, n), dtype=np.int64)
     labels[np.triu_indices(n, k=1)] = 1
     return Labelling(cyclic_group(q), labels)
@@ -58,13 +57,9 @@ def random_labelling(group: FiniteGroup, n: int, seed: int) -> Labelling:
     Identical (group, n, seed) give identical labellings on every platform.
     ``rng.xoshiro_labels`` draws the same labels for many seeds at once.
     """
-    if not (is_json_int(n, MAX_VERTICES + 1) and n >= 2):
-        raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
+    _check_vertex_count(n, 2)
     rng = Xoshiro256StarStar(seed)
     order = group.order
     labels = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                labels[u, v] = rng.below(order)
+    labels[complete_mask(n)] = [rng.below(order) for _ in range(n * (n - 1))]
     return Labelling(group, labels)

@@ -9,12 +9,13 @@ Every subset action reads one byte table per side, built once per group by
 ``_byte_table``: entry [g, c, b] of the right table is S*g for the subset S
 whose members are the bits of byte b in chunk c (elements 8c..8c+7), and the
 left table holds g*S the same way, so an action is the OR over the bytes of
-S.  ``right_mul_lut`` hands the right table to the dense DP kernel, which
-reads it for every group whose table is not exactly (a + b) mod order
-(``is_cyclic_numbering``); for those it rotates the bits of S instead.  The
-scalar ``subset_mul_elem`` / ``elem_mul_subset`` call ``_byte_actions``: per
-side, one callable per element that walks the bytes of S in Python over
-that element's row of the table, kept as lists from the first use on.
+S.  ``_action_lut("right")`` hands the right table to the dense DP
+kernel, which reads it for every group whose table is not exactly (a + b)
+mod order (``is_cyclic_numbering``); for those it rotates the bits of S
+instead.  The scalar ``subset_mul_elem`` / ``elem_mul_subset`` call
+``_byte_actions``: per side, one callable per element that walks the
+bytes of S in Python over that element's row of the table, kept as lists
+from the first use on.
 ``stabilizer`` and ``cosets`` gather the images of S under every element
 at once, and ``is_subgroup`` is "contains 1 and H*h = H for every h in H".
 ``subgroup_closure`` grows {1} by every generator with ``grow_set`` until
@@ -177,16 +178,6 @@ class FiniteGroup:
                 for row in self._action_lut(side)[:self.order].tolist())
         return acts
 
-    def right_mul_lut(self) -> np.ndarray:
-        """All of ``subset_mul_elem`` as one read-only uint64 array.
-
-        ``lut[g, c, b]`` is ``S*g`` for the subset S whose only members are
-        the bits of byte ``b`` shifted to chunk ``c`` (elements 8c..8c+7),
-        so ``S*g`` for any S is the OR over its bytes.  One extra row
-        ``g = order`` is all zero, for callers that need a "no arc" entry.
-        """
-        return self._action_lut("right")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteGroup) and self._rows == other._rows
 
@@ -200,8 +191,11 @@ class FiniteGroup:
 def _byte_table(images: np.ndarray) -> np.ndarray:
     """Byte lookup table of the subset action S -> {images[g, s] : s in S}, per g.
 
-    Laid out as ``right_mul_lut`` describes: (order + 1, chunks, 256),
-    read-only, with an all-zero last row.
+    A read-only uint64 array of shape (order + 1, chunks, 256):
+    ``lut[g, c, b]`` is the image under g of the subset S whose only
+    members are the bits of byte ``b`` shifted to chunk ``c`` (elements
+    8c..8c+7), so the image of any S is the OR over its bytes.  The extra
+    row ``g = order`` is all zero, for callers that need a "no arc" entry.
     """
     order = images.shape[0]
     chunks = (order + 7) // 8

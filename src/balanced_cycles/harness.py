@@ -21,15 +21,18 @@ is only built for a block that has survivors.
   trials that survive become ``Labelling`` objects, in trial order, for
   exact escalation.
 * ``verify_all`` enumerates the base-|G| digits of the free arcs as a
-  prefix over a suffix: the last free arcs' digits are one pattern of
-  columns, built once per call, and a block is one prefix value over it.
-  The 2-cycles are settled on the digits before any label array exists,
-  whole blocks at once where the prefix closes one, so only the
-  labellings without a balanced 2-cycle become a label array, sieved
-  from length 3 up to n; the trivial group's one labelling, at any n,
-  builds no cycle list.  The survivors are the counterexamples, in index
-  order, kept as one (count, n, n) int64 array (``_enumerate_chunk``'s
-  result, which also crosses the process boundary with ``workers`` > 1).
+  prefix over a suffix, both in one digit layout, where index 0 stands
+  for a pinned arc, digit 0.  The last free arcs' digits are one pattern
+  of columns, built once per call by one broadcast, and a block is one
+  prefix value, drawn in order from ``itertools.product``, over it.  The
+  2-cycles are settled on the digits before any label array exists, by
+  one rule (a pinned arc takes its partner's side), whole blocks at once
+  where the prefix closes one, so only the labellings without a balanced
+  2-cycle become a label array, sieved from length 3 up to n; the trivial
+  group's one labelling, at any n, builds no cycle list.  The survivors
+  are the counterexamples, in index order, kept as one (count, n, n)
+  int64 array (``_enumerate_chunk``'s result, which also crosses the
+  process boundary with ``workers`` > 1).
   They are re-checked as stacks of at most ``BLOCK_ELEMS // n**2``
   labellings and become ``Labelling`` objects afterwards.
 
@@ -130,13 +133,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import islice, product
 from operator import lshift, or_
 
 import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
 from .groups import FiniteGroup, automorphism_orbit_min, build_group, is_json_int
-from .labellings import MAX_VERTICES, Labelling, complete_mask
+from .labellings import Labelling, _check_vertex_count, complete_mask
 from .reach import (EXACT_CAP, _cycle_arcs, _cycle_list, _cycle_values, _grow_anchored,
                     _recheck_cycle_free, find_balanced_cycle, runs_exact)
 from .rng import _check_seed, trial_seeds, xoshiro_labels
@@ -248,49 +252,42 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
     Index i labels the free arcs (row-major) with its base-|G| digits, most
     significant first; pinned arcs and the diagonal are the identity.  The
     last b free arcs are the suffix, with b the largest such that |G|^b
-    labellings of n^2 labels fit in BLOCK_ELEMS; their digits are one
-    pattern of |G|^b columns, built once.  A block is one value of the
-    other digits, the prefix, over that pattern, clipped to [lo, hi), so
-    blocks come in index order.  Each 2-cycle is settled on the digits
-    before any label array exists (a pinned arc is the digit 0): a pair of
-    prefix arcs is one test per block, and a balanced one settles the
-    whole block; a pair of suffix arcs is one mask per call; a pair with
-    one arc in each is a (|G|, columns) table per call, whose row the
-    prefix digit picks.  Only the labellings left alive become a label
-    array, sieved from length 3.  The counterexamples come back in index
-    order as one (count, n, n) int64 array.
+    labellings of n^2 labels fit in BLOCK_ELEMS; the other free arcs are
+    the prefix.  Both sides share one digit layout: index 0 is a pinned
+    arc, digit 0, and index k >= 1 the k-th free arc of the side.  The
+    suffix's digits are one pattern of |G|^b columns, built once by one
+    broadcast: row k holds each column's k-th digit, and row 0 zeros.  A
+    block is one prefix value, a tuple from ``itertools.product`` with a 0
+    put in front, over that pattern, clipped to [lo, hi), so blocks come in
+    index order.  Each 2-cycle is settled on the digits before any label
+    array exists, where a pinned arc takes its partner's side at index 0:
+    a pair of prefix arcs is one test per block, and a balanced one
+    settles the whole block; a pair of suffix arcs is one mask per call; a
+    pair with one arc on each side is a (|G|, columns) table per call,
+    whose row the prefix digit picks.  Only the labellings left alive
+    become a label array, sieved from length 3.  The counterexamples come
+    back in index order as one (count, n, n) int64 array.
     """
     group = build_group(spec)
-    order, table, inverse = group.order, group.table, np.array(group._inv)
+    order, table, inverse = group.order, group.table, group.inverse_table
     free = [u * n + v for u, v in _free_arcs(n, normalized)]
     b = 0
     while b < len(free) and order ** (b + 1) * n * n <= BLOCK_ELEMS:
         b += 1
     head, tail = free[:len(free) - b], free[len(free) - b:]
     width = order ** b
-    # column s holds the digits of s, and the last row, zeros, a pinned arc
-    pattern = np.zeros((b + 1, width), dtype=np.int64)
-    rest = np.arange(width, dtype=np.int64)
-    for row in reversed(range(b)):  # least significant digit first
-        if rest[-1] == 0:  # |G| = 1: one column, every digit 0
-            break
-        above = rest // order
-        pattern[row] = rest - above * order
-        rest = above
-    at_head = {arc: i for i, arc in enumerate(head)}
-    at_tail = {arc: j for j, arc in enumerate(tail)}
-    prefix_pairs, suffix_pairs, cross_pairs = [], [], []
+    pattern = np.arange(width) // order ** np.arange(b, -1, -1)[:, None] % order
+    place = {arc: (0, i) for i, arc in enumerate(head, 1)}  # (side, index): 0 prefix, 1 suffix
+    place.update((arc, (1, j)) for j, arc in enumerate(tail, 1))
+    pairs: tuple[list, list, list] = ([], [], [])  # prefix, suffix and cross pairs
     for u in range(n):
         for v in range(u + 1, n):
-            pair = (u * n + v, v * n + u)
-            heads = [at_head[arc] for arc in pair if arc in at_head]
-            tails = [at_tail[arc] for arc in pair if arc in at_tail]
-            if not tails:  # a pinned arc is the last prefix digit, 0
-                prefix_pairs.append(heads + [len(head)] * (2 - len(heads)))
-            elif not heads:  # and the last pattern row
-                suffix_pairs.append(tails + [b] * (2 - len(tails)))
-            else:
-                cross_pairs.append((heads[0], tails[0]))
+            # a pinned arc has no place: it takes its partner's side, at index 0;
+            # sorted, a cross pair's prefix arc comes first
+            one, two = place.get(u * n + v), place.get(v * n + u)
+            (side, i), (other, j) = sorted((one or (two[0], 0), two or (one[0], 0)))
+            pairs[side if side == other else 2].append((i, j))
+    prefix_pairs, suffix_pairs, cross_pairs = pairs
     # a 2-cycle is balanced when one label is the other's inverse
     rows = np.array(suffix_pairs, dtype=np.int64).reshape(-1, 2).T
     suffix_dead = (pattern[rows[0]] == inverse[pattern[rows[1]]]).any(axis=0)
@@ -302,12 +299,11 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
     lengths: Counter[int] = Counter()
     counterexamples = [np.zeros((0, n, n), dtype=np.int64)]
     kept = 0
-    for prefix in range(lo // width, -(-hi // width)):
+    blocks = range(lo // width, -(-hi // width))
+    prefixes = islice(product(range(order), repeat=len(head)), blocks.start, blocks.stop)
+    for prefix, digits in zip(blocks, prefixes):
+        digits = (0,) + digits
         left, right = max(lo - prefix * width, 0), min(hi - prefix * width, width)
-        digits = [0] * (len(head) + 1)
-        rest = prefix
-        for i in reversed(range(len(head))):
-            rest, digits[i] = divmod(rest, order)
         if any(group._inv[digits[i]] == digits[j] for i, j in prefix_pairs):
             settled += right - left
             continue
@@ -317,8 +313,8 @@ def _enumerate_chunk(spec: dict, n: int, normalized: bool,
         if not alive.size:
             continue
         labels = np.zeros((n * n, alive.size), dtype=np.int64)
-        labels[head] = np.array(digits[:-1], dtype=np.int64)[:, None]
-        labels[tail] = pattern[:b, alive]
+        labels[head] = np.array(digits[1:], dtype=np.int64)[:, None]
+        labels[tail] = pattern[1:, alive]
         first = _sieve(table, labels, ((k, _cycle_list(n, k)) for k in range(3, n + 1)))
         _count_lengths(lengths, first)
         counterexamples.append(labels[:, first == 0].T.reshape(-1, n, n))
@@ -345,8 +341,7 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     counterexample existence: every labelling is shifting-equivalent to such
     a normal form and equivalence preserves the set of balanced cycles.
     """
-    if not (is_json_int(n, MAX_VERTICES + 1) and n >= 1):
-        raise BadSize(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    _check_vertex_count(n, 1)
     if not (is_json_int(workers) and workers >= 1):
         raise BadSize(f"worker count {workers} is below 1 or not an integer")
     started = time.perf_counter()
@@ -410,8 +405,7 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     if not (is_json_int(trials) and trials >= 0):
         raise BadSize(f"trial count {trials} is negative or not an integer")
     _check_seed(seed)
-    if not (is_json_int(n, MAX_VERTICES + 1) and n >= 2):
-        raise BadSize(f"vertex count {n} outside 2..{MAX_VERTICES}")
+    _check_vertex_count(n, 2)
     exact = runs_exact(n, max_dp_vertices)
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
                            mode="randomized", trials=trials, seed=seed)

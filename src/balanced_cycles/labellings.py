@@ -23,6 +23,12 @@ from .groups import (FiniteGroup, build_group, checked_matrix, is_json_int, is_j
 MAX_VERTICES = 64
 
 
+def _check_vertex_count(n, least: int) -> None:
+    """BadSize unless n is an integer by ``is_json_int`` in least..MAX_VERTICES."""
+    if not (is_json_int(n, MAX_VERTICES + 1) and n >= least):
+        raise BadSize(f"vertex count {n} outside {least}..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class CycleWitness:
     """A simple directed cycle, as its ordered vertex list, implicitly closed."""
@@ -77,8 +83,7 @@ class Labelling:
         if lab.ndim != 2 or lab.shape[0] != lab.shape[1]:
             raise BadSize("labels must be a square matrix")
         n = int(lab.shape[0])
-        if n < 1 or n > MAX_VERTICES:
-            raise BadSize(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        _check_vertex_count(n, 1)
         if present is None:
             pres = complete_mask(n)
         else:

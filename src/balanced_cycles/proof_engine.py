@@ -18,7 +18,7 @@ from .errors import (BadSize, IncompleteDigraph, NotPrime, PreconditionViolated,
                      TheoremViolation, TrivialGroup)
 from .groups import grow_set, is_json_int, stabilizer, subset_elements
 from .labellings import (CycleWitness, Labelling, apply_shift_family, cycle_value,
-                         normalize, shifting_equivalent)
+                         shifting_equivalent)
 from .reach import (_checked, _close_cycle, _scope, aggregated_reach_layers, reach_set,
                     reach_set_between, short_cycle_scan)
 
@@ -243,9 +243,9 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
         return Dichotomy(cycle=_checked(L, hit.vertices),
                          within_hypothesis=within)
 
-    normalized = normalize(L, v0)
     family = [int(x) for x in L.labels[v0]]
     family[v0] = 0
+    normalized = apply_shift_family(L, family)  # normalize(L, v0), whose checks ran above
     inner = _key_lemma_scoped(normalized, scope)
     if inner.cycle is not None:
         return Dichotomy(cycle=_checked(L, inner.cycle.vertices),

@@ -42,9 +42,9 @@ group):
   D = S | S << q while the next layer is built, and S*g = (D >> (q - g))
   & full, one shift per source and target; for q = 33..64 it is
   ((S << g) | (S >> (q - g))) & full, two shifts and an OR;
-* for every other group, the byte lookup table
-  (``FiniteGroup.right_mul_lut``): one add of per-arc offsets to the
-  layer's bytes, copied row by mask as one (rows, m * chunks) array,
+* for every other group, the right byte lookup table
+  (``FiniteGroup._action_lut("right")``): one add of per-arc offsets to
+  the layer's bytes, copied row by mask as one (rows, m * chunks) array,
   forms the lookup index of a whole block, written in the order the OR
   reduces (``_byte_action``).
 
@@ -59,7 +59,7 @@ once, on first use, and kept on it (``_DenseArcs``, in the slot
 ``Labelling._dense_arcs``): the singletons of the arcs, which seed a run
 (``_arc_bits``) and close a sweep's cycles, and the action's per-arc
 operands.  Only the action the group takes is built, so a cyclic
-numbering never builds the byte offsets, nor ``right_mul_lut``.  Each
+numbering never builds the byte offsets, nor the right byte table.  Each
 run copies its own vertices' block into a C-contiguous (m * c, m, 1)
 array (``_operands``): a slice for a sweep's s+1..n-1, a take for a
 walk's mask; the hot loop never reads a strided view.
@@ -128,10 +128,11 @@ callers:
   ORs the new half into its path rows, with plans kept per call;
 * ``_start_table(act, labels, pres, verts)``: the table of the paths from
   verts[0] inside ``verts``, renumbered so that the start is local vertex
-  0, grown in place from vertex 0 alone.  Up to DICT_SWEEP_CAP vertices
-  its plans stay in ``_GROW_PLANS`` for the life of the process; above,
-  each is built for one step and dropped, as the dense kernel does above
-  _PLAN_CACHE_MAX_M.  It serves:
+  0, grown in place from the table of vertex 0 alone, the seed that
+  ``_grow_anchored`` builds for a new start.  Up to DICT_SWEEP_CAP
+  vertices its plans stay in ``_GROW_PLANS`` for the life of the process;
+  above, each is built for one step and dropped, as the dense kernel does
+  above _PLAN_CACHE_MAX_M.  It serves:
 
   - ``_anchored_cycles``, every balanced cycle with minimum vertex s in
     (length, mask, closing vertex) order, from the table over s..n-1: the
@@ -192,7 +193,7 @@ route reads the rows of the group's right byte table
 rotates bits instead, so there the dense route and the dict route share
 no action; for every other group both read the byte table, which
 ``tests/test_groups.py`` checks against the Cayley table.  A stacked
-re-check reads the same table through ``FiniteGroup.right_mul_lut``, so
+re-check reads the same table through ``FiniteGroup._action_lut``, so
 on a cyclic numbering it too shares no action with the dense kernel.
 
 Memory, with two layers alive while one is extended: the largest
@@ -215,7 +216,7 @@ The dict route's table on m vertices has 2^m * m slots, one pointer each
 (a quarter of them hold the start's paths, the rest 0): 8 MiB at m = 16
 and 160 MiB at TABLE_RETENTION_CAP.  Growing the last vertex holds the old
 half, the new half, the joined table and that step's plan at once.
-``_GROW_PLANS``, filled for every m <= DICT_SWEEP_CAP, takes 1,708,256
+``_GROW_PLANS``, filled for every m <= DICT_SWEEP_CAP, takes 1,713,368
 bytes (tracemalloc) for the life of the process.  ``start_anchored_table``
 on 16 vertices peaked at 24.1 MiB under tracemalloc on a random Z7
 labelling and 32.5 MiB on a Z64 one, with the flat table, the last plan
@@ -435,7 +436,7 @@ class _DenseArcs:
         """Where chunk c of S*label(p, j) starts in the flat byte table, or
         the all-zero row g = order when the arc is absent."""
         G = self.group
-        chunks = G.right_mul_lut().shape[1]
+        chunks = G._action_lut("right").shape[1]
         mult = np.where(self.present, self.labels, G.order)
         offsets = (mult[:, None, :] * chunks + np.arange(chunks)[:, None]) * 256
         return _frozen(offsets.astype(np.intp))
@@ -467,6 +468,11 @@ def _arc_bits(L: Labelling, u: int, verts: list[int]) -> np.ndarray:
     return _dense_arcs(L).bits[u].take(verts)
 
 
+def _vertex_mask(local: int, verts: list[int]) -> int:
+    """A local mask (bit i = vertex verts[i]) as a vertex mask."""
+    return sum(1 << v for i, v in enumerate(verts) if local >> i & 1)
+
+
 class _LayerView(Mapping):
     """One dense layer as a read-only {mask: {endpoint: value bits}}: the one
     form in which a layer leaves the kernel, and the one place that turns
@@ -494,8 +500,7 @@ class _LayerView(Mapping):
         return out.tolist()
 
     def mask_at(self, row: int) -> int:
-        local = int(self.masks[row])
-        return sum(1 << v for i, v in enumerate(self.verts) if local >> i & 1)
+        return _vertex_mask(int(self.masks[row]), self.verts)
 
     def _entry(self, local: int, row: list[int]) -> dict[int, int]:
         return {v: row[i] for i, v in enumerate(self.verts) if (local >> i) & 1}
@@ -568,19 +573,20 @@ def _dense_layers(L: Labelling, verts: list[int], seed: np.ndarray,
 # out as (p, t, rows).
 
 def _byte_action(L: Labelling, verts: list[int]):
-    """S*g through the group's byte table (``FiniteGroup.right_mul_lut``), for any group.
+    """S*g through the right byte table (``FiniteGroup._action_lut``), for any group.
 
     The operand is a layer's values as bytes, the first ``chunks`` of each
     word, one row per mask: entry (r, p*chunks + c) is byte c of endpoint
     p, so gathering a block copies whole rows.  When ``chunks`` bytes make
-    a word type, one transposing cast to it builds the operand; a strided
-    copy of 3, 5, 6 or 7 bytes per word runs several times slower.  offsets[p*chunks + c, j]
-    is the start of the table for chunk c of S*label(p, j), or of the
-    all-zero row when the arc p -> j is absent; one add of
-    offsets[:, targets] forms the lookup index of a whole block, written
-    straight into the (p*chunks + c, t, rows) order of the OR-reduce.
+    a word type, one transposing cast to it builds the operand; otherwise a
+    strided copy of 3, 5, 6 or 7 bytes per word, several times slower,
+    does (the branch says why).  offsets[p*chunks + c, j] is the start of
+    the table for chunk c of S*label(p, j), or of the all-zero row when
+    the arc p -> j is absent; one add of offsets[:, targets] forms the
+    lookup index of a whole block, written straight into the
+    (p*chunks + c, t, rows) order of the OR-reduce.
     """
-    lut = L.group.right_mul_lut()
+    lut = L.group._action_lut("right")
     chunks = lut.shape[1]
     m = len(verts)
     offsets = _operands(_dense_arcs(L).offsets, verts)
@@ -590,6 +596,9 @@ def _byte_action(L: Labelling, verts: list[int]):
         if chunks in (1, 2, 4, 8):  # the low bytes are a word type: one transposing cast
             digits = np.asarray(values.T, dtype=f"<u{chunks}", order="C")
         else:
+            # padding to the next word type, with the extra chunks' offsets
+            # at 0, widens every gather and add of ``act`` instead: cycle-free
+            # checks over Z3 x Z7 and Z5 x Z7 at n = 16 and 18 ran 1.2-1.4x slower
             digits = values.view(np.uint8).reshape(m, -1, 8)[:, :, :chunks].transpose(1, 0, 2)
             digits = np.ascontiguousarray(digits)
         return nullcontext(digits.view(np.uint8).reshape(-1, m * chunks))
@@ -845,9 +854,9 @@ def _start_table(act, labels, pres, verts) -> list:
     m = len(verts)
     arcs = [[act(labels[u][w]) if pres[u][w] else _no_arc for w in verts] for u in verts]
     kept = _GROW_PLANS.setdefault(m, {}) if m <= DICT_SWEEP_CAP else None
-    table = [0] * m + [1] + [0] * (m - 1)  # vertex 0 alone: the empty path, the identity
-    for v in range(1, m):
-        _grow_anchored(table, 0, v, m, arcs, {} if kept is None else kept)
+    table = None
+    for v in range(m):
+        table = _grow_anchored(table, 0, v, m, arcs, {} if kept is None else kept)
     return table
 
 
@@ -927,7 +936,7 @@ def start_anchored_table(L: Labelling, X, start: int | None = None) -> StartAnch
     for local in range(1, 1 << m, 2):  # the masks that hold the start
         entry = {v: bits for v, bits in zip(verts, flat[local * m:(local + 1) * m]) if bits}
         if entry:
-            table[sum(1 << v for i, v in enumerate(verts) if local >> i & 1)] = entry
+            table[_vertex_mask(local, verts)] = entry
     return StartAnchoredTable(L, mask, start, table)
 
 
@@ -1171,7 +1180,7 @@ def _recheck_cycle_free(group: FiniteGroup, labels: np.ndarray, present: np.ndar
     A stack of one runs on Python-int value sets and the group's byte-table
     rows (``FiniteGroup._byte_actions``).  A larger one keeps each value
     set as a uint64 array with one lane per labelling, and acts by gathers
-    from ``FiniteGroup.right_mul_lut``, ORed over the bytes of the set: the
+    from ``FiniteGroup._action_lut("right")``, ORed over the bytes of the set: the
     same route and the same recurrence, one pass instead of one per
     labelling.
     """
@@ -1184,7 +1193,7 @@ def _recheck_cycle_free(group: FiniteGroup, labels: np.ndarray, present: np.ndar
         act, labels = group._byte_actions("right").__getitem__, labels[0].tolist()
         inv = inv[0].tolist()
     else:
-        lut = group.right_mul_lut()
+        lut = group._action_lut("right")
         chunks = lut.shape[1]
         shifts = np.arange(0, 8 * chunks, 8, dtype=np.uint64)
         # labels[u, w][i, c]: where chunk c of S*label(u, w) starts in the flat ``lut``, lane i
