@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadIndex, BadSize
-from .groups import FiniteGroup, cyclic_group, is_json_int
+from .groups import FiniteGroup, checked_int, cyclic_group
 from .labellings import Labelling, _check_vertex_count, complete_mask
 from .rng import Xoshiro256StarStar
 
@@ -19,9 +19,8 @@ def extremal_cyclic(q: int, n: int) -> Labelling:
     zero; on q+1 vertices exactly one cycle is balanced, the increasing
     Hamiltonian cycle closed by its single decreasing arc.
     """
-    if not (is_json_int(q) and q >= 2):
-        raise BadSize(f"extremal construction needs an integer q >= 2, got {q}")
-    _check_vertex_count(n, 2)
+    q = checked_int(q, "extremal construction needs an integer q >= 2, got {}", BadSize, 2)
+    n = _check_vertex_count(n, 2)
     labels = np.zeros((n, n), dtype=np.int64)
     labels[np.triu_indices(n, k=1)] = 1
     return Labelling(cyclic_group(q), labels)
@@ -34,10 +33,9 @@ def arc_critical_instance(q: int, deleted_arc_index: int) -> Labelling:
     (k, k+1) for k < q and arc q is the closing arc (q, 0).  Deleting any
     one of them leaves no balanced cycle at all.
     """
-    if not (is_json_int(q) and q >= 2):
-        raise BadSize(f"arc-critical instance needs an integer q >= 2, got {q}")
-    if not is_json_int(deleted_arc_index, q + 1):
-        raise BadIndex(f"arc index {deleted_arc_index} outside 0..{q}")
+    q = checked_int(q, "arc-critical instance needs an integer q >= 2, got {}", BadSize, 2)
+    deleted_arc_index = checked_int(deleted_arc_index, "arc index {} outside 0..{last}", BadIndex,
+                                    size=q + 1)
     base = extremal_cyclic(q, q + 1)
     if deleted_arc_index < q:
         u, v = deleted_arc_index, deleted_arc_index + 1
@@ -57,7 +55,7 @@ def random_labelling(group: FiniteGroup, n: int, seed: int) -> Labelling:
     Identical (group, n, seed) give identical labellings on every platform.
     ``rng.xoshiro_labels`` draws the same labels for many seeds at once.
     """
-    _check_vertex_count(n, 2)
+    n = _check_vertex_count(n, 2)
     rng = Xoshiro256StarStar(seed)
     order = group.order
     labels = np.zeros((n, n), dtype=np.int64)

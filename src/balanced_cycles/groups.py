@@ -24,12 +24,14 @@ nothing changes.
 One integer rule covers every integer argument of the package, here and in
 the other modules: ``is_json_int(value, size)`` accepts an int or a numpy
 integer, never a bool or a float, and with ``size`` only one in
-0..size-1.  Nothing is coerced: an element g of the subset actions, ``grow_set`` and
-``subgroup_closure`` passes ``is_json_int(g, order)``, an element set of
-the subset actions, ``stabilizer``, ``cosets`` and ``is_subgroup``
-``is_json_int(S, 2^order)``, and a set ``subset_elements`` lists, like
-every element ``subset_of`` takes, must be a non-negative integer;
-anything else is a ValueError.  The
+0..size-1.  A check that raises on one integer is ``checked_int``, which
+returns it as an int, so checked integers leave as ints and no result
+keeps a numpy scalar.  Nothing is coerced: an element g of the subset
+actions, ``grow_set`` and ``subgroup_closure`` passes
+``is_json_int(g, order)``, an element set of the subset actions,
+``stabilizer``, ``cosets`` and ``is_subgroup`` ``is_json_int(S, 2^order)``,
+and a set ``subset_elements`` lists, like every element ``subset_of``
+takes, must be a non-negative integer; anything else is a ValueError.  The
 constructors' ``q``, ``m``, ``n`` and ``r``, and every entry of a table
 ``FiniteGroup`` takes, are integers by the same rule (BadSpec otherwise;
 an integer numpy table passes on its dtype, ``checked_matrix``, and any
@@ -114,18 +116,15 @@ class FiniteGroup:
     identity = 0
 
     def _element(self, g) -> int:
-        """``g`` itself if it is an element by ``is_json_int``, else ValueError;
-        never a bool, a float or a negative index that would wrap."""
-        if not is_json_int(g, self.order):
-            raise ValueError(f"{g!r} is not a group element 0..{self.order - 1}")
-        return g
+        """``g`` as an int if it is an element by ``checked_int``, else
+        ValueError; never a bool, a float or a negative index that would wrap."""
+        return checked_int(g, "{!r} is not a group element 0..{last}", ValueError, size=self.order)
 
     def _element_set(self, bits) -> int:
-        """``bits`` itself if it is an element set, an integer in
-        0..2^order-1 by ``is_json_int``, else ValueError."""
-        if not is_json_int(bits, 1 << self.order):
-            raise ValueError(f"element set {bits!r} outside 0..2^{self.order}-1")
-        return bits
+        """``bits`` as an int if it is an element set, an integer in
+        0..2^order-1 by ``checked_int``, else ValueError."""
+        return checked_int(bits, "element set {!r} outside 0..2^{detail}-1", ValueError,
+                           size=1 << self.order, detail=self.order)
 
     def mul(self, g: int, h: int) -> int:
         return self._rows[self._element(g)][self._element(h)]
@@ -228,18 +227,14 @@ def subset_of(elems: Iterable[int]) -> int:
     is not a non-negative integer."""
     bits = 0
     for e in elems:
-        if not (is_json_int(e) and e >= 0):
-            raise ValueError(f"element {e!r} is not a non-negative integer")
-        bits |= 1 << int(e)
+        bits |= 1 << checked_int(e, "element {!r} is not a non-negative integer", ValueError, 0)
     return bits
 
 
 def subset_elements(bits: int) -> list[int]:
     """The members of a set, ascending; ValueError unless it is a
     non-negative integer (a negative one would have infinitely many)."""
-    if not (is_json_int(bits) and bits >= 0):
-        raise ValueError(f"set {bits!r} is not a non-negative integer")
-    bits = int(bits)
+    bits = checked_int(bits, "set {!r} is not a non-negative integer", ValueError, 0)
     out = []
     while bits:
         low = bits & -bits
@@ -275,9 +270,11 @@ def grow_set(group: FiniteGroup, bits: int, x: int) -> int:
 
     When x is outside stab_l(S) and S is non-empty, the result gains at
     least |stab_r(S)| new elements and keeps every right stabilizer of S.
-    Raises ValueError when x is not an element (``elem_mul_subset``).
+    Raises ValueError when x is not an element or S not an element set
+    (``elem_mul_subset``, which checks them before ``_element_set`` turns S
+    into an int).
     """
-    return bits | group.elem_mul_subset(x, bits)
+    return group.elem_mul_subset(x, bits) | group._element_set(bits)
 
 
 def is_subgroup(group: FiniteGroup, bits: int) -> bool:
@@ -394,11 +391,9 @@ def cosets(group: FiniteGroup, subgroup_bits: int, side: str) -> list[int]:
 # -- constructions ----------------------------------------------------------
 
 def cyclic_group(q: int) -> FiniteGroup:
-    if not (is_json_int(q) and q >= 1):
-        raise BadSpec(f"cyclic group needs an integer q >= 1, got {q}")
+    q = checked_int(q, "cyclic group needs an integer q >= 1, got {}", BadSpec, 1)
     if q > MAX_ORDER:
         raise BadSpec(f"cyclic group order {q} exceeds the cap of {MAX_ORDER}")
-    q = int(q)
     ref = np.arange(q)
     return FiniteGroup((ref[:, None] + ref) % q, name=f"Z{q}", spec={"kind": "cyclic", "q": q})
 
@@ -449,6 +444,18 @@ def is_json_int(value, size: int | None = None) -> bool:
             and (size is None or 0 <= value < size))
 
 
+def checked_int(value, message: str, error: type[Exception], least: int | None = None,
+                size: int | None = None, detail=None) -> int:
+    """``int(value)`` if it passes ``is_json_int(value, size)`` and is at
+    least ``least``; else ``error`` with ``message.format(value, least=least,
+    last=size - 1, detail=detail)``.  The message is formatted only on
+    failure: every Labelling constructor checks its vertex count here."""
+    if is_json_int(value, size) and (least is None or value >= least):
+        return int(value)
+    raise error(message.format(value, least=least, last=None if size is None else size - 1,
+                               detail=detail))
+
+
 def is_json_matrix(rows, is_entry) -> bool:
     """True for a list of lists whose every entry passes ``is_entry``."""
     return isinstance(rows, list) and all(
@@ -479,10 +486,8 @@ def json_field(obj: dict, key: str, what: str):
 
 def _spec_ints(spec: dict, *keys: str) -> list[int]:
     values = [json_field(spec, key, "group spec") for key in keys]
-    for key, value in zip(keys, values):
-        if not is_json_int(value):
-            raise BadSpec(f"group spec field {key!r} must be an integer, got {value!r}")
-    return [int(value) for value in values]
+    return [checked_int(value, "group spec field {detail!r} must be an integer, got {!r}",
+                        BadSpec, detail=key) for key, value in zip(keys, values)]
 
 
 def build_group(spec: dict) -> FiniteGroup:

@@ -139,7 +139,7 @@ from operator import lshift, or_
 import numpy as np
 
 from .errors import BadSize, SearchSpaceTooLarge
-from .groups import FiniteGroup, automorphism_orbit_min, build_group, is_json_int
+from .groups import FiniteGroup, automorphism_orbit_min, build_group, checked_int
 from .labellings import Labelling, _check_vertex_count, complete_mask
 from .reach import (EXACT_CAP, _cycle_arcs, _cycle_list, _cycle_values, _grow_anchored,
                     _recheck_cycle_free, find_balanced_cycle, runs_exact)
@@ -341,9 +341,8 @@ def verify_all(group: FiniteGroup, n: int, normalized: bool = False,
     counterexample existence: every labelling is shifting-equivalent to such
     a normal form and equivalence preserves the set of balanced cycles.
     """
-    _check_vertex_count(n, 1)
-    if not (is_json_int(workers) and workers >= 1):
-        raise BadSize(f"worker count {workers} is below 1 or not an integer")
+    n = _check_vertex_count(n, 1)
+    workers = checked_int(workers, "worker count {} is below 1 or not an integer", BadSize, 1)
     started = time.perf_counter()
     mode = "exhaustive_normalized" if normalized else "exhaustive"
     report = VerdictReport(group_name=group.name, group_spec=group.spec,
@@ -402,10 +401,9 @@ def verify_random(group: FiniteGroup, n: int, trials: int, seed: int,
     kept as a counterexample.
     """
     started = time.perf_counter()
-    if not (is_json_int(trials) and trials >= 0):
-        raise BadSize(f"trial count {trials} is negative or not an integer")
-    _check_seed(seed)
-    _check_vertex_count(n, 2)
+    trials = checked_int(trials, "trial count {} is negative or not an integer", BadSize, 0)
+    seed = _check_seed(seed)
+    n = _check_vertex_count(n, 2)
     exact = runs_exact(n, max_dp_vertices)
     report = VerdictReport(group_name=group.name, group_spec=group.spec, n=n,
                            mode="randomized", trials=trials, seed=seed)
@@ -596,11 +594,9 @@ def compute_n(group: FiniteGroup, max_n: int | None = None,
     re-verified.  On budget exhaustion the raised
     SearchSpaceTooLarge carries the best lower bound and its witness.
     """
-    limit = max_n if max_n is not None else group.order + 2
-    if not (is_json_int(limit) and limit >= 1):
-        raise BadSize(f"max_n {limit} is below 1 or not an integer")
-    if not (is_json_int(node_budget) and node_budget >= 0):
-        raise BadSize(f"node_budget {node_budget} is not an integer >= 0")
+    limit = checked_int(max_n if max_n is not None else group.order + 2,
+                        "max_n {} is below 1 or not an integer", BadSize, 1)
+    node_budget = checked_int(node_budget, "node_budget {} is not an integer >= 0", BadSize, 0)
     left = node_budget
     witness: Labelling | None = None
     orbit_min = automorphism_orbit_min(group)

@@ -17,16 +17,16 @@ import numpy as np
 
 from .errors import (AsymmetricMask, BadSize, BadSpec, IncompleteDigraph,
                      MissingArc, Mismatch)
-from .groups import (FiniteGroup, build_group, checked_matrix, is_json_int, is_json_matrix,
-                     json_field)
+from .groups import (FiniteGroup, build_group, checked_int, checked_matrix, is_json_int,
+                     is_json_matrix, json_field)
 
 MAX_VERTICES = 64
 
 
-def _check_vertex_count(n, least: int) -> None:
-    """BadSize unless n is an integer by ``is_json_int`` in least..MAX_VERTICES."""
-    if not (is_json_int(n, MAX_VERTICES + 1) and n >= least):
-        raise BadSize(f"vertex count {n} outside {least}..{MAX_VERTICES}")
+def _check_vertex_count(n, least: int) -> int:
+    """n as an int, or BadSize unless it is an integer in least..MAX_VERTICES."""
+    return checked_int(n, "vertex count {} outside {least}..{last}", BadSize, least,
+                       MAX_VERTICES + 1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ class Labelling:
                              "labels must be rows of integers in the int64 range")
         if lab.ndim != 2 or lab.shape[0] != lab.shape[1]:
             raise BadSize("labels must be a square matrix")
-        n = int(lab.shape[0])
-        _check_vertex_count(n, 1)
+        n = _check_vertex_count(lab.shape[0], 1)
         if present is None:
             pres = complete_mask(n)
         else:
@@ -105,12 +104,11 @@ class Labelling:
         self._dense_arcs = None
 
     def _arc(self, u, v) -> tuple[int, int]:
-        """(u, v) if both are vertices by ``is_json_int``, else ValueError;
-        never a bool, a float or a negative index that would wrap."""
-        for w in (u, v):
-            if not is_json_int(w, self.n):
-                raise ValueError(f"{w!r} is not a vertex 0..{self.n - 1}")
-        return u, v
+        """(u, v) as ints if both are vertices by ``checked_int``, else
+        ValueError; never a bool, a float or a negative index that would wrap."""
+        message = "{!r} is not a vertex 0..{last}"
+        return (checked_int(u, message, ValueError, size=self.n),
+                checked_int(v, message, ValueError, size=self.n))
 
     def label(self, u: int, v: int) -> int:
         return int(self.labels[self._arc(u, v)])
@@ -164,9 +162,7 @@ def labelling_from_json(obj: dict) -> Labelling:
     labels = json_field(obj, "labels", "labelling")
     if not is_json_matrix(labels, lambda x: is_json_int(x, group.order)):
         raise BadSpec(f"labels must be rows of integers in 0..{group.order - 1}")
-    n = obj.get("n", len(labels))
-    if not is_json_int(n):
-        raise BadSpec(f"n must be an integer, got {n!r}")
+    n = checked_int(obj.get("n", len(labels)), "n must be an integer, got {!r}", BadSpec)
     if len(labels) != n:
         raise BadSize("n does not match the label matrix")
     if any(len(row) != n for row in labels):
@@ -221,8 +217,7 @@ def is_balanced(L: Labelling, cycle) -> bool:
 
 def shift(L: Labelling, v: int, g: int) -> Labelling:
     """Shift by g at v: in-arc labels pick up g^-1 on the right, out-arc labels g on the left."""
-    if not is_json_int(v, L.n):
-        raise ValueError(f"vertex {v} out of range")
+    v = checked_int(v, "vertex {} out of range", ValueError, size=L.n)
     family = [0] * L.n
     family[v] = g
     return apply_shift_family(L, family)
@@ -267,8 +262,7 @@ def normalize(L: Labelling, v0: int) -> Labelling:
     """
     if not L.is_complete():
         raise IncompleteDigraph("normalization needs a complete digraph")
-    if not is_json_int(v0, L.n):
-        raise ValueError(f"vertex {v0} out of range")
+    v0 = checked_int(v0, "vertex {} out of range", ValueError, size=L.n)
     family = L.labels[v0].copy()
     family[v0] = 0
     return apply_shift_family(L, family)

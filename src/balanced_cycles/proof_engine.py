@@ -232,6 +232,7 @@ def make_efficient_tuple(L: Labelling, v0: int) -> Dichotomy:
         raise IncompleteDigraph("tuple construction needs a complete digraph")
     n = L.n
     _scope(L, (1 << n) - 1, n, v0)  # v0 must be a vertex
+    v0 = int(v0)  # a numpy integer passes _scope
     if n < 2:
         raise BadSize("tuple construction needs at least two vertices")
     scope = _scope(L, ((1 << n) - 1) ^ (1 << v0), KEY_LEMMA_CAP)
@@ -374,6 +375,7 @@ def augment_tuple(L_base: Labelling, T: EfficientTuple, w1: int, w2: int) -> Eff
         raise PreconditionViolated("augmentation needs a complete tuple labelling")
     if w1 == w2 or not (is_json_int(w1, n) and is_json_int(w2, n)):
         raise PreconditionViolated("w1 and w2 must be distinct in-range vertices")
+    w1, w2 = int(w1), int(w2)
     if (T.X >> w1) & 1 or (T.X >> w2) & 1:
         raise PreconditionViolated("w1 and w2 must lie outside X")
 

@@ -259,7 +259,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadSize, NotInScope, TooLarge
-from .groups import FiniteGroup, is_json_int, subset_elements
+from .groups import FiniteGroup, checked_int, is_json_int, subset_elements
 from .labellings import CycleWitness, Labelling, cycle_value
 
 EXACT_CAP = 24
@@ -283,17 +283,14 @@ def _scope(L: Labelling, X, cap: int, *vertices: int | None) -> int:
     """
     n = L.n
     if is_json_int(X):
-        mask = int(X)
+        mask = checked_int(X, "scope {} has a vertex outside 0..{detail}", NotInScope,
+                           size=1 << n, detail=n - 1)
     elif isinstance(X, Iterable):
         mask = 0
         for v in X:
-            if not is_json_int(v, n):
-                raise NotInScope(f"vertex {v!r} outside 0..{n - 1}")
-            mask |= 1 << int(v)
+            mask |= 1 << checked_int(v, "vertex {!r} outside 0..{last}", NotInScope, size=n)
     else:
         raise NotInScope(f"scope {X!r} is neither a vertex mask nor vertices")
-    if not is_json_int(mask, 1 << n):
-        raise NotInScope(f"scope {mask} has a vertex outside 0..{n - 1}")
     for w in vertices:
         if w is None:
             if not mask:
@@ -309,9 +306,9 @@ def runs_exact(n: int, max_dp_vertices: int) -> bool:
     """Whether an n-vertex instance gets the exact search rather than the
     short-cycle scan alone: ``max_dp_vertices`` (at least 0) can only lower
     EXACT_CAP, and 0 means the scan alone."""
-    if not (is_json_int(max_dp_vertices) and max_dp_vertices >= 0):
-        raise BadSize(f"max_dp_vertices {max_dp_vertices} is negative or not an integer")
-    return n <= min(max_dp_vertices, EXACT_CAP)
+    limit = checked_int(max_dp_vertices, "max_dp_vertices {} is negative or not an integer",
+                        BadSize, 0)
+    return n <= min(limit, EXACT_CAP)
 
 
 # -- the dense layer kernel ----------------------------------------------------
@@ -468,9 +465,15 @@ def _arc_bits(L: Labelling, u: int, verts: list[int]) -> np.ndarray:
     return _dense_arcs(L).bits[u].take(verts)
 
 
-def _vertex_mask(local: int, verts: list[int]) -> int:
-    """A local mask (bit i = vertex verts[i]) as a vertex mask."""
-    return sum(1 << v for i, v in enumerate(verts) if local >> i & 1)
+def _vertex_masks(masks: np.ndarray, verts: list[int]) -> list[int]:
+    """Local masks (bit i = vertex verts[i]) as vertex masks, in the same order.
+
+    The same few array operations for any number of masks, so one row costs
+    a few microseconds: each mask's bits, unpacked, times the vertices'
+    powers of two, whose sum has no carries (local masks fit 32 bits)."""
+    bits = np.unpackbits(masks.astype("<u4").view(np.uint8).reshape(-1, 4), axis=1,
+                         count=len(verts), bitorder="little")
+    return (bits @ np.left_shift(np.uint64(1), np.array(verts, dtype=np.uint64))).tolist()
 
 
 class _LayerView(Mapping):
@@ -492,31 +495,25 @@ class _LayerView(Mapping):
         self.masks = masks
         self.array = array
 
-    def _vertex_masks(self, masks: np.ndarray) -> list[int]:
-        """Local masks (bit i = vertex verts[i]) as vertex masks, in the same order."""
-        out = np.zeros(masks.size, dtype=np.uint64)
-        for i, v in enumerate(self.verts):
-            out |= ((masks >> i) & 1).astype(np.uint64) << np.uint64(v)
-        return out.tolist()
-
     def mask_at(self, row: int) -> int:
-        return _vertex_mask(int(self.masks[row]), self.verts)
+        return _vertex_masks(self.masks[row:row + 1], self.verts)[0]
 
     def _entry(self, local: int, row: list[int]) -> dict[int, int]:
         return {v: row[i] for i, v in enumerate(self.verts) if (local >> i) & 1}
 
     def __getitem__(self, mask: int) -> dict[int, int]:
-        local = 0
+        local = kept = 0  # kept: the vertices of mask that are in verts
         for i, v in enumerate(self.verts):
             if (mask >> v) & 1:
                 local |= 1 << i
+                kept |= 1 << v
         row = int(np.searchsorted(self.masks, local))
-        if row == self.masks.size or self.masks[row] != local or self.mask_at(row) != mask:
+        if kept != mask or row == self.masks.size or self.masks[row] != local:
             raise KeyError(mask)
         return self._entry(local, self.array[row].tolist())
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._vertex_masks(self.masks))
+        return iter(_vertex_masks(self.masks, self.verts))
 
     def __len__(self) -> int:
         return self.masks.size
@@ -760,9 +757,11 @@ def reach_set_between(L: Labelling, X, u: int, v: int) -> int:
     """Values of simple u-to-v paths inside X.
 
     For u == v only the length-0 path qualifies (simple paths cannot
-    return), so the result is the singleton identity.
+    return), so the result is the singleton identity, with no kernel run.
     """
     mask = _scope(L, X, EXACT_CAP, u, v)
+    if u == v:
+        return 1
     u = int(u)
     return _paths_in(L, {}, mask ^ (1 << u), u)[v]
 
@@ -896,8 +895,7 @@ class ReachTable:
         """Union over submasks containing x; equals reach_set(base, scope, x).
 
         Raises NotInScope for x outside 0..n-1; a vertex outside the scope gives 0."""
-        if not is_json_int(x, self.base.n):
-            raise NotInScope(f"vertex {x} outside 0..{self.base.n - 1}")
+        x = checked_int(x, "vertex {} outside 0..{last}", NotInScope, size=self.base.n)
         if not (self.scope >> x) & 1:
             return 0
         acc = 0
@@ -932,11 +930,12 @@ def start_anchored_table(L: Labelling, X, start: int | None = None) -> StartAnch
     flat = _start_table(L.group._byte_actions("right").__getitem__, L.rows(), L.present_rows(),
                         verts)
     m = len(verts)
+    holding = np.arange(1, 1 << m, 2)  # the local masks that hold the start
     table = {}
-    for local in range(1, 1 << m, 2):  # the masks that hold the start
+    for local, mask in zip(holding.tolist(), _vertex_masks(holding, verts)):
         entry = {v: bits for v, bits in zip(verts, flat[local * m:(local + 1) * m]) if bits}
         if entry:
-            table[_vertex_mask(local, verts)] = entry
+            table[mask] = entry
     return StartAnchoredTable(L, mask, start, table)
 
 
@@ -969,15 +968,15 @@ def find_path_with_value(L: Labelling, X, u: int, v: int, value: int) -> list[in
     no such path exists.
     """
     mask = _scope(L, X, EXACT_CAP, u, v)
-    if not is_json_int(value, L.group.order):
-        raise ValueError(f"value {value!r} is not a group element 0..{L.group.order - 1}")
-    if u == v and value != 0:
+    val = checked_int(value, "value {!r} is not a group element 0..{last}", ValueError,
+                      size=L.group.order)
+    if u == v and val != 0:
         raise ValueError(f"the only path from {u} to itself has the identity value")
     rows = L.rows()
     pres = L.present_rows()
     inv = L.group._inv
     mul_rows = L.group._rows
-    u, e, val = int(u), int(v), int(value)  # numpy integers pass the checks above
+    u, e = int(u), int(v)  # numpy integers pass _scope
     path = [e]
     top: dict[int, _LayerView] = {}
     while e != u:

@@ -33,15 +33,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadSeed
-from .groups import is_json_int
+from .groups import checked_int
 
 _MASK64 = (1 << 64) - 1
 
 
 def _check_seed(seed: int) -> int:
-    if not is_json_int(seed, 1 << 64):
-        raise BadSeed(f"seed {seed} outside 0..2^64-1")
-    return seed
+    return checked_int(seed, "seed {} outside 0..2^64-1", BadSeed, size=1 << 64)
 
 
 _U64 = np.uint64

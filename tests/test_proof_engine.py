@@ -1,5 +1,6 @@
 """Dichotomy procedures, tuple validation and augmentation, prime finder."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -200,6 +201,41 @@ def test_validate_tuple_negative_control():
                             shift_family=tup.shift_family, is_super=False)
     report = validate_tuple(L, broken)
     assert "|R| < |X| - 1" in report.failures
+
+
+@pytest.mark.parametrize("change, failures", [
+    ({"R": 0b11110}, ["R is not the reach set of (X, x)", "|R| < |X|",
+                      "right_stab is not the right stabilizer of R", "right stabilizer is trivial"]),
+    ({"x": 0}, ["R is not the reach set of (X, x)"]),
+    ({"right_stab": 1}, ["right_stab is not the right stabilizer of R"]),
+    ({"X": 0b111}, ["x is not a member of X"]),
+], ids=["R", "x", "right_stab", "X"])
+def test_certificate_validation_lists_each_broken_field(change, failures):
+    L = extremal_cyclic(5, 5)
+    cert = key_lemma(L).certificate
+    assert cert.validate(L) == []
+    assert dataclasses.replace(cert, **change).validate(L) == failures
+
+
+_ALL_ZERO_Z9 = Labelling(Z9, np.zeros((10, 10), dtype=np.int64))
+
+
+@pytest.mark.parametrize("change, failures", [
+    ({"gamma_prime": build_synthetic_tuple(9)[0]},
+     ["tuple labelling does not match the base labelling"]),
+    ({"u": 3}, ["u and v must be distinct"]),
+    ({"shift_family": (1,) + (0,) * 9}, ["stored shift family does not reproduce gamma_prime"]),
+    ({"gamma_prime": _ALL_ZERO_Z9},
+     ["stored shift family does not reproduce gamma_prime",
+      "gamma_prime is not shifting-equivalent to the base labelling",
+      "R is not a subset of the attainable u-to-v path values"]),
+    ({"R": subset_of([1, 4, 7])}, ["R is not a subset of the attainable u-to-v path values"]),
+    ({"is_super": True}, ["tuple tagged super-efficient but |R| < |X|"]),
+], ids=["base_mismatch", "u_is_v", "shift_family", "not_equivalent", "R", "is_super"])
+def test_validate_tuple_lists_each_broken_field(change, failures):
+    L, tup = build_synthetic_tuple()
+    assert validate_tuple(L, tup).failures == []
+    assert validate_tuple(L, dataclasses.replace(tup, **change)).failures == failures
 
 
 def test_validate_tuple_lists_a_vertex_outside_the_labelling():

@@ -43,6 +43,27 @@ def test_reach_set_between_examples():
         reach_set(L, [0, 1], 3)
 
 
+def test_reach_set_between_a_vertex_and_itself_runs_no_kernel(monkeypatch):
+    runs = []
+    dense = reach._dense_layers
+
+    def spy(L, verts, seed, inside):
+        runs.append(len(verts))
+        return dense(L, verts, seed, inside)
+
+    monkeypatch.setattr(reach, "_dense_layers", spy)
+    L = random_labelling(cyclic_group(9), 18, 1)
+    for u in (0, 9, np.int64(17)):
+        assert reach_set_between(L, range(18), u, u) == 1
+    assert runs == []
+    # the scope is still checked: a vertex outside it, or outside the labelling
+    for X, u in (([0, 1, 2], 5), (range(18), 18), (range(18), -1), (range(18), True)):
+        with pytest.raises(NotInScope):
+            reach_set_between(L, X, u, u)
+    assert runs == []
+    assert reach_set_between(L, [0, 1, 2], 0, 2) and runs == [2]
+
+
 def test_reach_table_recurrence():
     rng = random.Random(1)
     for _ in range(20):
